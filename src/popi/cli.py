@@ -78,12 +78,14 @@ def _emit(args, report: dict, records: list[dict] | None = None) -> None:
 
 
 def _flatten(report: dict) -> dict:
+    """One CSV row: nested dicts become dotted keys, lists of scalars stay
+    (the writer joins them with commas), lists of lists or dicts are dropped."""
     flat = {}
     for k, v in report.items():
         if isinstance(v, dict):
             for k2, v2 in v.items():
                 flat["%s.%s" % (k, k2)] = v2
-        elif not isinstance(v, list):
+        elif not (isinstance(v, list) and any(isinstance(x, (list, dict)) for x in v)):
             flat[k] = v
     return flat
 
@@ -165,13 +167,12 @@ def cmd_green(args) -> int:
 def cmd_rank(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
     cert = semigroup_rank(ctx)
-    S = enumerate_semigroup(ctx)
     closed = closure(ctx, list(cert.generating_set))
     deletions = deletion_test(ctx, list(cert.generating_set))
     report = _base_report("rank", {"n": ctx.n, "y": list(ctx.points)})
     report["claimed_rank"] = cert.claimed_rank
     report["generators"] = [_fmt_elem(a) for a in cert.generating_set]
-    report["closure_ok"] = len(closed) == len(S)
+    report["closure_ok"] = len(closed) == cert.order
     report["deletion_test"] = (
         "all-shrink" if all(deletions) else "kept:" + ",".join(
             str(i) for i, d in enumerate(deletions) if not d
@@ -233,17 +234,19 @@ def cmd_selftest(args) -> int:
             for pts in combinations(range(1, n + 1), size):
                 ctx = RangeContext(n, pts)
                 S = enumerate_semigroup(ctx)
+                # no commas, so the CSV projection's joined list splits back
+                where = "n=%d y={%s}" % (n, " ".join(map(str, pts)))
                 if len(S) != cardinality_formula(n, ctx.r):
-                    failures.append("cardinality n=%d y=%s" % (n, pts))
+                    failures.append("cardinality " + where)
                 for i in range(len(S)):
                     if is_regular_oracle(S, i) != is_regular_characterized(ctx, S[i]):
-                        failures.append("regularity n=%d y=%s i=%d" % (n, pts, i))
+                        failures.append("regularity %s i=%d" % (where, i))
                         break
                 for rel in ("L", "R", "H", "D"):
                     if not green_characterized(ctx, S, rel).same_partition(
                         green_oracle(S, rel)
                     ):
-                        failures.append("green-%s n=%d y=%s" % (rel, n, pts))
+                        failures.append("green-%s %s" % (rel, where))
     report = _base_report("selftest", {"max_n": args.max_n})
     report["failures"] = failures
     report["ok"] = not failures

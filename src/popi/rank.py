@@ -47,9 +47,13 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class RankCertificate:
+    """`order` is |S| as enumerated by `semigroup_rank`, which raises unless
+    `generating_set` closes to all of S."""
+
     ctx: RangeContext
     claimed_rank: int
     generating_set: tuple[PartialInjection, ...]
+    order: int
     lower_bound_witness: tuple[tuple[int, ...], ...] = field(default=())
 
 
@@ -287,31 +291,32 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
     that no single element suffices.
     """
     S = enumerate_semigroup(ctx)
+    order = len(S)
     if not ctx.is_full:
         gens = canonical_generating_set(ctx)
-        if len(closure(ctx, gens)) != len(S):
+        if len(closure(ctx, gens)) != order:
             raise errors.DecompositionFailed("canonical set failed to generate")
         witness = tuple(combinations(range(1, ctx.n + 1), ctx.r))
-        return RankCertificate(ctx, math.comb(ctx.n, ctx.r), tuple(gens), witness)
+        return RankCertificate(ctx, math.comb(ctx.n, ctx.r), tuple(gens), order, witness)
 
     g = rotation_perm(ctx.n)
     pair = None
     for idx in rank_layer(S, ctx.n - 1):
         cand = S[idx]
-        if len(closure(ctx, [g, cand])) == len(S):
+        if len(closure(ctx, [g, cand])) == order:
             pair = (g, cand)
             break
     if pair is None:
         for i, j in combinations(range(len(S)), 2):
-            if len(closure(ctx, [S[i], S[j]])) == len(S):
+            if len(closure(ctx, [S[i], S[j]])) == order:
                 pair = (S[i], S[j])
                 break
     if pair is None:
         raise errors.DecompositionFailed("no generating pair found")
     for a in S:
-        if len(closure(ctx, [a])) == len(S):
+        if len(closure(ctx, [a])) == order:
             raise errors.DecompositionFailed("a single element generates; rank claim wrong")
-    return RankCertificate(ctx, 2, pair, ())
+    return RankCertificate(ctx, 2, pair, order)
 
 
 # -- full pipeline ----------------------------------------------------------

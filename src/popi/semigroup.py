@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .transform import PartialInjection, empty_map
+from .transform import PartialInjection, empty_map, left_multiplier, padded
 
 
 class RangeContext:
@@ -61,8 +61,7 @@ def sort_key(a: PartialInjection):
 class ElementSet:
     """A deduplicated, deterministically indexed collection of elements.
 
-    When built by `closure`, carries the generator list and the table of
-    generator-labeled right-multiplication edges.  Immutable after
+    When built by `closure`, carries the generator list.  Immutable after
     construction.
     """
 
@@ -70,14 +69,12 @@ class ElementSet:
         self,
         elements: Sequence[PartialInjection],
         generators: tuple[PartialInjection, ...] | None = None,
-        cayley: tuple[tuple[int, ...], ...] | None = None,
     ):
         self.elements = tuple(elements)
         self._index = {a: i for i, a in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise errors.BadParameters("duplicate elements")
         self.generators = generators
-        self.cayley = cayley
         self._mult: list[list[int]] | None = None
 
     @classmethod
@@ -105,9 +102,15 @@ class ElementSet:
         Requires closure under composition; raises KeyError otherwise.
         """
         if self._mult is None:
-            idx = self._index
-            elems = self.elements
-            self._mult = [[idx[a * b] for b in elems] for a in elems]
+            if len({a.n for a in self.elements}) > 1:
+                # the kernel reads tables without their chain size
+                raise errors.MismatchedChainSize("elements live on different chains")
+            index_of_table = {a.table: i for i, a in enumerate(self.elements)}.__getitem__
+            right = [padded(b.table) for b in self.elements]
+            self._mult = [
+                list(map(index_of_table, map(left_multiplier(a.table), right)))
+                for a in self.elements
+            ]
         return self._mult
 
     def product_index(self, i: int, j: int) -> int:
@@ -160,8 +163,8 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
 def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> ElementSet:
     """The subsemigroup generated by the given elements.
 
-    Breadth-first right-multiplication; no identity or zero is adjoined
-    unless generated.  The result carries generator-labeled edges.
+    Breadth-first right-multiplication on slot tables; no identity or zero
+    is adjoined unless generated.  The result carries the generators.
     """
     gens: list[PartialInjection] = []
     seen: set[PartialInjection] = set()
@@ -173,21 +176,19 @@ def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> Elemen
             gens.append(a)
     if not gens:
         raise errors.BadParameters("need at least one generator")
-    elems = set(gens)
-    frontier = list(gens)
+    right = [padded(g.table) for g in gens]
+    tables = {g.table for g in gens}
+    frontier = list(tables)
     while frontier:
         fresh = []
         for a in frontier:
-            for g in gens:
-                p = a * g
-                if p not in elems:
-                    elems.add(p)
+            for p in map(left_multiplier(a), right):
+                if p not in tables:
+                    tables.add(p)
                     fresh.append(p)
         frontier = fresh
-    ordered = sorted(elems, key=sort_key)
-    index = {a: i for i, a in enumerate(ordered)}
-    cayley = tuple(tuple(index[a * g] for g in gens) for a in ordered)
-    return ElementSet(ordered, generators=tuple(gens), cayley=cayley)
+    ordered = sorted((PartialInjection.from_table(ctx.n, t) for t in tables), key=sort_key)
+    return ElementSet(ordered, generators=tuple(gens))
 
 
 def rank_layer(S: ElementSet, k: int) -> list[int]:

@@ -3,13 +3,39 @@
 A partial injection is stored as a fixed-length table: slot x-1 holds the
 image of x, or 0 when x is undefined.  Points are 1-based throughout the
 package, including the CLI and the JSON wire format.
+
+`left_multiplier` and `padded` form the package's single product kernel:
+`compose`, `ElementSet.mult_table` and `closure` all multiply through them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from . import errors
+
+Table = tuple[int, ...]
+
+
+def padded(table: Table) -> Table:
+    """A right factor's table in the form `left_multiplier` reads: slot v
+    holds the image of v, and slot 0 sends "undefined" to "undefined"."""
+    return (0,) + table
+
+
+def left_multiplier(table: Table) -> Callable[[Table], Table]:
+    """The product kernel: left multiplication by the map with this table.
+
+    The returned function takes `padded(b)` and returns the table of the
+    product, x(ab) = (xa)b, in one C-level `itemgetter` call.  Build it once
+    per left factor and apply it to many right factors.
+    """
+    if len(table) == 1:
+        # a one-argument itemgetter returns the item, not a 1-tuple
+        (v,) = table
+        return lambda right: (right[v],)
+    return itemgetter(*table)
 
 
 def is_cyclic(items: Sequence[int]) -> bool:
@@ -34,8 +60,8 @@ class PartialInjection:
     __slots__ = ("n", "table", "_dom", "_hash")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
-        if n < 1:
-            raise errors.BadParameters("chain size must be positive, got %r" % n)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise errors.BadParameters("chain size must be a positive int, got %r" % (n,))
         table = [0] * n
         values = set()
         for x, y in pairs:
@@ -106,9 +132,8 @@ class PartialInjection:
             raise errors.MismatchedChainSize(
                 "cannot compose maps on chains of size %d and %d" % (self.n, other.n)
             )
-        t = other.table
         return PartialInjection.from_table(
-            self.n, tuple(t[v - 1] if v else 0 for v in self.table)
+            self.n, left_multiplier(self.table)(padded(other.table))
         )
 
     __mul__ = compose
@@ -164,7 +189,12 @@ class PartialInjection:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartialInjection":
-        return cls(data["n"], [(int(x), int(y)) for x, y in data["pairs"]])
+        """Inverse of `to_json_dict`; BadParameters for any other shape."""
+        try:
+            n, pairs = data["n"], [(int(x), int(y)) for x, y in data["pairs"]]
+        except (TypeError, KeyError, ValueError) as exc:
+            raise errors.BadParameters("not a partial injection: %r" % (data,)) from exc
+        return cls(n, pairs)
 
 
 def make_partial_injection(n: int, pairs: Iterable[tuple[int, int]]) -> PartialInjection:

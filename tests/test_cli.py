@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -67,6 +69,13 @@ class TestGreen:
         assert doc["oracle_agrees"] is True
         assert sum(doc["class_sizes"]) == 13
 
+    def test_csv_keeps_class_sizes(self, capsys):
+        code, out, _ = run(capsys, "green", "--n", "3", "--y", "1,2", "--rel", "D", "--csv")
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        _, doc = run_json(capsys, "green", "--n", "3", "--y", "1,2", "--rel", "D")
+        assert code == 0
+        assert row["class_sizes"] == ",".join(map(str, doc["class_sizes"]))
+
     def test_h_relation(self, capsys):
         code, doc = run_json(capsys, "green", "--n", "3", "--y", "1,2,3", "--rel", "H")
         assert code == 0 and sum(doc["class_sizes"]) == 31
@@ -80,6 +89,31 @@ class TestRank:
         assert doc["closure_ok"] is True
         assert doc["deletion_test"] == "all-shrink"
         assert len(doc["generators"]) == 3
+
+    def test_csv_keeps_generators(self, capsys):
+        code, out, _ = run(capsys, "rank", "--n", "3", "--y", "1,2", "--csv")
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        _, doc = run_json(capsys, "rank", "--n", "3", "--y", "1,2")
+        assert code == 0
+        assert row["generators"] == ",".join(doc["generators"])
+        assert row["closure_ok"] == "True" and row["config.y"] == "1,2"
+
+    def test_enumerates_once(self, capsys, monkeypatch):
+        import popi.cli
+        import popi.rank
+
+        calls = []
+        real_enumerate = popi.rank.enumerate_semigroup
+
+        def counting_enumerate(ctx):
+            calls.append(ctx)
+            return real_enumerate(ctx)
+
+        for module in (popi.cli, popi.rank):
+            monkeypatch.setattr(module, "enumerate_semigroup", counting_enumerate)
+        code, doc = run_json(capsys, "rank", "--n", "4", "--y", "1,3")
+        assert code == 0 and doc["closure_ok"] and doc["deletion_test"] == "all-shrink"
+        assert len(calls) == 1
 
     def test_full_range(self, capsys):
         code, doc = run_json(capsys, "rank", "--n", "4", "--y", "1,2,3,4")
@@ -108,6 +142,13 @@ class TestIso:
         assert code == 0 and doc["agree"] is True
         assert len(doc["element_map"]) == 1 + 2 * 10  # 1 + r*C(n+r-1, r)
 
+    def test_csv_drops_element_map(self, capsys):
+        argv = ("iso", "--n", "4", "--y", "1,3", "--z", "2,4", "--oracle")
+        code, out, _ = run(capsys, *argv, "--csv")
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and "element_map" not in row
+        assert row["oracle"] == "True" and row["config.z"] == "2,4"
+
 
 class TestDecompose:
     def test_rank_one_element(self, capsys):
@@ -126,11 +167,28 @@ class TestDecompose:
         )
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("elem", ['[1]', '{"n":"3","pairs":[]}', '{"n":3,"pairs":[1]}'])
+    def test_malformed_element(self, capsys, elem):
+        code, out, err = run(
+            capsys, "decompose", "--n", "3", "--y", "1,2", "--element", elem
+        )
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSelftest:
     def test_small_sweep_passes(self, capsys):
         code, doc = run_json(capsys, "selftest", "--max-n", "3")
         assert code == 0 and doc["ok"] is True and doc["failures"] == []
+
+    def test_csv_failures_split_back(self, capsys, monkeypatch):
+        import popi.cli
+
+        monkeypatch.setattr(popi.cli, "cardinality_formula", lambda n, r: -1)
+        code, out, _ = run(capsys, "selftest", "--max-n", "2", "--csv")
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        _, doc = run_json(capsys, "selftest", "--max-n", "2")
+        assert code == 1 and doc["failures"][0] == "cardinality n=1 y={1}"
+        assert row["failures"].split(",") == doc["failures"]
 
 
 class TestErrors:

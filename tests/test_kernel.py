@@ -1,0 +1,116 @@
+"""The slot-table product kernel against the definitions it replaces.
+
+`compose`, `ElementSet.mult_table` and `closure` all multiply through
+`left_multiplier`; these tests hold each of them to a definition-level
+reference built from `PartialInjection` values.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import popi as P
+from popi import errors
+from popi.semigroup import sort_key
+from popi.transform import left_multiplier, padded
+
+from conftest import all_partial_injections, all_range_sets, semigroup
+
+
+def reference_table(S):
+    """The definition-level table: one `PartialInjection` product per entry."""
+    return [[S.index_of(a * b) for b in S] for a in S]
+
+
+def pointwise_product(a, b):
+    """x(ab) = (xa)b wherever both steps are defined."""
+    return P.make_partial_injection(
+        a.n, [(x, b(a(x))) for x in a.domain if b.get(a(x)) is not None]
+    )
+
+
+def naive_closure(gens):
+    """Breadth-first closure under `PartialInjection.compose`, sorted."""
+    elems = set(gens)
+    frontier = list(elems)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                p = a * g
+                if p not in elems:
+                    elems.add(p)
+                    fresh.append(p)
+        frontier = fresh
+    return tuple(sorted(elems, key=sort_key))
+
+
+class TestKernel:
+    def test_one_point_chain(self):
+        # a one-argument itemgetter would return a bare int
+        assert left_multiplier((1,))(padded((1,))) == (1,)
+        assert left_multiplier((1,))(padded((0,))) == (0,)
+        assert left_multiplier((0,))(padded((1,))) == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_compose_matches_pointwise_definition(self, n):
+        maps = list(all_partial_injections(n))
+        for a in maps:
+            for b in maps:
+                assert a * b == pointwise_product(a, b)
+
+
+class TestMultTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_reference_table(self, n):
+        for pts in all_range_sets(n):
+            _, S = semigroup(n, pts)
+            assert S.mult_table() == reference_table(S), pts
+
+    def test_open_set_raises(self):
+        a = P.make_partial_injection(3, [(1, 2), (2, 3)])  # a * a = {1 -> 3}
+        with pytest.raises(KeyError):
+            P.ElementSet([a, P.empty_map(3)]).mult_table()
+
+    def test_mixed_chains_raise(self):
+        # (1, 2) * (1, 2, 3) would read as (1, 2) if table lengths went unchecked
+        a, b = P.identity_on(2, [1, 2]), P.identity_on(3, [1, 2, 3])
+        with pytest.raises(errors.MismatchedChainSize):
+            P.ElementSet([a, b]).mult_table()
+
+
+class TestClosure:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_naive_search(self, n):
+        rng = random.Random(n)
+        for pts in all_range_sets(n):
+            ctx, S = semigroup(n, pts)
+            choices = [rng.sample(S.elements, min(k, len(S))) for k in (1, 2, 3)]
+            if len(pts) < n:
+                choices.append(P.canonical_generating_set(ctx))
+            for gens in choices:
+                C = P.closure(ctx, gens + gens[:1])
+                assert C.elements == naive_closure(gens), (pts, gens)
+                assert C.generators == tuple(gens)
+
+
+@st.composite
+def maps_on(draw, n):
+    images = draw(st.permutations(range(1, n + 1)))
+    defined = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return P.make_partial_injection(
+        n, [(x, y) for x, (y, keep) in enumerate(zip(images, defined), 1) if keep]
+    )
+
+
+triples = st.integers(1, 9).flatmap(lambda n: st.tuples(maps_on(n), maps_on(n), maps_on(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples)
+def test_product_is_associative_and_pointwise(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert a * b == pointwise_product(a, b)

@@ -271,6 +271,7 @@ class TestSemigroupRank:
     def test_certificate_invariants(self):
         ctx = P.RangeContext(4, (1, 3))
         cert = P.semigroup_rank(ctx)
+        assert cert.order == P.cardinality_formula(4, 2)
         assert len(cert.generating_set) == cert.claimed_rank
         doms = sorted(g.domain for g in cert.generating_set)
         assert doms == sorted(cert.lower_bound_witness)

@@ -37,6 +37,11 @@ class TestConstruction:
         with pytest.raises(errors.PointOutOfRange):
             pi(3, (0, 1))
 
+    def test_chain_size_must_be_an_int(self):
+        for n in (True, False, "3", 3.0, None):
+            with pytest.raises(errors.BadParameters):
+                P.PartialInjection(n, [])
+
     def test_equality_requires_same_chain(self):
         assert pi(3, (1, 1)) != pi(4, (1, 1))
 
@@ -44,6 +49,15 @@ class TestConstruction:
         a = pi(3, (1, 2), (3, 1))
         assert P.PartialInjection.from_json_dict(a.to_json_dict()) == a
         assert a.to_json_dict() == {"n": 3, "pairs": [[1, 2], [3, 1]]}
+
+    @pytest.mark.parametrize(
+        "data",
+        [[1], None, {"pairs": []}, {"n": 3}, {"n": "3", "pairs": []},
+         {"n": 3, "pairs": 5}, {"n": 3, "pairs": [1]}, {"n": 3, "pairs": [[1, None]]}],
+    )
+    def test_json_shape_rejected(self, data):
+        with pytest.raises(errors.BadParameters):
+            P.PartialInjection.from_json_dict(data)
 
 
 class TestCompose:
