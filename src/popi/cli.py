@@ -54,9 +54,48 @@ def _elem_record(i: int, a: PartialInjection) -> dict:
     }
 
 
-def _emit(args, report: dict, records: list[dict] | None = None) -> None:
-    """Write the report; records drive the CSV projection when given."""
-    if args.format == "json":
+# One element of a listing, as json.dumps(indent=2) writes `_elem_record`
+# two levels deep; `_IntLists` writes its lists.
+_RECORD = (
+    '    {\n      "index": %d,\n      "rank": %d,\n      "domain": %s,\n      "image": %s\n    }'
+)
+
+
+class _IntLists(dict):
+    """Lists of ints as json.dumps(indent=2) writes them inside a `_RECORD`,
+    each written once per listing."""
+
+    def __missing__(self, seq: tuple[int, ...]) -> str:
+        text = "[\n        " + ",\n        ".join(map(str, seq)) + "\n      ]" if seq else "[]"
+        self[seq] = text
+        return text
+
+
+def _listing_json(report: dict, listing) -> str:
+    """json.dumps(indent=2) of the report with the listing's `_elem_record`
+    dicts as its last key, "elements", written without building the dicts."""
+    lists = _IntLists()
+    records = [
+        _RECORD % (i, a.rank, lists[a.domain], lists[a.image_seq]) for i, a in enumerate(listing)
+    ]
+    head = json.dumps(report, indent=2)  # ends with "\n}"
+    # the head and the tail ride on the first and last records, so the
+    # document is copied once, by the join
+    records[0] = head[:-2] + ',\n  "elements": [\n' + records[0]
+    records[-1] += "\n  ]\n}\n"
+    return ",\n".join(records)
+
+
+def _emit(args, report: dict, records: list[dict] | None = None, listing=None) -> None:
+    """Write the report to stdout or --out; records drive the CSV projection
+    when given.  A listing (a sequence of elements) becomes the report's last
+    key, "elements": JSON writes it through `_listing_json`, the other formats
+    project `_elem_record` dicts."""
+    if listing is not None and args.format != "json":
+        records = report["elements"] = [_elem_record(i, a) for i, a in enumerate(listing)]
+    if args.format == "json" and listing is not None:
+        text = _listing_json(report, listing)
+    elif args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
         rows = records if records is not None else [_flatten(report)]
@@ -122,11 +161,9 @@ def _base_report(command: str, config: dict) -> dict:
 def cmd_enumerate(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
     S = enumerate_semigroup(ctx)
-    records = [_elem_record(i, a) for i, a in enumerate(S)]
     report = _base_report("enumerate", {"n": ctx.n, "y": list(ctx.points)})
     report["count"] = len(S)
-    report["elements"] = records
-    _emit(args, report, records)
+    _emit(args, report, listing=S.elements)
     return 0
 
 
@@ -205,7 +242,7 @@ def cmd_iso(args) -> int:
 
 def cmd_decompose(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
-    elem = PartialInjection.from_json_dict(json.loads(args.element))
+    elem = PartialInjection.from_json_dict(json.loads(args.element), chain=ctx.n)
     steps: list = []
     factors = top_rank_factorization(ctx, elem, steps)
     report = _base_report(

@@ -69,5 +69,9 @@ class InvalidConjugator(PopiError):
     pass
 
 
+class TooLarge(PopiError):
+    """The semigroup asked for has more elements than the package builds."""
+
+
 class DecompositionFailed(PopiError):
     """Internal search exhausted without finding a factorization."""

@@ -43,11 +43,16 @@ def _normalize(groups) -> tuple[tuple[int, ...], ...]:
 # -- regularity -------------------------------------------------------------
 
 
+def _domain_inside_range(ctx: RangeContext, a) -> bool:
+    """The closed form of regularity for a member: its domain lies inside Y."""
+    return ctx.point_set.issuperset(a.domain)
+
+
 def is_regular_characterized(ctx: RangeContext, a) -> bool:
     """Closed form: regular exactly when the domain lies inside the range set."""
     if not contains(ctx, a):
         raise errors.NotAMember("%r is not in the semigroup" % (a,))
-    return set(a.domain) <= ctx.point_set
+    return _domain_inside_range(ctx, a)
 
 
 def is_regular_oracle(S: ElementSet, a_index: int) -> bool:
@@ -64,10 +69,9 @@ def green_characterized(ctx: RangeContext, S: ElementSet, relation: str) -> Gree
     """Partition from the closed-form descriptions of L, R, H and D."""
     if relation not in ("L", "R", "H", "D"):
         raise errors.BadParameters("unknown relation %r" % relation)
-    y = ctx.point_set
     groups: dict = {}
     for i, a in enumerate(S.elements):
-        regular = set(a.domain) <= y
+        regular = _domain_inside_range(ctx, a)
         if relation == "L":
             key = ("reg", a.image) if regular else ("one", i)
         elif relation == "R":
@@ -179,31 +183,6 @@ def green_oracle(S: ElementSet, relation: str) -> GreenPartition:
     return GreenPartition("J", _normalize(merged.values()), "oracle")
 
 
-def d_from_composition(S: ElementSet) -> GreenPartition:
-    """D computed as L∘R instead of the transitive closure; for cross-checks."""
-    lmap = green_oracle(S, "L").class_map()
-    rparts = green_oracle(S, "R")
-    rmap = rparts.class_map()
-    size = len(S)
-    by_l: dict[int, list[int]] = {}
-    for i in range(size):
-        by_l.setdefault(lmap[i], []).append(i)
-    groups: dict[int, set[int]] = {}
-    assigned: dict[int, int] = {}
-    for i in range(size):
-        if i in assigned:
-            continue
-        # all j with some c: (i, c) in L and (c, j) in R
-        cls: set[int] = set()
-        for c in by_l[lmap[i]]:
-            cls.update(rparts.classes[rmap[c]])
-        gid = len(groups)
-        groups[gid] = cls
-        for j in cls:
-            assigned[j] = gid
-    return GreenPartition("D", _normalize(groups.values()), "oracle")
-
-
 # -- H-class structure ------------------------------------------------------
 
 
@@ -222,8 +201,7 @@ def h_class_profile(ctx: RangeContext, S: ElementSet, a_index: int) -> HClassPro
     and image; non-regular elements sit alone.
     """
     a = S[a_index]
-    regular = set(a.domain) <= ctx.point_set
-    if regular:
+    if _domain_inside_range(ctx, a):
         cls = [
             i
             for i, b in enumerate(S.elements)

@@ -62,12 +62,11 @@ class RankCertificate:
 
 def range_rotation(ctx: RangeContext) -> PartialInjection:
     """The cycle on the range set sending each point to the next one, wrapping."""
-    pts = ctx.points
-    r = len(pts)
-    return PartialInjection(ctx.n, [(pts[m], pts[(m + 1) % r]) for m in range(r)])
+    return range_rotation_power(ctx, 1)
 
 
 def range_rotation_power(ctx: RangeContext, t: int) -> PartialInjection:
+    """The t-th power of `range_rotation`: each point of Y moves t places on."""
     pts = ctx.points
     r = len(pts)
     return PartialInjection(ctx.n, [(pts[m], pts[(m + t) % r]) for m in range(r)])

@@ -139,25 +139,44 @@ def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield points[t:] + points[:t]
 
 
+# The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
+# range (923,781 elements) fits.
+MAX_ELEMENTS = 10**6
+
+
 def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     """All orientation-preserving partial injections with image inside Y.
 
     Constructive enumeration: for each pair of equal-sized sets
     (A, B) with A in the chain and B in Y, the |B| cyclic rotations of the
-    order isomorphism A -> B, plus the empty transformation.
+    order isomorphism A -> B, plus the empty transformation.  Elements are
+    built in `sort_key` order: for each rank k, every k-point domain in
+    `combinations` order, paired with the image sequences of length k (all
+    rotations of all k-subsets of Y) sorted once.  Raises TooLarge, before
+    building anything, past MAX_ELEMENTS elements.
     """
     n = ctx.n
+    size = cardinality_formula(n, ctx.r)
+    if size > MAX_ELEMENTS:
+        raise errors.TooLarge(
+            "n=%d with |Y|=%d gives %d elements, over the limit of %d"
+            % (n, ctx.r, size, MAX_ELEMENTS)
+        )
     out = [empty_map(n)]
-    universe = tuple(range(1, n + 1))
+    universe = range(1, n + 1)
     for k in range(1, ctx.r + 1):
+        images = sorted(rot for img in combinations(ctx.points, k) for rot in _rotations(img))
+        right = [padded(img) for img in images]
         for dom in combinations(universe, k):
-            for img in combinations(ctx.points, k):
-                for rotated in _rotations(img):
-                    table = [0] * n
-                    for x, y in zip(dom, rotated):
-                        table[x - 1] = y
-                    out.append(PartialInjection.from_table(n, table))
-    return ElementSet(sorted(out, key=sort_key))
+            # the order isomorphism dom -> {1..k}; the kernel then reads each
+            # padded image sequence through it
+            place = [0] * n
+            for j, x in enumerate(dom, 1):
+                place[x - 1] = j
+            out.extend(
+                PartialInjection.from_table(n, t, dom) for t in map(left_multiplier(place), right)
+            )
+    return ElementSet(out)
 
 
 def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> ElementSet:

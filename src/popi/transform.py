@@ -60,8 +60,7 @@ class PartialInjection:
     __slots__ = ("n", "table", "_dom", "_hash")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise errors.BadParameters("chain size must be a positive int, got %r" % (n,))
+        _check_chain_size(n)
         table = [0] * n
         values = set()
         for x, y in pairs:
@@ -75,17 +74,22 @@ class PartialInjection:
             values.add(y)
         self._finish(n, tuple(table))
 
-    def _finish(self, n: int, table: tuple[int, ...]) -> None:
+    def _finish(self, n: int, table: tuple[int, ...], domain=None) -> None:
         self.n = n
         self.table = table
-        self._dom = tuple(x for x in range(1, n + 1) if table[x - 1])
+        if domain is None:
+            domain = tuple(x for x in range(1, n + 1) if table[x - 1])
+        self._dom = domain
         self._hash = hash((n, table))
 
     @classmethod
-    def from_table(cls, n: int, table: Sequence[int]) -> "PartialInjection":
-        """Fast constructor trusting an already-valid slot table."""
+    def from_table(
+        cls, n: int, table: Sequence[int], domain: tuple[int, ...] | None = None
+    ) -> "PartialInjection":
+        """Fast constructor trusting an already-valid slot table, and its
+        ascending domain tuple when given."""
         obj = cls.__new__(cls)
-        obj._finish(n, tuple(table))
+        obj._finish(n, tuple(table), domain)
         return obj
 
     # -- basic accessors ----------------------------------------------------
@@ -188,13 +192,27 @@ class PartialInjection:
         return {"n": self.n, "pairs": [[x, self.table[x - 1]] for x in self._dom]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "PartialInjection":
-        """Inverse of `to_json_dict`; BadParameters for any other shape."""
+    def from_json_dict(cls, data: dict, chain: int | None = None) -> "PartialInjection":
+        """Inverse of `to_json_dict`; BadParameters for any other shape.
+
+        Given `chain`, an element on a chain of another size raises
+        MismatchedChainSize before its table is built.
+        """
         try:
             n, pairs = data["n"], [(int(x), int(y)) for x, y in data["pairs"]]
         except (TypeError, KeyError, ValueError) as exc:
             raise errors.BadParameters("not a partial injection: %r" % (data,)) from exc
+        _check_chain_size(n)
+        if chain is not None and n != chain:
+            raise errors.MismatchedChainSize(
+                "element lives on a chain of size %d, context has %d" % (n, chain)
+            )
         return cls(n, pairs)
+
+
+def _check_chain_size(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise errors.BadParameters("chain size must be a positive int, got %r" % (n,))
 
 
 def make_partial_injection(n: int, pairs: Iterable[tuple[int, int]]) -> PartialInjection:

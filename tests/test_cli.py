@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
-from popi.cli import main
+import popi as P
+from popi.cli import _base_report, _elem_record, main
+
+from conftest import all_range_sets
 
 
 def run(capsys, *argv):
@@ -58,6 +65,40 @@ class TestEnumerate:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["count"] == 13
+
+    def test_out_file_same_bytes_as_stdout(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        argv = ("enumerate", "--n", "5", "--y", "1,3,4", "--json")
+        _, out, _ = run(capsys, *argv)
+        code, nothing, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and nothing == ""
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize(
+        "n, pts",
+        [(n, pts) for n in range(1, 6) for pts in all_range_sets(n)] + [(8, tuple(range(1, 9)))],
+    )
+    def test_json_equals_dumped_records(self, capsys, n, pts):
+        S = P.enumerate_semigroup(P.RangeContext(n, pts))
+        report = _base_report("enumerate", {"n": n, "y": list(pts)})
+        report["count"] = len(S)
+        report["elements"] = [_elem_record(i, a) for i, a in enumerate(S)]
+        y = ",".join(map(str, pts))
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", y, "--json")
+        assert code == 0
+        assert out == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("command", ["enumerate", "card"])
+    def test_too_large_refused_within_a_second(self, command):
+        # a child process, so that a missing check is killed, not left building
+        argv = [command, "--n", "30", "--y", ",".join(map(str, range(1, 31)))]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "popi.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=1.0,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: TooLarge")
 
 
 class TestGreen:
@@ -166,6 +207,17 @@ class TestDecompose:
             capsys, "decompose", "--n", "3", "--y", "1,2", "--element", elem
         )
         assert code == 2 and "error:" in err
+
+    def test_chain_size_checked_before_building(self, capsys):
+        elem = json.dumps({"n": 3000000, "pairs": []})
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "decompose", "--n", "3", "--y", "1,2", "--element", elem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and err.startswith("error: MismatchedChainSize")
+        assert peak < 2**20
 
     @pytest.mark.parametrize("elem", ['[1]', '{"n":"3","pairs":[]}', '{"n":3,"pairs":[1]}'])
     def test_malformed_element(self, capsys, elem):

@@ -2,6 +2,8 @@ import pytest
 
 import popi as P
 from popi import errors
+from popi import semigroup as semigroup_module
+from popi.semigroup import sort_key
 
 from conftest import all_partial_injections, all_range_sets, semigroup
 
@@ -51,6 +53,23 @@ class TestEnumerate:
         ctx = P.RangeContext(4, (2, 4))
         again = P.enumerate_semigroup(ctx)
         assert again.elements == semigroup(4, (2, 4))[1].elements
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_built_in_sort_key_order(self, n):
+        for pts in all_range_sets(n):
+            S = P.enumerate_semigroup(P.RangeContext(n, pts))
+            assert S.elements == tuple(sorted(S.elements, key=sort_key))
+            # the domain handed to from_table is the one the table defines
+            assert all(a.domain == P.PartialInjection.from_table(n, a.table).domain for a in S)
+
+    def test_too_large_boundary(self, monkeypatch):
+        assert P.cardinality_formula(10, 10) <= semigroup_module.MAX_ELEMENTS
+        ctx = P.RangeContext(3, (1, 2))  # 13 elements
+        monkeypatch.setattr(semigroup_module, "MAX_ELEMENTS", 13)
+        assert len(P.enumerate_semigroup(ctx)) == 13
+        monkeypatch.setattr(semigroup_module, "MAX_ELEMENTS", 12)
+        with pytest.raises(errors.TooLarge):
+            P.enumerate_semigroup(ctx)
 
 
 class TestCardinalityFormula:
