@@ -2,7 +2,8 @@
 
 Every command prints a deterministic report; `--json` emits a versioned
 machine-readable document, `--csv` a flat projection of the same records.
-Exit codes: 0 success, 1 selftest mismatch, 2 invalid arguments.
+Exit codes: 0 success, 1 selftest mismatch, 2 invalid arguments or an
+`--out` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -294,76 +295,98 @@ def cmd_selftest(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _chain_args(p, y_required: bool = True) -> None:
+    p.add_argument("--n", type=int, required=True)
+    if y_required:
+        p.add_argument("--y", type=str, required=True, help="comma-separated points")
+
+
+def _format_args(p) -> None:
+    p.add_argument("--json", dest="format", action="store_const", const="json", default="text")
+    p.add_argument("--csv", dest="format", action="store_const", const="csv")
+    p.add_argument("--out", type=str, default=None)
+
+
+def _chain_and_format_args(p) -> None:
+    _chain_args(p)
+    _format_args(p)
+
+
+def _card_args(p) -> None:
+    _chain_args(p, y_required=False)
+    _format_args(p)
+    p.add_argument("--y", type=str, default=None)
+    p.add_argument("--r", type=int, default=None)
+
+
+def _green_args(p) -> None:
+    _chain_and_format_args(p)
+    p.add_argument("--rel", choices=["L", "R", "H", "D"], required=True)
+    p.add_argument("--check", action="store_true", help="compare against the oracle")
+
+
+def _iso_args(p) -> None:
+    _chain_and_format_args(p)
+    p.add_argument("--z", type=str, required=True)
+    p.add_argument("--oracle", action="store_true", help="also run the brute-force search")
+
+
+def _decompose_args(p) -> None:
+    _chain_and_format_args(p)
+    p.add_argument("--element", type=str, required=True, help='e.g. {"n":3,"pairs":[[3,1]]}')
+
+
+def _selftest_args(p) -> None:
+    p.add_argument("--max-n", type=int, default=4)
+    _format_args(p)
+
+
+# name -> (help, handler, function adding the command's arguments); usage
+# lines list arguments in the order they are added
+COMMANDS = {
+    "enumerate": ("list every element", cmd_enumerate, _chain_and_format_args),
+    "card": ("formula vs enumerated count", cmd_card, _card_args),
+    "green": ("Green's relation classes", cmd_green, _green_args),
+    "rank": ("rank certificate", cmd_rank, _chain_and_format_args),
+    "iso": ("isomorphism decision", cmd_iso, _iso_args),
+    "decompose": ("factor an element into top-rank products", cmd_decompose, _decompose_args),
+    "selftest": ("oracle-vs-characterization sweep", cmd_selftest, _selftest_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command only.
+
+    A one-command parser parses that command's argv exactly as the full one
+    does, with the same help and error texts.
+    """
     parser = argparse.ArgumentParser(
         prog="popi",
         description="Orientation-preserving partial injections with restricted range.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_y=True):
-        p.add_argument("--n", type=int, required=True)
-        if need_y:
-            p.add_argument("--y", type=str, required=True, help="comma-separated points")
-        p.add_argument(
-            "--json", dest="format", action="store_const", const="json", default="text"
-        )
-        p.add_argument("--csv", dest="format", action="store_const", const="csv")
-        p.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("enumerate", help="list every element")
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("card", help="formula vs enumerated count")
-    common(p, need_y=False)
-    p.add_argument("--y", type=str, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.set_defaults(func=cmd_card)
-
-    p = sub.add_parser("green", help="Green's relation classes")
-    common(p)
-    p.add_argument("--rel", choices=["L", "R", "H", "D"], required=True)
-    p.add_argument("--check", action="store_true", help="compare against the oracle")
-    p.set_defaults(func=cmd_green)
-
-    p = sub.add_parser("rank", help="rank certificate")
-    common(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("iso", help="isomorphism decision")
-    common(p)
-    p.add_argument("--z", type=str, required=True)
-    p.add_argument("--oracle", action="store_true", help="also run the brute-force search")
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("decompose", help="factor an element into top-rank products")
-    common(p)
-    p.add_argument("--element", type=str, required=True, help='e.g. {"n":3,"pairs":[[3,1]]}')
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("selftest", help="oracle-vs-characterization sweep")
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument(
-        "--json", dest="format", action="store_const", const="json", default="text"
-    )
-    p.add_argument("--csv", dest="format", action="store_const", const="csv")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_selftest)
-
+    # the full parser's default metavar lists every name; so must the usage
+    # line of a one-command parser, but "invalid choice" errors, which only
+    # the full parser raises, name the argument by its metavar
+    metavar = "{%s}" % ",".join(COMMANDS) if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        help_text, handler, add_args = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's argv needs only its own subparser; help, --version, an
+    # empty argv and an unknown name need them all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except errors.PopiError as exc:
-        sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (errors.PopiError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 2
 

@@ -88,9 +88,8 @@ def green_characterized(ctx: RangeContext, S: ElementSet, relation: str) -> Gree
 
 
 def _left_ideals(S: ElementSet) -> list[frozenset[int]]:
-    m = S.mult_table()
-    size = len(S)
-    return [frozenset([a] + [m[s][a] for s in range(size)]) for a in range(size)]
+    # column a of the table is S*a
+    return [frozenset((a, *column)) for a, column in enumerate(zip(*S.mult_table()))]
 
 
 def _right_ideals(S: ElementSet) -> list[frozenset[int]]:
@@ -106,10 +105,10 @@ def _group_by_ideal(ideals) -> tuple[tuple[int, ...], ...]:
     return _normalize(groups.values())
 
 
-def _two_sided_ideal(S: ElementSet, a: int) -> set[int]:
+def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> set[int]:
+    """The two-sided ideal of an element, given its left ideal (both with
+    the identity adjoined)."""
     m = S.mult_table()
-    size = len(S)
-    left = set([a] + [m[s][a] for s in range(size)])
     out = set(left)
     for u in left:
         out.update(m[u])
@@ -164,7 +163,8 @@ def green_oracle(S: ElementSet, relation: str) -> GreenPartition:
 
     # J: merge D-classes with mutually containing two-sided ideals
     reps = [c[0] for c in d_classes]
-    ideals = {rep: _two_sided_ideal(S, rep) for rep in reps}
+    left = _left_ideals(S)
+    ideals = {rep: _two_sided_ideal(S, left[rep]) for rep in reps}
     jparent = {rep: rep for rep in reps}
 
     def jfind(x):

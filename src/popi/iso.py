@@ -34,11 +34,9 @@ def dihedral_elements(n: int) -> list[PartialInjection]:
     """
     if n <= 2:
         raise errors.ChainTooSmall("need n >= 3, got %d" % n)
-    g = rotation_perm(n)
+    rotations = [rotation_perm(n, k) for k in range(n)]
     h = reflection_perm(n)
-    out = [g.power(k) for k in range(n)]
-    out.extend(h * g.power(k) for k in range(n))
-    return out
+    return rotations + [h * g for g in rotations]
 
 
 def is_dihedral_restriction(a: PartialInjection) -> bool:

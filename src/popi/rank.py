@@ -84,9 +84,8 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
     if not a.is_orientation_preserving():
         raise errors.NotOrientationPreserving("%r" % (a,))
     n = a.n
-    g = rotation_perm(n)
     for l in range(n):
-        a1 = g.power((n - l) % n) * a
+        a1 = rotation_perm(n, -l) * a
         if a1.is_order_preserving():
             return l, a1
     raise errors.DecompositionFailed("no rotation shift found for %r" % (a,))
@@ -149,7 +148,7 @@ def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decompositio
     c = min(set(range(1, n + 1)) - dom1)
     beta = order_isomorphism(n, sorted(dom1 | {c}), ctx.points)
     gamma = beta.inverse() * a1
-    beta_full = rotation_perm(n).power(l) * beta
+    beta_full = rotation_perm(n, l) * beta
     if not (
         beta_full.rank == r
         and contains(ctx, beta_full)

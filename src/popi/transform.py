@@ -193,15 +193,18 @@ class PartialInjection:
 
     @classmethod
     def from_json_dict(cls, data: dict, chain: int | None = None) -> "PartialInjection":
-        """Inverse of `to_json_dict`; BadParameters for any other shape.
+        """Inverse of `to_json_dict`; BadParameters for any other shape,
+        points that are not ints included.
 
         Given `chain`, an element on a chain of another size raises
         MismatchedChainSize before its table is built.
         """
         try:
-            n, pairs = data["n"], [(int(x), int(y)) for x, y in data["pairs"]]
+            n, pairs = data["n"], [(x, y) for x, y in data["pairs"]]
         except (TypeError, KeyError, ValueError) as exc:
             raise errors.BadParameters("not a partial injection: %r" % (data,)) from exc
+        if not all(_is_int(x) and _is_int(y) for x, y in pairs):
+            raise errors.BadParameters("points must be ints: %r" % (data,))
         _check_chain_size(n)
         if chain is not None and n != chain:
             raise errors.MismatchedChainSize(
@@ -210,8 +213,12 @@ class PartialInjection:
         return cls(n, pairs)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_chain_size(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise errors.BadParameters("chain size must be a positive int, got %r" % (n,))
 
 
@@ -244,9 +251,10 @@ def order_isomorphism(n: int, source: Iterable[int], target: Iterable[int]) -> P
     return PartialInjection(n, zip(src, dst))
 
 
-def rotation_perm(n: int) -> PartialInjection:
-    """The full cycle i -> i+1 (mod n) on the chain."""
-    return PartialInjection.from_table(n, tuple(i % n + 1 for i in range(1, n + 1)))
+def rotation_perm(n: int, k: int = 1) -> PartialInjection:
+    """The k-th power of the full cycle i -> i+1 (mod n) on the chain,
+    i -> i+k (mod n), built directly; a negative k gives an inverse power."""
+    return PartialInjection.from_table(n, tuple((i + k - 1) % n + 1 for i in range(1, n + 1)))
 
 
 def reflection_perm(n: int) -> PartialInjection:

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from argparse import _SubParsersAction
 
 import pytest
 
 import popi as P
-from popi.cli import _base_report, _elem_record, main
+from popi.cli import COMMANDS, _base_report, _elem_record, build_parser, main
 
 from conftest import all_range_sets
 
@@ -226,6 +227,14 @@ class TestDecompose:
         )
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("point", ["1.5", '"1"', "true"])
+    def test_points_must_be_ints(self, capsys, point):
+        elem = '{"n":3,"pairs":[[%s,2]]}' % point
+        code, out, err = run(
+            capsys, "decompose", "--n", "3", "--y", "1,2", "--element", elem
+        )
+        assert code == 2 and out == "" and err.startswith("error: BadParameters")
+
 
 class TestSelftest:
     def test_small_sweep_passes(self, capsys):
@@ -255,3 +264,72 @@ class TestErrors:
     def test_unknown_command_exits(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_out_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "rank", "--n", "3", "--y", "1,2", "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error: FileNotFoundError: ")
+        assert "Traceback" not in err and not target.exists()
+
+
+# -- the argument parser ----------------------------------------------------
+
+# Help texts and argparse errors, byte for byte: `golden/cli_parser.json`
+# holds each argv's stdout, stderr and exit code from `python -m popi.cli`
+# at COLUMNS=80, captured from the parser that built all seven subparsers for
+# every command.
+GOLDEN_PARSER = os.path.join(os.path.dirname(__file__), "golden", "cli_parser.json")
+COMMAND_NAMES = ("enumerate", "card", "green", "rank", "iso", "decompose", "selftest")
+PARSER_CASES = {
+    "help": ["--help"],
+    **{"%s-help" % name: [name, "--help"] for name in COMMAND_NAMES},
+    "no-argv": [],
+    "unknown-command": ["bogus"],
+    "extra-argument": ["rank", "--n", "3", "--y", "1,2", "extra"],
+    "invalid-choice": ["green", "--n", "3", "--y", "1", "--rel", "Q"],
+    "invalid-int": ["rank", "--n", "x", "--y", "1"],
+    "missing-required": ["decompose", "--n", "3", "--y", "1,2"],
+}
+
+
+def popi_process(argv) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-m", "popi.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return {
+        "argv": list(argv), "code": done.returncode, "stdout": done.stdout, "stderr": done.stderr
+    }
+
+
+class TestParser:
+    @pytest.mark.parametrize("case", sorted(PARSER_CASES))
+    def test_matches_golden(self, case):
+        with open(GOLDEN_PARSER) as fh:
+            golden = json.load(fh)[case]
+        assert popi_process(PARSER_CASES[case]) == golden
+
+    def test_table_names_every_command(self):
+        assert tuple(COMMANDS) == COMMAND_NAMES
+
+    @pytest.mark.parametrize(
+        "command, names", [("decompose", ["decompose"]), (None, COMMAND_NAMES)]
+    )
+    def test_builds_only_the_named_subparser(self, command, names):
+        [sub] = [a for a in build_parser(command)._actions if isinstance(a, _SubParsersAction)]
+        assert list(sub.choices) == list(names)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "3", "--y", "1,2", "--csv"],
+            ["card", "--n", "4", "--r", "2", "--json", "--out", "card.json"],
+            ["green", "--n", "4", "--y", "1,3", "--rel", "D", "--check"],
+            ["rank", "--n", "5", "--y", "2,4,5"],
+            ["iso", "--n", "5", "--y", "1,2,3", "--z", "1,2,4", "--oracle", "--json"],
+            ["decompose", "--n", "3", "--y", "1,2", "--element", '{"n":3,"pairs":[[3,1]]}'],
+            ["selftest", "--max-n", "2", "--csv"],
+        ],
+    )
+    def test_one_command_parser_parses_as_the_full_one(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser(None).parse_args(argv)

@@ -202,6 +202,14 @@ class TestChainPermutations:
         assert P.rotation_perm(1) == P.identity_on(1, {1})
         assert P.rotation_perm(5).power(5) == P.identity_on(5, range(1, 6))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rotation_power_closed_form(self, n):
+        g = P.rotation_perm(n)
+        identity = P.identity_on(n, range(1, n + 1))
+        for k in range(2 * n + 1):
+            assert P.rotation_perm(n, k) == g.power(k)
+            assert P.rotation_perm(n, -k) * P.rotation_perm(n, k) == identity
+
     def test_reflection(self):
         assert P.reflection_perm(3) == pi(3, (1, 3), (2, 2), (3, 1))
         assert P.reflection_perm(4).power(2) == P.identity_on(4, range(1, 5))
