@@ -24,7 +24,13 @@ from .green import (
 )
 from .iso import bruteforce_isomorphism, decide_isomorphic
 from .rank import deletion_test, semigroup_rank, top_rank_factorization
-from .semigroup import RangeContext, cardinality_formula, closure, enumerate_semigroup
+from .semigroup import (
+    RangeContext,
+    cardinality_formula,
+    check_table_size,
+    closure,
+    enumerate_semigroup,
+)
 from .transform import PartialInjection
 
 SCHEMA = 1
@@ -266,6 +272,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    top = max(args.max_n, 1)
+    check_table_size(cardinality_formula(top, top))  # the full range's table is the largest
     failures = []
     for n in range(1, args.max_n + 1):
         for size in range(1, n + 1):

@@ -9,7 +9,6 @@ image, domain and rank).  Tests assert the two partitions coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple
 
 from . import errors
@@ -93,48 +92,46 @@ def _left_ideals(S: ElementSet) -> list[frozenset[int]]:
 
 
 def _right_ideals(S: ElementSet) -> list[frozenset[int]]:
-    m = S.mult_table()
-    size = len(S)
-    return [frozenset([a] + m[a]) for a in range(size)]
+    # row a of the table is a*S
+    return [frozenset((a, *row)) for a, row in enumerate(S.mult_table())]
 
 
-def _group_by_ideal(ideals) -> tuple[tuple[int, ...], ...]:
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, ideal in enumerate(ideals):
-        groups.setdefault(ideal, []).append(i)
+def _group_by_key(keys) -> tuple[tuple[int, ...], ...]:
+    """The classes of indices whose keys are equal."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return _normalize(groups.values())
 
 
-def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> set[int]:
+def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> frozenset[int]:
     """The two-sided ideal of an element, given its left ideal (both with
     the identity adjoined)."""
     m = S.mult_table()
     out = set(left)
     for u in left:
         out.update(m[u])
-    return out
+    return frozenset(out)
 
 
 def green_oracle(S: ElementSet, relation: str) -> GreenPartition:
     """Partition computed from principal-ideal comparisons.
 
-    L and R compare one-sided ideals directly; H intersects them; D is the
-    transitive closure of L union R; J merges D-classes whose representatives
-    generate the same two-sided ideal (D refines J in any semigroup).
+    L and R compare one-sided ideals directly; H compares the pairs of
+    them; D is the transitive closure of L union R; J groups D-classes
+    whose representatives generate the same two-sided ideal (D refines J
+    in any semigroup).
     """
     if relation not in ("L", "R", "H", "D", "J"):
         raise errors.BadParameters("unknown relation %r" % relation)
-    if relation == "L":
-        return GreenPartition("L", _group_by_ideal(_left_ideals(S)), "oracle")
     if relation == "R":
-        return GreenPartition("R", _group_by_ideal(_right_ideals(S)), "oracle")
+        return GreenPartition("R", _group_by_key(_right_ideals(S)), "oracle")
+    left = _left_ideals(S)
+    if relation == "L":
+        return GreenPartition("L", _group_by_key(left), "oracle")
+    right = _right_ideals(S)
     if relation == "H":
-        lmap = green_oracle(S, "L").class_map()
-        rmap = green_oracle(S, "R").class_map()
-        groups: dict = {}
-        for i in range(len(S)):
-            groups.setdefault((lmap[i], rmap[i]), []).append(i)
-        return GreenPartition("H", _normalize(groups.values()), "oracle")
+        return GreenPartition("H", _group_by_key(zip(left, right)), "oracle")
 
     # D via union-find over the L- and R-classes
     parent = list(range(len(S)))
@@ -145,42 +142,18 @@ def green_oracle(S: ElementSet, relation: str) -> GreenPartition:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (green_oracle(S, "L"), green_oracle(S, "R")):
-        for members in part.classes:
+    for classes in (_group_by_key(left), _group_by_key(right)):
+        for members in classes:
             for i in members[1:]:
-                union(members[0], i)
-    groups = {}
-    for i in range(len(S)):
-        groups.setdefault(find(i), []).append(i)
-    d_classes = _normalize(groups.values())
+                parent[find(i)] = find(members[0])
+    d_classes = _group_by_key(find(i) for i in range(len(S)))
     if relation == "D":
         return GreenPartition("D", d_classes, "oracle")
 
-    # J: merge D-classes with mutually containing two-sided ideals
-    reps = [c[0] for c in d_classes]
-    left = _left_ideals(S)
-    ideals = {rep: _two_sided_ideal(S, left[rep]) for rep in reps}
-    jparent = {rep: rep for rep in reps}
-
-    def jfind(x):
-        while jparent[x] != x:
-            x = jparent[x]
-        return x
-
-    for a, b in product(reps, reps):
-        if a < b and b in ideals[a] and a in ideals[b]:
-            ra, rb = jfind(a), jfind(b)
-            if ra != rb:
-                jparent[rb] = ra
-    merged: dict = {}
-    for c in d_classes:
-        merged.setdefault(jfind(c[0]), []).extend(c)
-    return GreenPartition("J", _normalize(merged.values()), "oracle")
+    # J: D-classes whose representatives generate equal two-sided ideals
+    ideals = [_two_sided_ideal(S, left[c[0]]) for c in d_classes]
+    merged = (sum((d_classes[k] for k in ks), ()) for ks in _group_by_key(ideals))
+    return GreenPartition("J", _normalize(merged), "oracle")
 
 
 # -- H-class structure ------------------------------------------------------

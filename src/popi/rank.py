@@ -8,6 +8,7 @@ asserted to reproduce the input bit-exactly; a failed assertion raises
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -79,16 +80,18 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
     """Split off a power of the chain rotation leaving an order-preserving part.
 
     Returns the smallest l with a == rotation^l * a1 and a1 order-preserving;
-    a1 keeps the image of a.
+    a1 keeps the image of a.  A descent after the k-th image, at domain
+    point d_{k+1}, gives l = n + 1 - d_{k+1}; an ascending sequence, l = 0.
     """
     if not a.is_orientation_preserving():
         raise errors.NotOrientationPreserving("%r" % (a,))
-    n = a.n
-    for l in range(n):
-        a1 = rotation_perm(n, -l) * a
-        if a1.is_order_preserving():
-            return l, a1
-    raise errors.DecompositionFailed("no rotation shift found for %r" % (a,))
+    n, seq = a.n, a.image_seq
+    k = next((k for k in range(1, len(seq)) if seq[k - 1] > seq[k]), None)
+    l = 0 if k is None else n + 1 - a.domain[k]
+    a1 = rotation_perm(n, -l) * a
+    if not a1.is_order_preserving():
+        raise errors.DecompositionFailed("no rotation shift found for %r" % (a,))
+    return l, a1
 
 
 # -- the three factorization levels ----------------------------------------
@@ -97,9 +100,11 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
 def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """Factor an element of rank at most r-2 into two factors of one higher rank.
 
-    Bounded search: extend the domain by one point, try every
-    one-higher-rank first factor over the extended domain, and complete the
-    second factor by a single extra pair, keeping orientation preservation.
+    beta sends the domain plus its least missing point onto the first m+1
+    points of Y, rotated t places.  gamma is beta^-1 * a plus one pair d -> y
+    with d outside beta's image, so beta * gamma == a; y is the least free
+    point of Y in the circular gap at d's slot, which keeps gamma
+    orientation-preserving.  The first (t, d) with such a y wins.
     """
     if not contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
@@ -108,26 +113,33 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     if m > r - 2:
         raise errors.RankTooHigh("rank %d exceeds %d" % (m, r - 2))
     n = ctx.n
-    dom = set(a.domain)
-    img = a.image
-    chain = set(range(1, n + 1))
-    for c in sorted(chain - dom):
-        ext = tuple(sorted(dom | {c}))
-        for b_img in combinations(ctx.points, m + 1):
-            for t in range(m + 1):
-                rotated = b_img[t:] + b_img[:t]
-                beta = PartialInjection(n, zip(ext, rotated))
-                gamma0 = beta.inverse() * a
-                for d in sorted(chain - set(b_img)):
-                    for y in sorted(ctx.point_set - img):
-                        table = list(gamma0.table)
-                        table[d - 1] = y
-                        gamma = PartialInjection.from_table(n, table)
-                        if not gamma.is_orientation_preserving():
-                            continue
-                        if beta * gamma == a:
-                            return Decomposition(beta, gamma, case="low")
+    c = next(x for x in range(1, n + 1) if x not in a.domain)
+    ext = sorted(a.domain + (c,))
+    b_img = ctx.points[: m + 1]
+    free = sorted(ctx.point_set - a.image)
+    outside = [d for d in range(1, n + 1) if d not in b_img]
+    for t in range(m + 1):
+        beta = PartialInjection(n, zip(ext, b_img[t:] + b_img[:t]))
+        gamma0 = beta.inverse() * a
+        q, seq = gamma0.domain, gamma0.image_seq
+        for d in outside:
+            y = _gap_point(free, seq, bisect(q, d))
+            if y is None:
+                continue
+            gamma = PartialInjection(n, [(d, y), *zip(q, seq)])
+            if not (contains(ctx, gamma) and beta * gamma == a):
+                raise errors.DecompositionFailed("low-rank factorization failed for %r" % (a,))
+            return Decomposition(beta, gamma, case="low")
     raise errors.DecompositionFailed("no one-higher-rank factorization for %r" % (a,))
+
+
+def _gap_point(free: list[int], images: tuple[int, ...], j: int) -> int | None:
+    """The least of `free` in the circular gap from images[j-1] up to
+    images[j], or any of them beside fewer than two images."""
+    if len(images) <= 1:
+        return free[0]
+    lo, hi = images[j - 1], images[j % len(images)]
+    return next((y for y in free if (lo < y < hi if lo < hi else not hi <= y <= lo)), None)
 
 
 def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:

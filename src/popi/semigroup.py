@@ -77,10 +77,6 @@ class ElementSet:
         self.generators = generators
         self._mult: list[list[int]] | None = None
 
-    @classmethod
-    def from_iterable(cls, elements: Iterable[PartialInjection]) -> "ElementSet":
-        return cls(sorted(set(elements), key=sort_key))
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -100,8 +96,10 @@ class ElementSet:
         """Full multiplication table over element indices (cached).
 
         Requires closure under composition; raises KeyError otherwise.
+        Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES.
         """
         if self._mult is None:
+            check_table_size(len(self.elements))
             if len({a.n for a in self.elements}) > 1:
                 # the kernel reads tables without their chain size
                 raise errors.MismatchedChainSize("elements live on different chains")
@@ -112,9 +110,6 @@ class ElementSet:
                 for a in self.elements
             ]
         return self._mult
-
-    def product_index(self, i: int, j: int) -> int:
-        return self.mult_table()[i][j]
 
 
 def cardinality_formula(n: int, r: int) -> int:
@@ -142,6 +137,15 @@ def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 # The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
 # range (923,781 elements) fits.
 MAX_ELEMENTS = 10**6
+# The largest `ElementSet.mult_table`, at 8 bytes of list slot per entry
+# about 80 MiB; n = 6 with the full range (2,773^2 entries) fits.
+MAX_TABLE_ENTRIES = 10**7
+
+
+def check_table_size(size: int) -> None:
+    """TooLarge if a table over `size` elements would pass MAX_TABLE_ENTRIES."""
+    if size * size > MAX_TABLE_ENTRIES:
+        raise errors.TooLarge("%d^2 table entries exceed %d" % (size, MAX_TABLE_ENTRIES))
 
 
 def enumerate_semigroup(ctx: RangeContext) -> ElementSet:

@@ -265,6 +265,21 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["green", "--n", "7", "--y", "1,2,3,4,5,6,7", "--rel", "D", "--check"],
+         ["selftest", "--max-n", "7"]],
+    )
+    def test_too_large_table_refused_within_two_seconds(self, argv):
+        # 12,013^2 entries; a child process, so that a missing check is killed
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "popi.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=2.0,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: TooLarge")
+
     def test_out_unwritable(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"
         code, out, err = run(capsys, "rank", "--n", "3", "--y", "1,2", "--out", str(target))

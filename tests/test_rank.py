@@ -1,16 +1,58 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popi as P
 from popi import errors
 
-from conftest import proper_range_sets, semigroup
+from conftest import all_range_sets, proper_range_sets, semigroup
 
 
 def pi(n, *pairs):
     return P.make_partial_injection(n, pairs)
+
+
+# -- reference searches -----------------------------------------------------
+# Search oracles for `shift_decompose` and `decompose_low_rank`.  Each returns
+# the first factorization in its search order; the constructions must return
+# exactly the same factors.
+
+
+def search_shift(a):
+    """The smallest shift l whose rotation leaves an order-preserving part."""
+    n = a.n
+    for l in range(n):
+        a1 = P.rotation_perm(n, -l) * a
+        if a1.is_order_preserving():
+            return l, a1
+    return None
+
+
+def search_low_rank(ctx, a):
+    """Bounded search over the extra domain point c, the image set, the
+    rotation t, the extra point d and its value y."""
+    n, m = ctx.n, a.rank
+    dom = set(a.domain)
+    img = a.image
+    chain = set(range(1, n + 1))
+    for c in sorted(chain - dom):
+        ext = tuple(sorted(dom | {c}))
+        for b_img in combinations(ctx.points, m + 1):
+            for t in range(m + 1):
+                beta = P.PartialInjection(n, zip(ext, b_img[t:] + b_img[:t]))
+                gamma0 = beta.inverse() * a
+                for d in sorted(chain - set(b_img)):
+                    for y in sorted(ctx.point_set - img):
+                        table = list(gamma0.table)
+                        table[d - 1] = y
+                        gamma = P.PartialInjection.from_table(n, table)
+                        if gamma.is_orientation_preserving() and beta * gamma == a:
+                            return beta, gamma
+    return None
 
 
 class TestRangeRotation:
@@ -100,6 +142,18 @@ class TestDecomposeLowRank:
                     assert d.beta.rank == a.rank + 1 == d.gamma.rank
                     assert P.contains(ctx, d.beta) and P.contains(ctx, d.gamma)
                     assert d.product() == a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_constructions_match_searches(n):
+    # every element of every Y; at n <= 6 that is 13,205 low-rank elements
+    for pts in all_range_sets(n):
+        ctx, S = semigroup(n, pts)
+        for a in S:
+            assert P.shift_decompose(a) == search_shift(a)
+            if a.rank <= len(pts) - 2:
+                d = P.decompose_low_rank(ctx, a)
+                assert (d.beta, d.gamma) == search_low_rank(ctx, a)
 
 
 class TestDecomposeCorankOne:
@@ -301,3 +355,45 @@ class TestTopRankFactorization:
                 for a in S:
                     factors = P.top_rank_factorization(ctx, a)
                     assert all(f.rank == len(pts) for f in factors)
+
+
+@st.composite
+def members(draw):
+    """A chain size n <= 9, a proper range set Y and one member a."""
+    n = draw(st.integers(2, 9))
+    pts = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
+    k = draw(st.integers(0, len(pts)))
+    dom = sorted(draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)))
+    img = sorted(draw(st.lists(st.sampled_from(pts), min_size=k, max_size=k, unique=True)))
+    t = draw(st.integers(0, max(k - 1, 0)))
+    return P.RangeContext(n, pts), pi(n, *zip(dom, img[t:] + img[:t]))
+
+
+def assert_factors(d, x, beta_rank, gamma_rank):
+    assert d.product() == x
+    assert (d.beta.rank, d.gamma.rank) == (beta_rank, gamma_rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(members())
+def test_decomposition_stages_reproduce_the_element(ctx_a):
+    ctx, a = ctx_a
+    r, m = ctx.r, a.rank
+    assert P.shift_decompose(a) == search_shift(a)
+    if m <= r - 2:
+        d = P.decompose_low_rank(ctx, a)
+        assert (d.beta, d.gamma) == search_low_rank(ctx, a)
+        assert_factors(d, a, m + 1, m + 1)
+    elif m == r - 1:
+        d = P.decompose_corank_one(ctx, a)
+        assert d.shift_exponent == search_shift(a)[0]
+        assert_factors(d, a, r, r - 1)
+        assert_factors(P.decompose_restricted_corank_one(ctx, d.gamma), d.gamma, r, r)
+        if P.is_restricted_corank_one(ctx, a):
+            assert_factors(P.decompose_restricted_corank_one(ctx, a), a, r, r)
+    factors = P.top_rank_factorization(ctx, a)
+    assert all(f.rank == r for f in factors)
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = prod * f
+    assert prod == a

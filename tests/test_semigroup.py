@@ -71,6 +71,16 @@ class TestEnumerate:
         with pytest.raises(errors.TooLarge):
             P.enumerate_semigroup(ctx)
 
+    def test_table_too_large_boundary(self, monkeypatch):
+        assert P.cardinality_formula(6, 6) ** 2 <= semigroup_module.MAX_TABLE_ENTRIES
+        assert P.cardinality_formula(7, 7) ** 2 > semigroup_module.MAX_TABLE_ENTRIES
+        ctx = P.RangeContext(3, (1, 2))  # 13 elements, 169 entries
+        monkeypatch.setattr(semigroup_module, "MAX_TABLE_ENTRIES", 169)
+        assert len(P.enumerate_semigroup(ctx).mult_table()) == 13
+        monkeypatch.setattr(semigroup_module, "MAX_TABLE_ENTRIES", 168)
+        with pytest.raises(errors.TooLarge):
+            P.enumerate_semigroup(ctx).mult_table()
+
 
 class TestCardinalityFormula:
     def test_values(self):
