@@ -167,6 +167,16 @@ class HClassProfile(NamedTuple):
     common_image: frozenset[int]
 
 
+def _powers(x) -> set:
+    """The distinct powers x, x^2, ... of one element."""
+    powers = {x}
+    p = x * x
+    while p not in powers:
+        powers.add(p)
+        p = p * x
+    return powers
+
+
 def h_class_profile(ctx: RangeContext, S: ElementSet, a_index: int) -> HClassProfile:
     """Size and group structure of the H-class of one element.
 
@@ -175,36 +185,14 @@ def h_class_profile(ctx: RangeContext, S: ElementSet, a_index: int) -> HClassPro
     """
     a = S[a_index]
     if _domain_inside_range(ctx, a):
-        cls = [
-            i
-            for i, b in enumerate(S.elements)
-            if b.domain == a.domain and b.image == a.image
-        ]
+        members = [b for b in S.elements if b.domain == a.domain and b.image == a.image]
     else:
-        cls = [a_index]
-    m = S.mult_table()
-    members = set(cls)
-    closed = all(m[i][j] in members for i in cls for j in cls)
-    identity = None
-    if closed:
-        for e in cls:
-            if all(m[e][i] == i and m[i][e] == i for i in cls):
-                identity = e
-                break
-    is_group = closed and identity is not None
-    is_cyclic = False
-    if is_group:
-        for x in cls:
-            powers = {x}
-            p = x
-            while True:
-                p = m[p][x]
-                if p in powers:
-                    break
-                powers.add(p)
-            if powers == members:
-                is_cyclic = True
-                break
+        members = [a]
+    member_set = set(members)
+    is_group = all(x * y in member_set for x in members for y in members) and any(
+        all(e * x == x == x * e for x in members) for e in members
+    )
+    is_cyclic = is_group and any(len(_powers(x)) == len(members) for x in members)
     return HClassProfile(
-        len(cls), is_group, is_cyclic, frozenset(a.domain), a.image
+        len(members), is_group, is_cyclic, frozenset(a.domain), a.image
     )

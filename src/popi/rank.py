@@ -7,9 +7,8 @@ asserted to reproduce the input bit-exactly; a failed assertion raises
 
 from __future__ import annotations
 
-import math
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -20,10 +19,11 @@ from .semigroup import (
     closure,
     contains,
     enumerate_semigroup,
-    rank_layer,
 )
 from .transform import (
     PartialInjection,
+    empty_map,
+    identity_on,
     order_isomorphism,
     rotation_perm,
 )
@@ -49,13 +49,15 @@ class Decomposition:
 @dataclass(frozen=True)
 class RankCertificate:
     """`order` is |S| as enumerated by `semigroup_rank`, which raises unless
-    `generating_set` closes to all of S."""
+    `generating_set` closes to all of S.  `lower_bound_witness` holds the
+    domains that bound the rank from below: one per top-rank R-class for a
+    proper range set, and those of the two idempotents for the full one."""
 
     ctx: RangeContext
     claimed_rank: int
     generating_set: tuple[PartialInjection, ...]
     order: int
-    lower_bound_witness: tuple[tuple[int, ...], ...] = field(default=())
+    lower_bound_witness: tuple[tuple[int, ...], ...]
 
 
 # -- range-set rotation -----------------------------------------------------
@@ -271,7 +273,7 @@ def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
     range set is the range rotation."""
     if ctx.is_full:
         raise errors.FullRangeNotSupported(
-            "full-range rank is certified by pair search, not by representatives"
+            "full-range rank is certified by a constructed pair, not by representatives"
         )
     gens = []
     for dom in combinations(range(1, ctx.n + 1), ctx.r):
@@ -292,41 +294,44 @@ def deletion_test(ctx: RangeContext, generators: list[PartialInjection]) -> list
     return out
 
 
+def full_range_pair(n: int) -> tuple[PartialInjection, PartialInjection]:
+    """The chain rotation and an order-preserving map of {1..n-1} onto the
+    chain minus one point, which together generate the full-range semigroup.
+
+    Every product of the rotation with a restriction of one of its powers is
+    again such a restriction, so for n >= 3 the second map must not be one:
+    it fixes 1..n-2 and sends n-1 to n.  For n <= 2 it is the partial
+    identity on {1..n-1}, the empty map at n = 1.
+    """
+    skip = n - 1 if n >= 3 else n
+    return rotation_perm(n), order_isomorphism(
+        n, range(1, n), [y for y in range(1, n + 1) if y != skip]
+    )
+
+
 def semigroup_rank(ctx: RangeContext) -> RankCertificate:
-    """Rank with a constructive certificate.
+    """Rank with a constructive certificate, checked by one closure.
 
     Proper range set: the canonical representatives, one per top-rank
-    R-class, verified to generate everything.  Full range set: a
-    two-element generating pair found by search, with an exhaustive check
-    that no single element suffices.
+    R-class, whose domains bound the rank from below.  Full range set: the
+    constructed pair of `full_range_pair`.  A finite monogenic semigroup
+    has exactly one idempotent, so the two idempotents of S, the empty map
+    and the identity, show that no single element generates it.
     """
     S = enumerate_semigroup(ctx)
-    order = len(S)
-    if not ctx.is_full:
-        gens = canonical_generating_set(ctx)
-        if len(closure(ctx, gens)) != order:
-            raise errors.DecompositionFailed("canonical set failed to generate")
-        witness = tuple(combinations(range(1, ctx.n + 1), ctx.r))
-        return RankCertificate(ctx, math.comb(ctx.n, ctx.r), tuple(gens), order, witness)
-
-    g = rotation_perm(ctx.n)
-    pair = None
-    for idx in rank_layer(S, ctx.n - 1):
-        cand = S[idx]
-        if len(closure(ctx, [g, cand])) == order:
-            pair = (g, cand)
-            break
-    if pair is None:
-        for i, j in combinations(range(len(S)), 2):
-            if len(closure(ctx, [S[i], S[j]])) == order:
-                pair = (S[i], S[j])
-                break
-    if pair is None:
-        raise errors.DecompositionFailed("no generating pair found")
-    for a in S:
-        if len(closure(ctx, [a])) == order:
-            raise errors.DecompositionFailed("a single element generates; rank claim wrong")
-    return RankCertificate(ctx, 2, pair, order)
+    n = ctx.n
+    if ctx.is_full:
+        gens = full_range_pair(n)
+        idempotents = (empty_map(n), identity_on(n, ctx.points))
+        if not all(e in S and e.is_idempotent() for e in idempotents):
+            raise errors.DecompositionFailed("lower-bound witness is not two idempotents of S")
+        witness = tuple(e.domain for e in idempotents)
+    else:
+        gens = tuple(canonical_generating_set(ctx))
+        witness = tuple(combinations(range(1, n + 1), ctx.r))
+    if len(closure(ctx, gens)) != len(S):
+        raise errors.DecompositionFailed("generating set failed to generate")
+    return RankCertificate(ctx, len(gens), gens, len(S), witness)
 
 
 # -- full pipeline ----------------------------------------------------------

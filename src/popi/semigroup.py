@@ -120,12 +120,15 @@ def cardinality_formula(n: int, r: int) -> int:
 
 
 def contains(ctx: RangeContext, a: PartialInjection) -> bool:
-    """Membership test: orientation-preserving with image inside the range set."""
+    """Membership test: injective and orientation-preserving, with image
+    inside the range set.  Injectivity is tested because `from_table`
+    trusts its table."""
     if a.n != ctx.n:
         raise errors.MismatchedChainSize(
             "element lives on a chain of size %d, context has %d" % (a.n, ctx.n)
         )
-    return a.image <= ctx.point_set and a.is_orientation_preserving()
+    image = a.image
+    return len(image) == a.rank and image <= ctx.point_set and a.is_orientation_preserving()
 
 
 def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

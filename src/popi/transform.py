@@ -87,7 +87,8 @@ class PartialInjection:
         cls, n: int, table: Sequence[int], domain: tuple[int, ...] | None = None
     ) -> "PartialInjection":
         """Fast constructor trusting an already-valid slot table, and its
-        ascending domain tuple when given."""
+        ascending domain tuple when given: the product kernel's door, which
+        checks neither range nor injectivity (`contains` does)."""
         obj = cls.__new__(cls)
         obj._finish(n, tuple(table), domain)
         return obj

@@ -3,6 +3,8 @@
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 import popi as P
 
 
@@ -35,3 +37,14 @@ def all_partial_injections(n: int, max_rank: int | None = None):
             for img in combinations(universe, k):
                 for arranged in permutations(img):
                     yield P.make_partial_injection(n, zip(dom, arranged))
+
+
+@st.composite
+def member_of(draw, n: int, pts):
+    """One member of the semigroup on n points with range set `pts`: a
+    domain, an image set of equal size and a rotation of it."""
+    k = draw(st.integers(0, len(pts)))
+    dom = sorted(draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)))
+    img = sorted(draw(st.lists(st.sampled_from(pts), min_size=k, max_size=k, unique=True)))
+    t = draw(st.integers(0, max(k - 1, 0)))
+    return P.make_partial_injection(n, zip(dom, img[t:] + img[:t]))

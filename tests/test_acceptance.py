@@ -115,18 +115,16 @@ class TestAcceptance:
                     ok = False
                 if not all(P.deletion_test(ctx, gens)):
                     ok = False
-        for n in range(1, 5):
+        for n in range(1, 7):
             ctx = P.RangeContext(n, range(1, n + 1))
             cert = P.semigroup_rank(ctx)
             target = P.cardinality_formula(n, n)
-            if n == 1:
-                # two elements, both idempotent: rank is 2 via the pair itself
-                if cert.claimed_rank != 2:
-                    ok = False
-                continue
             if cert.claimed_rank != 2:
                 ok = False
             if len(P.closure(ctx, list(cert.generating_set))) != target:
+                ok = False
+            # the certificate's witness: the empty map and the identity
+            if cert.lower_bound_witness != ((), tuple(range(1, n + 1))):
                 ok = False
             S = P.enumerate_semigroup(ctx)
             if any(len(P.closure(ctx, [a])) == target for a in S):

@@ -143,6 +143,15 @@ class TestHClassProfile:
         prof = P.h_class_profile(ctx, S, S.index_of(P.empty_map(3)))
         assert prof.size == 1 and prof.is_group and prof.is_cyclic_group
 
+    def test_full_range_identity_at_seven(self):
+        # |S| = 12,013 is past the multiplication table's bound; the profile
+        # needs only the seven rotations in the identity's class, the last
+        # of which ends the element order
+        ctx, S = semigroup(7, tuple(range(1, 8)))
+        for i in (S.index_of(P.identity_on(7, ctx.points)), len(S) - 1):
+            prof = P.h_class_profile(ctx, S, i)
+            assert prof.size == 7 and prof.is_group and prof.is_cyclic_group
+
     def test_regular_class_sizes(self):
         for n in range(1, 5):
             for pts in all_range_sets(n):

@@ -114,3 +114,11 @@ def test_product_is_associative_and_pointwise(abc):
     a, b, c = abc
     assert (a * b) * c == a * (b * c)
     assert a * b == pointwise_product(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(maps_on))
+def test_inverse_is_a_generalized_inverse(a):
+    b = a.inverse()
+    assert a * b * a == a
+    assert b * a * b == b

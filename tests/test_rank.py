@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import popi as P
 from popi import errors
 
-from conftest import all_range_sets, proper_range_sets, semigroup
+from popi.rank import full_range_pair
+
+from conftest import all_range_sets, member_of, proper_range_sets, semigroup
 
 
 def pi(n, *pairs):
@@ -17,9 +19,9 @@ def pi(n, *pairs):
 
 
 # -- reference searches -----------------------------------------------------
-# Search oracles for `shift_decompose` and `decompose_low_rank`.  Each returns
-# the first factorization in its search order; the constructions must return
-# exactly the same factors.
+# Search oracles for `shift_decompose`, `decompose_low_rank` and
+# `full_range_pair`.  Each returns the first factorization or generator in its
+# search order; the constructions must return exactly the same.
 
 
 def search_shift(a):
@@ -52,6 +54,16 @@ def search_low_rank(ctx, a):
                         gamma = P.PartialInjection.from_table(n, table)
                         if gamma.is_orientation_preserving() and beta * gamma == a:
                             return beta, gamma
+    return None
+
+
+def search_full_range_pair(ctx, S):
+    """The first rank-(n-1) element that generates S together with the
+    chain rotation."""
+    g = P.rotation_perm(ctx.n)
+    for i in P.rank_layer(S, ctx.n - 1):
+        if len(P.closure(ctx, [g, S[i]])) == len(S):
+            return S[i]
     return None
 
 
@@ -154,6 +166,14 @@ def test_constructions_match_searches(n):
             if a.rank <= len(pts) - 2:
                 d = P.decompose_low_rank(ctx, a)
                 assert (d.beta, d.gamma) == search_low_rank(ctx, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_full_range_pair_matches_search(n):
+    ctx, S = semigroup(n, tuple(range(1, n + 1)))
+    g, a = full_range_pair(n)
+    assert g == P.rotation_perm(n)
+    assert a == search_full_range_pair(ctx, S)
 
 
 class TestDecomposeCorankOne:
@@ -362,11 +382,7 @@ def members(draw):
     """A chain size n <= 9, a proper range set Y and one member a."""
     n = draw(st.integers(2, 9))
     pts = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
-    k = draw(st.integers(0, len(pts)))
-    dom = sorted(draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)))
-    img = sorted(draw(st.lists(st.sampled_from(pts), min_size=k, max_size=k, unique=True)))
-    t = draw(st.integers(0, max(k - 1, 0)))
-    return P.RangeContext(n, pts), pi(n, *zip(dom, img[t:] + img[:t]))
+    return P.RangeContext(n, pts), draw(member_of(n, pts))
 
 
 def assert_factors(d, x, beta_rank, gamma_rank):

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popi as P
 from popi import errors
 from popi import semigroup as semigroup_module
 from popi.semigroup import sort_key
 
-from conftest import all_partial_injections, all_range_sets, semigroup
+from conftest import all_partial_injections, all_range_sets, member_of, semigroup
 
 
 def brute_force_members(n, pts):
@@ -117,6 +119,27 @@ class TestContains:
     def test_chain_mismatch(self):
         with pytest.raises(errors.MismatchedChainSize):
             P.contains(P.RangeContext(3, (1,)), P.empty_map(4))
+
+    def test_rejects_non_injective_table(self):
+        # `from_table` trusts its table; 1 and 2 both going to 2 is no injection
+        ctx = P.RangeContext(3, (1, 2))
+        assert not P.contains(ctx, P.PartialInjection.from_table(3, [2, 2, 0]))
+
+
+@st.composite
+def member_pairs(draw):
+    """A chain size n <= 9, any range set Y and two members a, b."""
+    n = draw(st.integers(1, 9))
+    pts = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)))
+    return P.RangeContext(n, pts), draw(member_of(n, pts)), draw(member_of(n, pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_pairs())
+def test_products_of_members_are_members(ctx_a_b):
+    ctx, a, b = ctx_a_b
+    assert P.contains(ctx, a) and P.contains(ctx, b)
+    assert P.contains(ctx, a * b)
 
 
 class TestClosure:
