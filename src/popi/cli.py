@@ -2,7 +2,8 @@
 
 Every command prints a deterministic report; `--json` emits a versioned
 machine-readable document, `--csv` a flat projection of the same records.
-Exit codes: 0 success, 1 selftest mismatch, 2 invalid arguments or an
+Exit codes: 0 success, 1 selftest mismatch, 2 invalid arguments, input too
+large to build (a chain of more than MAX_ELEMENTS points included) or an
 `--out` path that cannot be written.
 """
 
@@ -249,7 +250,11 @@ def cmd_iso(args) -> int:
 
 def cmd_decompose(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
-    elem = PartialInjection.from_json_dict(json.loads(args.element), chain=ctx.n)
+    try:
+        data = json.loads(args.element)
+    except RecursionError:
+        raise errors.BadParameters("--element is nested too deeply") from None
+    elem = PartialInjection.from_json_dict(data, chain=ctx.n)
     steps: list = []
     factors = top_rank_factorization(ctx, elem, steps)
     report = _base_report(

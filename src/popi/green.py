@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from . import errors
 from .semigroup import ElementSet, RangeContext, contains
+from .transform import PartialInjection
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,15 @@ def h_class_profile(ctx: RangeContext, S: ElementSet, a_index: int) -> HClassPro
     """Size and group structure of the H-class of one element.
 
     Regular elements share their H-class with everything of equal domain
-    and image; non-regular elements sit alone.
+    and image: the rotations of the image sequence on the domain, one per
+    point (the empty map is its own class).  Non-regular elements sit alone.
     """
     a = S[a_index]
     if _domain_inside_range(ctx, a):
-        members = [b for b in S.elements if b.domain == a.domain and b.image == a.image]
+        seq = a.image_seq
+        members = [
+            PartialInjection(a.n, zip(a.domain, seq[t:] + seq[:t])) for t in range(max(a.rank, 1))
+        ]
     else:
         members = [a]
     member_set = set(members)

@@ -3,40 +3,51 @@
 `decide_isomorphic` applies the closed criterion (equal sizes up to two, or
 a rotation/reflection carrying one range set onto the other).
 `bruteforce_isomorphism` is an independent oracle: backtracking over
-element bijections, pruned only by structural facts that hold for every
-semigroup isomorphism (zero to zero, idempotents to idempotents, induced
-point bijection on images, fixed points and range-set parts of domains).
+element bijections, pruned only by a fact that holds for every semigroup
+isomorphism: it conjugates each element's restriction to the range set by
+the induced point bijection, keeping ranks and mapping images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable
 
 from . import errors
 from .semigroup import ElementSet, RangeContext, contains, enumerate_semigroup
-from .transform import PartialInjection, reflection_perm, rotation_perm
+from .transform import PartialInjection
 
 
 @dataclass(frozen=True)
 class IsoWitness:
     verdict: bool
-    reason: str  # "small-rank" | "dihedral" | "oracle-map" | "none"
+    reason: str  # "small-rank" | "dihedral" | "none"
     delta: PartialInjection | None = None
-    element_map: tuple[tuple[int, int], ...] | None = None
+
+
+def _dihedral_map(n: int, k: int, reflected: bool) -> Callable[[int], int]:
+    """The rotation x -> (x+k-1) mod n + 1, or the reflection
+    x -> (k-x) mod n + 1, of the chain."""
+    if reflected:
+        return lambda x: (k - x) % n + 1
+    return lambda x: (x + k - 1) % n + 1
+
+
+def _tabulate(n: int, f: Callable[[int], int]) -> PartialInjection:
+    return PartialInjection.from_table(n, tuple(map(f, range(1, n + 1))))
 
 
 def dihedral_elements(n: int) -> list[PartialInjection]:
-    """The 2n rotations and reflections of the chain, as permutations.
+    """The 2n rotations and reflections of the chain, as permutations:
+    the rotations for k = 0..n-1, then the reflections for k = 0..n-1.
 
     Undefined for n <= 2, where the group does not embed in the symmetric
     group on the chain.
     """
     if n <= 2:
         raise errors.ChainTooSmall("need n >= 3, got %d" % n)
-    rotations = [rotation_perm(n, k) for k in range(n)]
-    h = reflection_perm(n)
-    return rotations + [h * g for g in rotations]
+    return [_tabulate(n, _dihedral_map(n, k, s)) for s in (False, True) for k in range(n)]
 
 
 def is_dihedral_restriction(a: PartialInjection) -> bool:
@@ -54,7 +65,11 @@ def is_dihedral_restriction(a: PartialInjection) -> bool:
 
 
 def decide_isomorphic(n: int, y, z) -> IsoWitness:
-    """Closed-form decision with witness."""
+    """Closed-form decision with witness.
+
+    A map carrying Y onto Z sends min Y into Z, so only those 2|Y| maps are
+    tried, in `dihedral_elements` order; only the one found is tabulated.
+    """
     yset = frozenset(y)
     zset = frozenset(z)
     cy = RangeContext(n, yset)  # validates the subsets
@@ -63,9 +78,13 @@ def decide_isomorphic(n: int, y, z) -> IsoWitness:
         return IsoWitness(False, "none")
     if cy.r <= 2:
         return IsoWitness(True, "small-rank")
-    for delta in dihedral_elements(n):
-        if frozenset(delta(p) for p in yset) == zset:
-            return IsoWitness(True, "dihedral", delta=delta)
+    y0 = cy.points[0]
+    for reflected in (False, True):
+        # the k whose map sends y0 to p
+        for k in sorted((p + y0 - 1 if reflected else p - y0) % n for p in zset):
+            f = _dihedral_map(n, k, reflected)
+            if {f(p) for p in yset} == zset:
+                return IsoWitness(True, "dihedral", delta=_tabulate(n, f))
     return IsoWitness(False, "none")
 
 
@@ -107,82 +126,54 @@ def conjugation_isomorphism(
 # -- independent brute-force oracle ----------------------------------------
 
 
-def _range_points(S: ElementSet) -> list[int]:
-    pts: set[int] = set()
-    for a in S:
-        pts.update(a.image_seq)
-    return sorted(pts)
-
-
 def bruteforce_isomorphism(S: ElementSet, T: ElementSet) -> dict[int, int] | None:
     """Search for a product-preserving bijection between two element sets.
 
-    Tries every bijection between the two range sets (forced by the images
-    of the singleton identities), then extends over elements by
+    Tries every bijection phi between the two range sets (forced by the
+    images of the singleton identities).  An element's candidates are the
+    elements of T whose key (rank, image, graph on the range set) is its own
+    key mapped through phi.  The search then extends over elements by
     backtracking with constraint propagation: assigning one element forces
     every product with already-assigned elements.
     """
     if len(S) != len(T):
         return None
-    ypts = _range_points(S)
-    zpts = _range_points(T)
+    ypts = sorted({p for a in S for p in a.image_seq})
+    zpts = sorted({p for a in T for p in a.image_seq})
     if len(ypts) != len(zpts):
         return None
-    size = len(S)
-    if size == 0:
-        return {}
-    yset = set(ypts)
-    zset = set(zpts)
     m_s = S.mult_table()
     m_t = T.mult_table()
 
-    # per-element structural data
-    def info(E: ElementSet, pts: set[int]):
-        ranks, ims, fixes, dom_in = [], [], [], []
-        for a in E:
-            ranks.append(a.rank)
-            ims.append(a.image)
-            fixes.append(a.fixed_points())
-            dom_in.append(tuple(x for x in a.domain if x in pts))
-        return ranks, ims, fixes, dom_in
+    def keys(E: ElementSet, pts: list[int]) -> list[tuple]:
+        inside = set(pts)
+        return [
+            (a.rank, a.image, frozenset((x, a(x)) for x in a.domain if x in inside)) for a in E
+        ]
 
-    s_rank, s_im, s_fix, s_domy = info(S, yset)
-    t_rank, t_im, t_fix, t_domz = info(T, zset)
-
-    t_sig: dict = {}
-    for j in range(size):
-        key = (t_rank[j], t_im[j], t_fix[j], frozenset(t_domz[j]))
-        t_sig.setdefault(key, []).append(j)
-
-    order = sorted(range(size), key=lambda i: (-s_rank[i], i))
+    t_keys: dict = {}
+    for j, k in enumerate(keys(T, zpts)):
+        t_keys.setdefault(k, []).append(j)
+    s_keys = keys(S, ypts)
+    order = sorted(range(len(S)), key=lambda i: (-s_keys[i][0], i))
 
     for image_choice in permutations(zpts):
-        phi = dict(zip(ypts, image_choice))
-        cand: list[list[int]] = []
-        feasible = True
-        for i in range(size):
-            key = (
-                s_rank[i],
-                frozenset(phi[p] for p in s_im[i]),
-                frozenset(phi[p] for p in s_fix[i]),
-                frozenset(phi[p] for p in s_domy[i]),
+        phi = dict(zip(ypts, image_choice)).__getitem__
+        cand: list = [None] * len(S)
+        for i in order:
+            rank, image, graph = s_keys[i]
+            mapped = (
+                rank,
+                frozenset(map(phi, image)),
+                frozenset((phi(x), phi(v)) for x, v in graph),
             )
-            opts = [
-                j
-                for j in t_sig.get(key, ())
-                if all(
-                    T[j].get(phi[x]) == phi[S[i](x)] for x in s_domy[i]
-                )
-            ]
-            if not opts:
-                feasible = False
+            cand[i] = t_keys.get(mapped)
+            if cand[i] is None:
                 break
-            cand.append(opts)
-        if not feasible:
-            continue
-        result = _extend(size, cand, m_s, m_t, order)
-        if result is not None:
-            return result
+        else:
+            result = _extend(len(S), cand, m_s, m_t, order)
+            if result is not None:
+                return result
     return None
 
 

@@ -12,6 +12,15 @@ from . import errors
 from .transform import PartialInjection, empty_map, left_multiplier, padded
 
 
+# The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
+# range (923,781 elements) fits.  It also bounds the chain: past it, the
+# rank-1 layer alone, n*|Y| elements, is larger.
+MAX_ELEMENTS = 10**6
+# The largest `ElementSet.mult_table`, at 8 bytes of list slot per entry
+# about 80 MiB; n = 6 with the full range (2,773^2 entries) fits.
+MAX_TABLE_ENTRIES = 10**7
+
+
 class RangeContext:
     """The ambient chain size n together with the restricted range Y."""
 
@@ -20,6 +29,10 @@ class RangeContext:
     def __init__(self, n: int, points: Iterable[int]):
         if n < 1:
             raise errors.BadParameters("chain size must be positive")
+        if n > MAX_ELEMENTS:
+            raise errors.TooLarge(
+                "a chain of %d points gives more than %d elements" % (n, MAX_ELEMENTS)
+            )
         pts = sorted(set(points))
         if not pts:
             raise errors.BadParameters("range set must be nonempty")
@@ -135,14 +148,6 @@ def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     k = len(points)
     for t in range(k):
         yield points[t:] + points[:t]
-
-
-# The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
-# range (923,781 elements) fits.
-MAX_ELEMENTS = 10**6
-# The largest `ElementSet.mult_table`, at 8 bytes of list slot per entry
-# about 80 MiB; n = 6 with the full range (2,773^2 entries) fits.
-MAX_TABLE_ENTRIES = 10**7
 
 
 def check_table_size(size: int) -> None:

@@ -227,6 +227,31 @@ class TestDecompose:
         )
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
+    def test_deeply_nested_element_exits_two(self):
+        # a child process, so that a traceback shows as it would to a user
+        argv = ["decompose", "--n", "3", "--y", "1,2", "--element", "[" * 50000]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "popi.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10.0,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: BadParameters") and "Traceback" not in done.stderr
+
+    def test_chain_past_element_bound_refused_within_a_second(self):
+        # its rank-1 layer alone has n*|Y| elements; a child process, so that
+        # a missing check is killed, not left building tables of n slots
+        n = 10**6 + 1
+        elem = json.dumps({"n": n, "pairs": [[5, 1]]})
+        argv = ["decompose", "--n", str(n), "--y", "1,2,3", "--element", elem]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "popi.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=1.0,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: TooLarge")
+
     @pytest.mark.parametrize("point", ["1.5", '"1"', "true"])
     def test_points_must_be_ints(self, capsys, point):
         elem = '{"n":3,"pairs":[[%s,2]]}' % point

@@ -1,9 +1,19 @@
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+
 import pytest
 
 import popi as P
 from popi import errors
+from popi.cli import main
 
-from conftest import semigroup
+from conftest import all_range_sets, semigroup
 
 
 def pi(n, *pairs):
@@ -31,6 +41,10 @@ class TestDihedralElements:
     def test_small_chain_rejected(self):
         with pytest.raises(errors.ChainTooSmall):
             P.dihedral_elements(2)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_order_is_rotations_then_reflected_rotations(self, n):
+        assert P.dihedral_elements(n) == full_dihedral_group(n)
 
 
 class TestDihedralRestriction:
@@ -72,6 +86,46 @@ class TestDecide:
     def test_reflexive(self):
         w = P.decide_isomorphic(5, (2, 4, 5), (2, 4, 5))
         assert w.verdict
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_full_group_scan(self, n):
+        group = full_dihedral_group(n) if n >= 3 else []
+        sets = list(all_range_sets(n))
+        for y in sets:
+            for z in sets:
+                if len(y) == len(z):
+                    assert P.decide_isomorphic(n, y, z) == scan_decide(group, y, z), (y, z)
+
+    def test_non_isomorphic_at_a_million_points_within_a_second(self):
+        # a child process, so that a decision tabulating all 2n maps is killed
+        # before it fills memory
+        argv = ["iso", "--n", str(10**6), "--y", "1,2,3", "--z", "1,2,5", "--json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "popi.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=1.0,
+        )
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["verdict"] is False
+
+
+def full_dihedral_group(n):
+    """The 2n rotations and reflections, as the rotation powers followed by
+    the reflection times each of them."""
+    rotations = [P.rotation_perm(n, k) for k in range(n)]
+    h = P.reflection_perm(n)
+    return rotations + [h * g for g in rotations]
+
+
+def scan_decide(group, y, z):
+    """The reference decision for range sets of equal size: the first
+    member of the whole group, in order, that carries y onto z."""
+    if len(y) <= 2:
+        return P.IsoWitness(True, "small-rank")
+    for delta in group:
+        if frozenset(delta(p) for p in y) == frozenset(z):
+            return P.IsoWitness(True, "dihedral", delta=delta)
+    return P.IsoWitness(False, "none")
 
 
 class TestConjugation:
@@ -159,3 +213,44 @@ class TestDecideAgreesWithOracle:
                 verdict = P.decide_isomorphic(4, y, z).verdict
                 found = P.bruteforce_isomorphism(semigroup(4, y)[1], semigroup(4, z)[1])
                 assert verdict == (found is not None), (y, z)
+
+
+# sha256 of `iso ... --oracle --json` stdout, captured before the decision
+# and the oracle were rewritten around point images: every pair of equal
+# size at n <= 4, and the benchmark's two iso shapes, {1,2,3,5} against its
+# dihedral orbit at n = 6 and {1,2,3} against the 3-sets holding 1 at n = 7.
+GOLDEN_ISO = os.path.join(os.path.dirname(__file__), "golden", "iso_oracle.json")
+
+
+def iso_oracle_argvs():
+    triples = [
+        (n, y, z)
+        for n in range(1, 5)
+        for y in all_range_sets(n)
+        for z in all_range_sets(n)
+        if len(y) == len(z)
+    ]
+    orbit = sorted({tuple(sorted(d(p) for p in (1, 2, 3, 5))) for d in full_dihedral_group(6)})
+    triples += [(6, (1, 2, 3, 5), z) for z in orbit]
+    triples += [(7, (1, 2, 3), z) for z in combinations(range(1, 8), 3) if z[0] == 1]
+    pts = lambda s: ",".join(map(str, s))  # noqa: E731
+    return [
+        ["iso", "--n", str(n), "--y", pts(y), "--z", pts(z), "--oracle", "--json"]
+        for n, y, z in triples
+    ]
+
+
+def stdout_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_iso_oracle_reports_match_golden_digests():
+    with open(GOLDEN_ISO) as fh:
+        golden = json.load(fh)
+    argvs = iso_oracle_argvs()
+    assert sorted(" ".join(a) for a in argvs) == sorted(golden)
+    mismatched = [a for a in argvs if stdout_digest(a) != golden[" ".join(a)]]
+    assert mismatched == []

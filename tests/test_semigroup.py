@@ -29,6 +29,13 @@ class TestRangeContext:
         ctx = P.RangeContext(5, [3, 1])
         assert ctx.points == (1, 3) and ctx.r == 2 and not ctx.is_full
 
+    def test_chain_bound(self):
+        # past MAX_ELEMENTS points, the rank-1 layer alone is too large
+        bound = semigroup_module.MAX_ELEMENTS
+        assert P.RangeContext(bound, [1, bound]).n == bound
+        with pytest.raises(errors.TooLarge):
+            P.RangeContext(bound + 1, [1])
+
 
 class TestEnumerate:
     def test_small_counts(self):
