@@ -237,9 +237,13 @@ def cmd_iso(args) -> int:
     if witness.delta is not None:
         report["delta"] = _fmt_elem(witness.delta)
     if args.oracle:
-        S = enumerate_semigroup(RangeContext(args.n, y))
-        T = enumerate_semigroup(RangeContext(args.n, z))
-        found = bruteforce_isomorphism(S, T)
+        size = cardinality_formula(args.n, len(y))
+        found = None  # what the oracle answers for semigroups of unequal size
+        if size == cardinality_formula(args.n, len(z)):
+            check_table_size(size)  # before either semigroup is built
+            S = enumerate_semigroup(RangeContext(args.n, y))
+            T = enumerate_semigroup(RangeContext(args.n, z))
+            found = bruteforce_isomorphism(S, T)
         report["oracle"] = found is not None
         report["agree"] = (found is not None) == witness.verdict
         if found is not None:
@@ -263,14 +267,14 @@ def cmd_decompose(args) -> int:
     report["factors"] = [_fmt_elem(f) for f in factors]
     report["steps"] = [
         {
-            "op": s["op"],
-            "case": s["case"] or "",
-            "shift": s["shift"],
-            "input": _fmt_elem(s["input"]),
-            "beta": _fmt_elem(s["beta"]),
-            "gamma": _fmt_elem(s["gamma"]),
+            "op": op,
+            "case": d.case,
+            "shift": d.shift_exponent,
+            "input": _fmt_elem(a),
+            "beta": _fmt_elem(d.beta),
+            "gamma": _fmt_elem(d.gamma),
         }
-        for s in steps
+        for op, a, d in steps
     ]
     _emit(args, report, report["steps"] or None)
     return 0

@@ -56,10 +56,10 @@ def is_regular_characterized(ctx: RangeContext, a) -> bool:
 
 
 def is_regular_oracle(S: ElementSet, a_index: int) -> bool:
-    """Definition-level check: some b in S satisfies aba = a."""
+    """Definition-level check: some b in S satisfies aba = a, tried once
+    for each distinct product ab."""
     m = S.mult_table()
-    row = m[a_index]
-    return any(m[row[b]][a_index] == a_index for b in range(len(S)))
+    return any(m[x][a_index] == a_index for x in set(m[a_index]))
 
 
 # -- characterized partitions ----------------------------------------------

@@ -1,8 +1,9 @@
 """Generating sets, rank certificates, and the step-down factorizations.
 
-Every factorization routine returns a `Decomposition` whose product is
-asserted to reproduce the input bit-exactly; a failed assertion raises
-`DecompositionFailed` rather than returning a wrong witness.
+Every factorization routine returns a `Decomposition` that has passed
+one check: both factors are members of the expected ranks and their product
+is the input.  A failed check raises `DecompositionFailed` rather than
+returning a wrong witness.
 """
 
 from __future__ import annotations
@@ -99,6 +100,21 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
 # -- the three factorization levels ----------------------------------------
 
 
+def _checked(
+    ctx: RangeContext, a: PartialInjection, d: Decomposition, ranks: tuple[int, int]
+) -> Decomposition:
+    """`d`, once both factors are members of ranks `ranks` whose product is
+    `a`; DecompositionFailed otherwise."""
+    if not (
+        (d.beta.rank, d.gamma.rank) == ranks
+        and contains(ctx, d.beta)
+        and contains(ctx, d.gamma)
+        and d.beta * d.gamma == a
+    ):
+        raise errors.DecompositionFailed("%s factorization failed for %r" % (d.case, a))
+    return d
+
+
 def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """Factor an element of rank at most r-2 into two factors of one higher rank.
 
@@ -129,9 +145,7 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
             if y is None:
                 continue
             gamma = PartialInjection(n, [(d, y), *zip(q, seq)])
-            if not (contains(ctx, gamma) and beta * gamma == a):
-                raise errors.DecompositionFailed("low-rank factorization failed for %r" % (a,))
-            return Decomposition(beta, gamma, case="low")
+            return _checked(ctx, a, Decomposition(beta, gamma, case="low"), (m + 1, m + 1))
     raise errors.DecompositionFailed("no one-higher-rank factorization for %r" % (a,))
 
 
@@ -162,15 +176,10 @@ def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decompositio
     c = min(set(range(1, n + 1)) - dom1)
     beta = order_isomorphism(n, sorted(dom1 | {c}), ctx.points)
     gamma = beta.inverse() * a1
-    beta_full = rotation_perm(n, l) * beta
-    if not (
-        beta_full.rank == r
-        and contains(ctx, beta_full)
-        and is_restricted_corank_one(ctx, gamma)
-        and beta_full * gamma == a
-    ):
-        raise errors.DecompositionFailed("corank-one factorization failed for %r" % (a,))
-    return Decomposition(beta_full, gamma, shift_exponent=l, case="corank_one")
+    if not is_restricted_corank_one(ctx, gamma):
+        raise errors.DecompositionFailed("corank-one factor %r is not restricted" % (gamma,))
+    d = Decomposition(rotation_perm(n, l) * beta, gamma, shift_exponent=l, case="corank_one")
+    return _checked(ctx, a, d, (r, r - 1))
 
 
 def is_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> bool:
@@ -208,40 +217,26 @@ def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> D
     i = _missing_index(ctx, a.domain)
     j = _missing_index(ctx, a.image_seq)
     ge = i >= j
-    if pts[0] > 1:
-        p = 1
-        s = (1 - j) % r if ge else (-j) % r
-        case = "low.%s" % ("ge" if ge else "lt")
-    elif pts[-1] < n:
-        p = n
-        s = (1 - j) % r if ge else (-j) % r
-        case = "high.%s" % ("ge" if ge else "lt")
+    order = "ge" if ge else "lt"
+    if pts[0] > 1 or pts[-1] < n:
+        # the insertion point lies below or above the range set
+        k, p = 0, (1 if pts[0] > 1 else n)
+        case = "%s.%s" % ("low" if p == 1 else "high", order)
     else:
         k = next(k for k in range(1, r) if pts[k - 1] < pts[k] - 1)
         p = pts[k - 1] + 1
         if ge:
-            s = (k + 1 - j) % r
-            case = "gap.ge.%s" % ("wide" if k >= j - 1 else "narrow")
+            width = "wide" if k >= j - 1 else "narrow"
         else:
-            s = (k - j) % r
-            case = "gap.lt.%s" % (
-                "wide" if k >= j else ("mid" if k >= j + 1 - i else "narrow")
-            )
-    beta = range_rotation_power(ctx, s)
+            width = "wide" if k >= j else ("mid" if k >= j + 1 - i else "narrow")
+        case = "gap.%s.%s" % (order, width)
+    beta = range_rotation_power(ctx, (k + ge - j) % r)
     table = [0] * n
     for x in a.domain:
         table[beta(x) - 1] = a(x)
     table[p - 1] = pts[j - 1]
     gamma = PartialInjection.from_table(n, table)
-    if not (
-        gamma.rank == r
-        and contains(ctx, gamma)
-        and beta * gamma == a
-    ):
-        raise errors.DecompositionFailed(
-            "restricted corank-one factorization failed for %r (case %s)" % (a, case)
-        )
-    return Decomposition(beta, gamma, case=case)
+    return _checked(ctx, a, Decomposition(beta, gamma, case=case), (r, r))
 
 
 # -- top-layer structure ----------------------------------------------------
@@ -343,8 +338,8 @@ def top_rank_factorization(
     """Express any element (proper range set) as a product of top-rank
     elements by iterating the three factorization levels.
 
-    When `steps` is given, one record per factorization is appended with
-    the operation name, case label and both factors.
+    When `steps` is given, one `(op, input, Decomposition)` triple is
+    appended per factorization, in the order they are made.
     """
     if ctx.is_full:
         raise errors.FullRangeNotSupported("pipeline is defined for proper range sets")
@@ -359,34 +354,16 @@ def top_rank_factorization(
     return factors
 
 
-def _record(steps, op, a, d: Decomposition):
-    if steps is not None:
-        steps.append(
-            {
-                "op": op,
-                "case": d.case,
-                "shift": d.shift_exponent,
-                "input": a,
-                "beta": d.beta,
-                "gamma": d.gamma,
-            }
-        )
-
-
 def _factor(ctx, a, steps) -> list[PartialInjection]:
     r = ctx.r
     if a.rank == r:
         return [a]
     if a.rank <= r - 2:
-        d = decompose_low_rank(ctx, a)
-        _record(steps, "raise_rank", a, d)
-        return _factor(ctx, d.beta, steps) + _factor(ctx, d.gamma, steps)
-    if is_restricted_corank_one(ctx, a):
-        d = decompose_restricted_corank_one(ctx, a)
-        _record(steps, "restricted_split", a, d)
-        return [d.beta, d.gamma]
-    d = decompose_corank_one(ctx, a)
-    _record(steps, "corank_one_split", a, d)
-    dv = decompose_restricted_corank_one(ctx, d.gamma)
-    _record(steps, "restricted_split", d.gamma, dv)
-    return [d.beta, dv.beta, dv.gamma]
+        op, d = "raise_rank", decompose_low_rank(ctx, a)
+    elif is_restricted_corank_one(ctx, a):
+        op, d = "restricted_split", decompose_restricted_corank_one(ctx, a)
+    else:
+        op, d = "corank_one_split", decompose_corank_one(ctx, a)
+    if steps is not None:
+        steps.append((op, a, d))
+    return _factor(ctx, d.beta, steps) + _factor(ctx, d.gamma, steps)

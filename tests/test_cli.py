@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,7 +14,7 @@ import pytest
 import popi as P
 from popi.cli import COMMANDS, _base_report, _elem_record, build_parser, main
 
-from conftest import all_range_sets
+from conftest import all_range_sets, proper_range_sets, semigroup
 
 
 def run(capsys, *argv):
@@ -191,6 +193,17 @@ class TestIso:
         assert code == 0 and "element_map" not in row
         assert row["oracle"] == "True" and row["config.z"] == "2,4"
 
+    def test_oracle_builds_nothing_for_unequal_sizes(self, capsys, monkeypatch):
+        import popi.cli
+
+        calls = []
+        monkeypatch.setattr(popi.cli, "enumerate_semigroup", calls.append)
+        code, doc = run_json(
+            capsys, "iso", "--n", "6", "--y", "1,2,3", "--z", "1,2,3,4", "--oracle"
+        )
+        assert code == 0 and calls == []
+        assert doc["verdict"] is False and doc["oracle"] is False and doc["agree"] is True
+
 
 class TestDecompose:
     def test_rank_one_element(self, capsys):
@@ -261,6 +274,39 @@ class TestDecompose:
         assert code == 2 and out == "" and err.startswith("error: BadParameters")
 
 
+# sha256 per (format, n, Y) of the concatenated `decompose` stdout of every
+# element in listing order, captured before the factorization stages shared
+# one check: --json for every proper Y at n <= 5, --csv and text at n <= 4.
+GOLDEN_DECOMPOSE = os.path.join(os.path.dirname(__file__), "golden", "decompose.json")
+DECOMPOSE_FORMATS = (("json", 5, ["--json"]), ("csv", 4, ["--csv"]), ("text", 4, []))
+
+
+def decompose_digests() -> dict:
+    digests = {}
+    for name, top, flags in DECOMPOSE_FORMATS:
+        for n in range(1, top + 1):
+            for pts in proper_range_sets(n):
+                y = ",".join(map(str, pts))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    for a in semigroup(n, pts)[1]:
+                        element = json.dumps(a.to_json_dict())
+                        argv = ["decompose", "--n", str(n), "--y", y, "--element", element]
+                        assert main(argv + flags) == 0
+                digests["%s %d %s" % (name, n, y)] = hashlib.sha256(
+                    out.getvalue().encode()
+                ).hexdigest()
+    return digests
+
+
+def test_decompose_reports_match_golden_digests():
+    with open(GOLDEN_DECOMPOSE) as fh:
+        golden = json.load(fh)
+    digests = decompose_digests()
+    assert sorted(digests) == sorted(golden)
+    assert [k for k in digests if digests[k] != golden[k]] == []
+
+
 class TestSelftest:
     def test_small_sweep_passes(self, capsys):
         code, doc = run_json(capsys, "selftest", "--max-n", "3")
@@ -293,10 +339,13 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [["green", "--n", "7", "--y", "1,2,3,4,5,6,7", "--rel", "D", "--check"],
-         ["selftest", "--max-n", "7"]],
+         ["selftest", "--max-n", "7"],
+         ["iso", "--n", "10", "--y", ",".join(map(str, range(1, 11))),
+          "--z", ",".join(map(str, range(1, 11))), "--oracle"]],
     )
     def test_too_large_table_refused_within_two_seconds(self, argv):
-        # 12,013^2 entries; a child process, so that a missing check is killed
+        # 12,013^2 entries or more; a child process, so that a missing check
+        # is killed
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run(
             [sys.executable, "-m", "popi.cli", *argv],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import popi as P
 from popi import errors
 
-from popi.rank import full_range_pair
+from popi.rank import _checked, full_range_pair
 
 from conftest import all_range_sets, member_of, proper_range_sets, semigroup
 
@@ -351,6 +351,32 @@ class TestSemigroupRank:
         assert doms == sorted(cert.lower_bound_witness)
 
 
+class TestChecked:
+    """The one check every factorization stage passes its factors through."""
+
+    ctx = P.RangeContext(3, (1, 2))
+
+    def test_rejects_wrong_rank(self):
+        d = P.decompose_low_rank(self.ctx, P.empty_map(3))
+        assert _checked(self.ctx, P.empty_map(3), d, (1, 1)) is d
+        with pytest.raises(errors.DecompositionFailed):
+            _checked(self.ctx, P.empty_map(3), d, (2, 2))
+
+    def test_rejects_non_member_factor(self):
+        # 1 -> 3 -> 1 multiplies out right, but beta's image leaves Y
+        d = P.Decomposition(pi(3, (1, 3)), pi(3, (3, 1)), case="low")
+        assert d.product() == pi(3, (1, 1)) and not P.contains(self.ctx, d.beta)
+        with pytest.raises(errors.DecompositionFailed):
+            _checked(self.ctx, pi(3, (1, 1)), d, (1, 1))
+
+    def test_rejects_wrong_product(self):
+        a = pi(3, (3, 1))
+        d = P.decompose_corank_one(self.ctx, a)
+        _checked(self.ctx, a, d, (2, 1))
+        with pytest.raises(errors.DecompositionFailed):
+            _checked(self.ctx, pi(3, (3, 2)), d, (2, 1))
+
+
 class TestTopRankFactorization:
     def test_examples_and_steps(self):
         ctx = P.RangeContext(3, (1, 2))
@@ -361,7 +387,8 @@ class TestTopRankFactorization:
             prod = prod * f
         assert prod == P.empty_map(3)
         assert all(f.rank == 2 for f in factors)
-        assert steps[0]["op"] == "raise_rank"
+        assert steps[0][0] == "raise_rank"
+        assert all(d.product() == a for _, a, d in steps)
 
     def test_top_rank_is_identity_factorization(self):
         ctx = P.RangeContext(3, (1, 2))
