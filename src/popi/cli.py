@@ -183,8 +183,8 @@ def cmd_card(args) -> int:
     else:
         raise errors.BadParameters("card needs --y or --r")
     ctx = RangeContext(args.n, pts)
+    enumerated = len(enumerate_semigroup(ctx))  # refuses a count too large to compute
     formula = cardinality_formula(ctx.n, ctx.r)
-    enumerated = len(enumerate_semigroup(ctx))
     report = _base_report("card", {"n": ctx.n, "y": list(ctx.points)})
     report.update(
         {"formula": formula, "enumerated": enumerated, "match": formula == enumerated}
@@ -237,10 +237,10 @@ def cmd_iso(args) -> int:
     if witness.delta is not None:
         report["delta"] = _fmt_elem(witness.delta)
     if args.oracle:
-        size = cardinality_formula(args.n, len(y))
         found = None  # what the oracle answers for semigroups of unequal size
-        if size == cardinality_formula(args.n, len(z)):
-            check_table_size(size)  # before either semigroup is built
+        # the count rises with |Y|, so the sizes are equal iff |Y| = |Z|
+        if len(y) == len(z):
+            check_table_size(args.n, len(y))  # before either semigroup is built
             S = enumerate_semigroup(RangeContext(args.n, y))
             T = enumerate_semigroup(RangeContext(args.n, z))
             found = bruteforce_isomorphism(S, T)
@@ -282,7 +282,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_selftest(args) -> int:
     top = max(args.max_n, 1)
-    check_table_size(cardinality_formula(top, top))  # the full range's table is the largest
+    check_table_size(top, top)  # the full range's table is the largest
     failures = []
     for n in range(1, args.max_n + 1):
         for size in range(1, n + 1):
@@ -312,10 +312,10 @@ def cmd_selftest(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
-def _chain_args(p, y_required: bool = True) -> None:
+def _chain_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
-    if y_required:
-        p.add_argument("--y", type=str, required=True, help="comma-separated points")
+    p.add_argument("--y", type=str, required=True, help="comma-separated points")
+    _format_args(p)
 
 
 def _format_args(p) -> None:
@@ -324,32 +324,27 @@ def _format_args(p) -> None:
     p.add_argument("--out", type=str, default=None)
 
 
-def _chain_and_format_args(p) -> None:
-    _chain_args(p)
-    _format_args(p)
-
-
 def _card_args(p) -> None:
-    _chain_args(p, y_required=False)
+    p.add_argument("--n", type=int, required=True)
     _format_args(p)
     p.add_argument("--y", type=str, default=None)
     p.add_argument("--r", type=int, default=None)
 
 
 def _green_args(p) -> None:
-    _chain_and_format_args(p)
+    _chain_args(p)
     p.add_argument("--rel", choices=["L", "R", "H", "D"], required=True)
     p.add_argument("--check", action="store_true", help="compare against the oracle")
 
 
 def _iso_args(p) -> None:
-    _chain_and_format_args(p)
+    _chain_args(p)
     p.add_argument("--z", type=str, required=True)
     p.add_argument("--oracle", action="store_true", help="also run the brute-force search")
 
 
 def _decompose_args(p) -> None:
-    _chain_and_format_args(p)
+    _chain_args(p)
     p.add_argument("--element", type=str, required=True, help='e.g. {"n":3,"pairs":[[3,1]]}')
 
 
@@ -361,46 +356,51 @@ def _selftest_args(p) -> None:
 # name -> (help, handler, function adding the command's arguments); usage
 # lines list arguments in the order they are added
 COMMANDS = {
-    "enumerate": ("list every element", cmd_enumerate, _chain_and_format_args),
+    "enumerate": ("list every element", cmd_enumerate, _chain_args),
     "card": ("formula vs enumerated count", cmd_card, _card_args),
     "green": ("Green's relation classes", cmd_green, _green_args),
-    "rank": ("rank certificate", cmd_rank, _chain_and_format_args),
+    "rank": ("rank certificate", cmd_rank, _chain_args),
     "iso": ("isomorphism decision", cmd_iso, _iso_args),
     "decompose": ("factor an element into top-rank products", cmd_decompose, _decompose_args),
     "selftest": ("oracle-vs-characterization sweep", cmd_selftest, _selftest_args),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the named command only.
-
-    A one-command parser parses that command's argv exactly as the full one
-    does, with the same help and error texts.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for help, --version and errors."""
     parser = argparse.ArgumentParser(
         prog="popi",
         description="Orientation-preserving partial injections with restricted range.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # the full parser's default metavar lists every name; so must the usage
-    # line of a one-command parser, but "invalid choice" errors, which only
-    # the full parser raises, name the argument by its metavar
-    metavar = "{%s}" % ",".join(COMMANDS) if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if command else COMMANDS:
-        help_text, handler, add_args = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_args) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_args(p)
         p.set_defaults(func=handler)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What the full parser gives for argv, less `command`: a command's argv
+    is parsed by its own arguments alone, and the full parser takes every
+    other argv and reports leftover strings, with the same texts."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog="popi " + argv[0])
+        _, handler, add_args = COMMANDS[argv[0]]
+        add_args(parser)
+        parser.set_defaults(func=handler)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+        build_parser().error("unrecognized arguments: %s" % " ".join(rest))
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command's argv needs only its own subparser; help, --version, an
-    # empty argv and an unknown name need them all
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # parsed in its own frame, so that no parser is alive while the command runs
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (errors.PopiError, ValueError, KeyError, OSError) as exc:

@@ -112,7 +112,9 @@ class ElementSet:
         Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES.
         """
         if self._mult is None:
-            check_table_size(len(self.elements))
+            size = len(self.elements)
+            if size * size > MAX_TABLE_ENTRIES:
+                raise errors.TooLarge("%d^2 table entries exceed %d" % (size, MAX_TABLE_ENTRIES))
             if len({a.n for a in self.elements}) > 1:
                 # the kernel reads tables without their chain size
                 raise errors.MismatchedChainSize("elements live on different chains")
@@ -150,10 +152,23 @@ def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield points[t:] + points[:t]
 
 
-def check_table_size(size: int) -> None:
-    """TooLarge if a table over `size` elements would pass MAX_TABLE_ENTRIES."""
-    if size * size > MAX_TABLE_ENTRIES:
-        raise errors.TooLarge("%d^2 table entries exceed %d" % (size, MAX_TABLE_ENTRIES))
+def size_exceeds(n: int, r: int, limit: int) -> bool:
+    """Whether `cardinality_formula(n, r)` is larger than `limit`.
+
+    The rank-1 layer alone has n*r elements, so the bound 1 + n*r decides
+    first: the exact count, thousands of digits long at large n, is only
+    computed when the bound is within the limit.
+    """
+    return 1 + n * r > limit or cardinality_formula(n, r) > limit
+
+
+def check_table_size(n: int, r: int) -> None:
+    """TooLarge if the table of the semigroup for n and |Y| = r would pass
+    MAX_TABLE_ENTRIES."""
+    if size_exceeds(n, r, math.isqrt(MAX_TABLE_ENTRIES)):
+        raise errors.TooLarge(
+            "n=%d with |Y|=%d gives more than %d table entries" % (n, r, MAX_TABLE_ENTRIES)
+        )
 
 
 def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
@@ -168,11 +183,9 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     building anything, past MAX_ELEMENTS elements.
     """
     n = ctx.n
-    size = cardinality_formula(n, ctx.r)
-    if size > MAX_ELEMENTS:
+    if size_exceeds(n, ctx.r, MAX_ELEMENTS):
         raise errors.TooLarge(
-            "n=%d with |Y|=%d gives %d elements, over the limit of %d"
-            % (n, ctx.r, size, MAX_ELEMENTS)
+            "n=%d with |Y|=%d gives more than %d elements" % (n, ctx.r, MAX_ELEMENTS)
         )
     out = [empty_map(n)]
     universe = range(1, n + 1)

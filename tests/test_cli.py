@@ -7,14 +7,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from argparse import _SubParsersAction
 
 import pytest
 
 import popi as P
-from popi.cli import COMMANDS, _base_report, _elem_record, build_parser, main
+from popi.cli import COMMANDS, _base_report, _elem_record, _parse_args, build_parser, main
 
 from conftest import all_range_sets, proper_range_sets, semigroup
+
+
+FULL_30 = ",".join(map(str, range(1, 31)))
 
 
 def run(capsys, *argv):
@@ -91,10 +93,18 @@ class TestEnumerate:
         assert code == 0
         assert out == json.dumps(report, indent=2) + "\n"
 
-    @pytest.mark.parametrize("command", ["enumerate", "card"])
-    def test_too_large_refused_within_a_second(self, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["enumerate", "--n", "30", "--y", FULL_30], id="enumerate"),
+            pytest.param(["card", "--n", "30", "--y", FULL_30], id="card"),
+            # counts of thousands of digits, refused before they are computed
+            pytest.param(["card", "--n", "100000", "--r", "20000"], id="card-huge-count"),
+            pytest.param(["card", "--n", "300000", "--r", "300000"], id="card-huge-full-range"),
+        ],
+    )
+    def test_too_large_refused_within_a_second(self, argv):
         # a child process, so that a missing check is killed, not left building
-        argv = [command, "--n", "30", "--y", ",".join(map(str, range(1, 31)))]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run(
             [sys.executable, "-m", "popi.cli", *argv],
@@ -328,6 +338,10 @@ class TestErrors:
         code, out, err = run(capsys, "enumerate", "--n", "3", "--y", "1,x")
         assert code == 2 and "BadParameters" in err
 
+    def test_duplicate_points(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--y", "1,1")
+        assert code == 2 and out == "" and "BadParameters" in err and "duplicates" in err
+
     def test_point_out_of_range(self, capsys):
         code, out, err = run(capsys, "enumerate", "--n", "3", "--y", "1,4")
         assert code == 2
@@ -341,7 +355,14 @@ class TestErrors:
         [["green", "--n", "7", "--y", "1,2,3,4,5,6,7", "--rel", "D", "--check"],
          ["selftest", "--max-n", "7"],
          ["iso", "--n", "10", "--y", ",".join(map(str, range(1, 11))),
-          "--z", ",".join(map(str, range(1, 11))), "--oracle"]],
+          "--z", ",".join(map(str, range(1, 11))), "--oracle"],
+         # element counts of thousands of digits, refused before they are
+         # computed
+         ["selftest", "--max-n", "20000"],
+         ["selftest", "--max-n", "300000"],
+         ["selftest", "--max-n", "1000000"],
+         ["iso", "--n", "100000", "--y", ",".join(map(str, range(1, 10001))),
+          "--z", ",".join(map(str, range(2, 10002))), "--oracle"]],
     )
     def test_too_large_table_refused_within_two_seconds(self, argv):
         # 12,013^2 entries or more; a child process, so that a missing check
@@ -365,8 +386,9 @@ class TestErrors:
 
 # Help texts and argparse errors, byte for byte: `golden/cli_parser.json`
 # holds each argv's stdout, stderr and exit code from `python -m popi.cli`
-# at COLUMNS=80, captured from the parser that built all seven subparsers for
-# every command.
+# at COLUMNS=80. The cases down to "missing-required" were captured from the
+# parser that built all seven subparsers for every command; the edge argvs
+# from the parser that built only the named command's subparser.
 GOLDEN_PARSER = os.path.join(os.path.dirname(__file__), "golden", "cli_parser.json")
 COMMAND_NAMES = ("enumerate", "card", "green", "rank", "iso", "decompose", "selftest")
 PARSER_CASES = {
@@ -378,7 +400,37 @@ PARSER_CASES = {
     "invalid-choice": ["green", "--n", "3", "--y", "1", "--rel", "Q"],
     "invalid-int": ["rank", "--n", "x", "--y", "1"],
     "missing-required": ["decompose", "--n", "3", "--y", "1,2"],
+    # edge argvs, where a command's own parser and the full one could part
+    "version-first": ["--version", "rank"],
+    "version-after-command": ["rank", "--version"],
+    "version-after-full-command": ["rank", "--n", "3", "--y", "1", "--version"],
+    "command-twice": ["rank", "rank", "--n", "3", "--y", "1,2"],
+    "unknown-option": ["rank", "--n", "3", "--y", "1,2", "--bogus"],
+    "unknown-option-missing-required": ["rank", "--bogus"],
+    "abbreviated-option": ["rank", "--n", "3", "--y", "1,2", "--js"],
+    "ambiguous-abbreviation": ["iso", "--n", "3", "--y", "1", "--z", "2", "--o"],
+    "help-before-command": ["-h", "rank"],
+    "help-after-extra": ["rank", "extra", "--help"],
+    "missing-value": ["decompose", "--n", "3", "--y", "1,2", "--element"],
+    "equals-form": ["rank", "--n=3", "--y=1,2"],
+    "equals-form-invalid-int": ["card", "--n=3", "--r=x"],
+    "double-dash-first": ["--", "rank", "--n", "3", "--y", "1,2"],
+    "double-dash-in-command": ["rank", "--", "--n", "3", "--y", "1,2"],
+    "repeated-option": ["rank", "--n", "4", "--n", "3", "--y", "1,2"],
+    "negative-leftover": ["selftest", "--max-n", "1", "-5"],
 }
+
+
+# one argv of each command
+COMMAND_ARGVS = [
+    ["enumerate", "--n", "3", "--y", "1,2", "--csv"],
+    ["card", "--n", "4", "--r", "2", "--json", "--out", "card.json"],
+    ["green", "--n", "4", "--y", "1,3", "--rel", "D", "--check"],
+    ["rank", "--n", "5", "--y", "2,4,5"],
+    ["iso", "--n", "5", "--y", "1,2,3", "--z", "1,2,4", "--oracle", "--json"],
+    ["decompose", "--n", "3", "--y", "1,2", "--element", '{"n":3,"pairs":[[3,1]]}'],
+    ["selftest", "--max-n", "2", "--csv"],
+]
 
 
 def popi_process(argv) -> dict:
@@ -401,24 +453,26 @@ class TestParser:
     def test_table_names_every_command(self):
         assert tuple(COMMANDS) == COMMAND_NAMES
 
-    @pytest.mark.parametrize(
-        "command, names", [("decompose", ["decompose"]), (None, COMMAND_NAMES)]
-    )
-    def test_builds_only_the_named_subparser(self, command, names):
-        [sub] = [a for a in build_parser(command)._actions if isinstance(a, _SubParsersAction)]
-        assert list(sub.choices) == list(names)
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS + [PARSER_CASES["extra-argument"]])
+    def test_only_leftover_strings_build_the_full_parser(
+        self, argv, monkeypatch, capsys, tmp_path
+    ):
+        import popi.cli
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["enumerate", "--n", "3", "--y", "1,2", "--csv"],
-            ["card", "--n", "4", "--r", "2", "--json", "--out", "card.json"],
-            ["green", "--n", "4", "--y", "1,3", "--rel", "D", "--check"],
-            ["rank", "--n", "5", "--y", "2,4,5"],
-            ["iso", "--n", "5", "--y", "1,2,3", "--z", "1,2,4", "--oracle", "--json"],
-            ["decompose", "--n", "3", "--y", "1,2", "--element", '{"n":3,"pairs":[[3,1]]}'],
-            ["selftest", "--max-n", "2", "--csv"],
-        ],
-    )
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(popi.cli, "build_parser", counted)
+        monkeypatch.chdir(tmp_path)  # card's --out writes there
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
+        assert len(calls) == (argv not in COMMAND_ARGVS)
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS)
     def test_one_command_parser_parses_as_the_full_one(self, argv):
-        assert build_parser(argv[0]).parse_args(argv) == build_parser(None).parse_args(argv)
+        full = build_parser().parse_args(argv)
+        del full.command  # what _parse_args leaves out
+        assert _parse_args(argv) == full

@@ -101,6 +101,13 @@ class TestOracleMatchesCharacterized:
                     P.green_oracle(S, rel)
                 )
 
+    def test_unknown_relation_rejected(self):
+        ctx, S = semigroup(3, (1, 2))
+        with pytest.raises(errors.BadParameters):
+            P.green_characterized(ctx, S, "J")  # the oracle's alone
+        with pytest.raises(errors.BadParameters):
+            P.green_oracle(S, "Q")
+
     def test_singleton_set(self):
         ctx = P.RangeContext(3, (1, 2))
         single = P.closure(ctx, [P.empty_map(3)])

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
 import popi as P
 from popi import errors
 from popi.cli import main
+from popi.iso import _extend
 
 from conftest import all_range_sets, semigroup
 
@@ -201,6 +202,36 @@ class TestBruteforceOracle:
             for i in range(len(S))
             for j in range(len(S))
         )
+
+
+def associative_tables(size: int) -> list[list[tuple[int, ...]]]:
+    """Every associative operation on {0..size-1}, as rows of products."""
+    elems = range(size)
+    tables = []
+    for flat in product(elems, repeat=size * size):
+        m = [flat[i * size : (i + 1) * size] for i in elems]
+        if all(m[m[a][b]][c] == m[a][m[b][c]] for a in elems for b in elems for c in elems):
+            tables.append(m)
+    return tables
+
+
+class TestExtend:
+    def test_matches_every_bijection_on_three_element_semigroups(self):
+        # with every element a candidate for every other, the search alone
+        # decides; each of its conflicts (an element forced to a second image,
+        # an image used twice, a clash on either side's product) is met here
+        tables = associative_tables(3)
+        assert len(tables) == 113
+        everything = [[0, 1, 2]] * 3
+        for m_s in tables:
+            for m_t in tables:
+                isos = [
+                    dict(enumerate(p))
+                    for p in permutations(range(3))
+                    if all(p[m_s[a][b]] == m_t[p[a]][p[b]] for a in range(3) for b in range(3))
+                ]
+                found = _extend(3, everything, m_s, m_t, [0, 1, 2])
+                assert found in isos if isos else found is None, (m_s, m_t)
 
 
 class TestDecideAgreesWithOracle:

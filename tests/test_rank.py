@@ -140,6 +140,11 @@ class TestDecomposeLowRank:
         with pytest.raises(errors.RankTooHigh):
             P.decompose_low_rank(ctx, pi(3, (3, 1)))
 
+    def test_rejects_non_member(self):
+        ctx = P.RangeContext(4, (1, 2, 3))
+        with pytest.raises(errors.NotAMember):
+            P.decompose_low_rank(ctx, pi(4, (1, 4)))
+
     def test_all_low_rank_elements(self):
         for n in range(2, 6):
             for pts in proper_range_sets(n):
@@ -202,6 +207,11 @@ class TestDecomposeCorankOne:
         ctx = P.RangeContext(3, (1, 2))
         with pytest.raises(errors.BadRank):
             P.decompose_corank_one(ctx, P.empty_map(3))
+
+    def test_rejects_non_member(self):
+        ctx = P.RangeContext(3, (1, 2))
+        with pytest.raises(errors.NotAMember):
+            P.decompose_corank_one(ctx, pi(3, (1, 3)))
 
 
 class TestDecomposeRestrictedCorankOne:
@@ -269,6 +279,16 @@ class TestRotationExponent:
             P.rotation_exponent_between(
                 ctx, pi(3, (1, 1), (2, 2)), pi(3, (1, 1), (3, 2))
             )
+
+    def test_rejects_rank_below_top(self):
+        ctx = P.RangeContext(3, (1, 2))
+        with pytest.raises(errors.BadRank):
+            P.rotation_exponent_between(ctx, pi(3, (1, 1), (3, 2)), pi(3, (1, 1)))
+
+    def test_rejects_non_member(self):
+        ctx = P.RangeContext(3, (1, 2))
+        with pytest.raises(errors.NotAMember):
+            P.rotation_exponent_between(ctx, pi(3, (1, 1), (3, 2)), pi(3, (1, 1), (3, 3)))
 
     def test_enumerates_full_h_class(self):
         # two top-rank elements with a common domain differ by a unique
@@ -389,6 +409,10 @@ class TestTopRankFactorization:
         assert all(f.rank == 2 for f in factors)
         assert steps[0][0] == "raise_rank"
         assert all(d.product() == a for _, a, d in steps)
+
+    def test_full_range_rejected(self):
+        with pytest.raises(errors.FullRangeNotSupported):
+            P.top_rank_factorization(P.RangeContext(3, (1, 2, 3)), P.empty_map(3))
 
     def test_top_rank_is_identity_factorization(self):
         ctx = P.RangeContext(3, (1, 2))

@@ -24,10 +24,19 @@ class TestRangeContext:
     def test_validation(self):
         with pytest.raises(errors.BadParameters):
             P.RangeContext(3, [])
+        with pytest.raises(errors.BadParameters):
+            P.RangeContext(0, [1])
         with pytest.raises(errors.PointOutOfRange):
             P.RangeContext(3, [4])
         ctx = P.RangeContext(5, [3, 1])
         assert ctx.points == (1, 3) and ctx.r == 2 and not ctx.is_full
+
+    def test_value_semantics(self):
+        ctx = P.RangeContext(5, [3, 1])
+        assert ctx == P.RangeContext(5, (1, 3)) and hash(ctx) == hash(P.RangeContext(5, (3, 1)))
+        assert ctx != P.RangeContext(5, (1,)) and ctx != P.RangeContext(6, (1, 3))
+        assert ctx != (5, (1, 3))
+        assert repr(ctx) == "RangeContext(n=5, Y={1, 3})"
 
     def test_chain_bound(self):
         # past MAX_ELEMENTS points, the rank-1 layer alone is too large
@@ -89,6 +98,37 @@ class TestEnumerate:
         monkeypatch.setattr(semigroup_module, "MAX_TABLE_ENTRIES", 168)
         with pytest.raises(errors.TooLarge):
             P.enumerate_semigroup(ctx).mult_table()
+
+    def test_table_checked_from_the_chain(self, monkeypatch):
+        semigroup_module.check_table_size(6, 6)
+        with pytest.raises(errors.TooLarge):
+            semigroup_module.check_table_size(7, 7)
+        monkeypatch.setattr(semigroup_module, "MAX_TABLE_ENTRIES", 169)
+        semigroup_module.check_table_size(3, 2)  # 13^2 entries
+        monkeypatch.setattr(semigroup_module, "MAX_TABLE_ENTRIES", 168)
+        with pytest.raises(errors.TooLarge):
+            semigroup_module.check_table_size(3, 2)
+
+    def test_rank_one_bound_decides_first(self, monkeypatch):
+        size_exceeds = semigroup_module.size_exceeds
+        assert not size_exceeds(3, 2, 13) and size_exceeds(3, 2, 12)  # 13 elements
+
+        def uncomputable(n, r):
+            raise AssertionError("exact count computed")
+
+        monkeypatch.setattr(semigroup_module, "cardinality_formula", uncomputable)
+        assert size_exceeds(3, 2, 6)  # 1 + 3*2 = 7 rank-0 and rank-1 elements
+        assert size_exceeds(300000, 300000, semigroup_module.MAX_ELEMENTS)
+
+
+class TestElementSets:
+    def test_duplicate_elements_rejected(self):
+        with pytest.raises(errors.BadParameters):
+            P.ElementSet([P.empty_map(2), P.empty_map(2)])
+
+    def test_closure_needs_a_generator(self):
+        with pytest.raises(errors.BadParameters):
+            P.closure(P.RangeContext(2, (1,)), [])
 
 
 class TestCardinalityFormula:

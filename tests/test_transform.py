@@ -42,6 +42,12 @@ class TestConstruction:
             with pytest.raises(errors.BadParameters):
                 P.PartialInjection(n, [])
 
+    def test_point_outside_domain(self):
+        a = P.make_partial_injection(3, [(1, 2)])
+        assert a.get(2) is None
+        with pytest.raises(KeyError):
+            a(2)
+
     def test_equality_requires_same_chain(self):
         assert pi(3, (1, 1)) != pi(4, (1, 1))
 
@@ -213,6 +219,14 @@ class TestChainPermutations:
     def test_reflection(self):
         assert P.reflection_perm(3) == pi(3, (1, 3), (2, 2), (3, 1))
         assert P.reflection_perm(4).power(2) == P.identity_on(4, range(1, 5))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(errors.BadParameters):
+            P.rotation_perm(3).power(-1)
+
+    def test_order_isomorphism_needs_equal_sizes(self):
+        with pytest.raises(errors.BadParameters):
+            P.order_isomorphism(4, [1, 2], [3])
 
     def test_order_isomorphism(self):
         assert P.order_isomorphism(5, [2, 4], [1, 3]) == pi(5, (2, 1), (4, 3))
