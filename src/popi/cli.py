@@ -179,7 +179,9 @@ def cmd_card(args) -> int:
     if args.y is not None:
         pts = _parse_points(args.y)
     elif args.r is not None:
-        pts = tuple(range(1, args.r + 1))
+        # lazy, and RangeContext checks n before it reads the points; any
+        # point past n is refused alike, so none past n + 1 is built
+        pts = range(1, min(args.r, args.n + 1) + 1)
     else:
         raise errors.BadParameters("card needs --y or --r")
     ctx = RangeContext(args.n, pts)

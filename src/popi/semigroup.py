@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
@@ -120,10 +121,25 @@ class ElementSet:
                 raise errors.MismatchedChainSize("elements live on different chains")
             index_of_table = {a.table: i for i, a in enumerate(self.elements)}.__getitem__
             right = [padded(b.table) for b in self.elements]
-            self._mult = [
-                list(map(index_of_table, map(left_multiplier(a.table), right)))
-                for a in self.elements
-            ]
+            lefts_by_image: dict[frozenset[int], list[int]] = {}
+            for i, a in enumerate(self.elements):
+                lefts_by_image.setdefault(a.image, []).append(i)
+            mult: list = [None] * size
+            for image, lefts in lefts_by_image.items():
+                # x(ab) = (xa)b reads b only on im(a), so right factors that
+                # agree there give one product.  Slot 0, 0 in every padded
+                # table, keeps the restriction getter from having no argument.
+                restrictions = list(map(itemgetter(0, *sorted(image)), right))
+                representatives = dict(zip(restrictions, right))
+                class_of = dict(zip(representatives, range(len(representatives))))
+                # the kernel as a plain gather: spread(p)[j] = p[class of j]
+                spread = left_multiplier(tuple(map(class_of.__getitem__, restrictions)))
+                for i in lefts:
+                    # a lookup per class still raises KeyError for an open set
+                    left = left_multiplier(self.elements[i].table)
+                    products = tuple(map(index_of_table, map(left, representatives.values())))
+                    mult[i] = list(spread(products))
+            self._mult = mult
         return self._mult
 
 

@@ -44,6 +44,17 @@ class TestCard:
         code, out, err = run(capsys, "card", "--n", "3")
         assert code == 2 and "BadParameters" in err
 
+    def test_r_past_n_refused_before_building(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "card", "--n", "5", "--r", str(10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == "error: PointOutOfRange: range set not contained in 1..5\n"
+        assert peak < 2**20
+
 
 class TestEnumerate:
     def test_count_and_schema(self, capsys):

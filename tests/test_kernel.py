@@ -16,7 +16,7 @@ from popi import errors
 from popi.semigroup import sort_key
 from popi.transform import left_multiplier, padded
 
-from conftest import all_partial_injections, all_range_sets, semigroup
+from conftest import all_partial_injections, all_range_sets, member_of, semigroup
 
 
 def reference_table(S):
@@ -69,6 +69,23 @@ class TestMultTable:
             _, S = semigroup(n, pts)
             assert S.mult_table() == reference_table(S), pts
 
+    def test_one_element_set(self):
+        # one class per row, and a one-argument gather
+        S = P.closure(P.RangeContext(3, [1, 2]), [P.empty_map(3)])
+        assert S.mult_table() == reference_table(S) == [[0]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closures_match_reference_table(self, n):
+        rng = random.Random(n)
+        for pts in all_range_sets(n):
+            ctx, S = semigroup(n, pts)
+            low = [a for a in S if a.rank <= 1]
+            choices = [rng.sample(S.elements, min(k, len(S))) for k in (1, 2, 3)]
+            choices += [rng.sample(low, 1), [P.empty_map(n)] + rng.sample(S.elements, 2)]
+            for gens in choices:
+                C = P.closure(ctx, gens)
+                assert C.mult_table() == reference_table(C), (pts, gens)
+
     def test_open_set_raises(self):
         a = P.make_partial_injection(3, [(1, 2), (2, 3)])  # a * a = {1 -> 3}
         with pytest.raises(KeyError):
@@ -103,6 +120,16 @@ def maps_on(draw, n):
     return P.make_partial_injection(
         n, [(x, y) for x, (y, keep) in enumerate(zip(images, defined), 1) if keep]
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closure_table_matches_reference(data):
+    n = data.draw(st.integers(1, 6))
+    pts = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    gens = data.draw(st.lists(member_of(n, pts), min_size=1, max_size=3))
+    S = P.closure(P.RangeContext(n, pts), gens)
+    assert S.mult_table() == reference_table(S)
 
 
 triples = st.integers(1, 9).flatmap(lambda n: st.tuples(maps_on(n), maps_on(n), maps_on(n)))
