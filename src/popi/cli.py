@@ -18,6 +18,7 @@ from itertools import combinations
 
 from . import __version__, errors
 from .green import (
+    _oracle_partitions,
     green_characterized,
     green_oracle,
     is_regular_characterized,
@@ -299,10 +300,9 @@ def cmd_selftest(args) -> int:
                     if is_regular_oracle(S, i) != is_regular_characterized(ctx, S[i]):
                         failures.append("regularity %s i=%d" % (where, i))
                         break
+                oracle = _oracle_partitions(S, "LRHD")
                 for rel in ("L", "R", "H", "D"):
-                    if not green_characterized(ctx, S, rel).same_partition(
-                        green_oracle(S, rel)
-                    ):
+                    if not green_characterized(ctx, S, rel).same_partition(oracle[rel]):
                         failures.append("green-%s %s" % (rel, where))
     report = _base_report("selftest", {"max_n": args.max_n})
     report["failures"] = failures

@@ -116,45 +116,54 @@ def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> frozenset[int]:
 
 
 def green_oracle(S: ElementSet, relation: str) -> GreenPartition:
-    """Partition computed from principal-ideal comparisons.
+    """Partition computed from principal-ideal comparisons (see
+    `_oracle_partitions`)."""
+    if relation not in ("L", "R", "H", "D", "J"):
+        raise errors.BadParameters("unknown relation %r" % relation)
+    return _oracle_partitions(S, relation)[relation]
+
+
+def _oracle_partitions(S: ElementSet, relations: str) -> dict[str, GreenPartition]:
+    """The oracle partition of each relation named, from one build of each
+    list of one-sided ideals they need: R alone needs no left ideals, and L
+    alone no right ideals.
 
     L and R compare one-sided ideals directly; H compares the pairs of
     them; D is the transitive closure of L union R; J groups D-classes
     whose representatives generate the same two-sided ideal (D refines J
     in any semigroup).
     """
-    if relation not in ("L", "R", "H", "D", "J"):
-        raise errors.BadParameters("unknown relation %r" % relation)
-    if relation == "R":
-        return GreenPartition("R", _group_by_key(_right_ideals(S)), "oracle")
-    left = _left_ideals(S)
-    if relation == "L":
-        return GreenPartition("L", _group_by_key(left), "oracle")
-    right = _right_ideals(S)
-    if relation == "H":
-        return GreenPartition("H", _group_by_key(zip(left, right)), "oracle")
+    left = _left_ideals(S) if relations != "R" else None
+    right = _right_ideals(S) if relations != "L" else None
+    joined = "D" in relations or "J" in relations
+    classes = {}
+    if "L" in relations or joined:
+        classes["L"] = _group_by_key(left)
+    if "R" in relations or joined:
+        classes["R"] = _group_by_key(right)
+    if "H" in relations:
+        classes["H"] = _group_by_key(zip(left, right))
+    if joined:
+        # union-find over the L- and R-classes
+        parent = list(range(len(S)))
 
-    # D via union-find over the L- and R-classes
-    parent = list(range(len(S)))
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for classes in (_group_by_key(left), _group_by_key(right)):
-        for members in classes:
+        for members in classes["L"] + classes["R"]:
             for i in members[1:]:
                 parent[find(i)] = find(members[0])
-    d_classes = _group_by_key(find(i) for i in range(len(S)))
-    if relation == "D":
-        return GreenPartition("D", d_classes, "oracle")
-
-    # J: D-classes whose representatives generate equal two-sided ideals
-    ideals = [_two_sided_ideal(S, left[c[0]]) for c in d_classes]
-    merged = (sum((d_classes[k] for k in ks), ()) for ks in _group_by_key(ideals))
-    return GreenPartition("J", _normalize(merged), "oracle")
+        classes["D"] = _group_by_key(find(i) for i in range(len(S)))
+    if "J" in relations:
+        # D-classes whose representatives generate equal two-sided ideals
+        d_classes = classes["D"]
+        ideals = [_two_sided_ideal(S, left[c[0]]) for c in d_classes]
+        merged = (sum((d_classes[k] for k in ks), ()) for ks in _group_by_key(ideals))
+        classes["J"] = _normalize(merged)
+    return {rel: GreenPartition(rel, classes[rel], "oracle") for rel in relations}
 
 
 # -- H-class structure ------------------------------------------------------

@@ -5,12 +5,12 @@ with range restricted to a fixed subset of the chain.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .transform import PartialInjection, empty_map, left_multiplier, padded
+from .transform import PartialInjection, Table, empty_map, left_multiplier, padded
 
 
 # The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
@@ -67,9 +67,16 @@ class RangeContext:
         return "RangeContext(n=%d, Y={%s})" % (self.n, ", ".join(map(str, self.points)))
 
 
-def sort_key(a: PartialInjection):
-    """Deterministic element order: by rank, then domain, then image sequence."""
-    return (a.rank, a.domain, a.image_seq)
+def _restrictions(image: Iterable[int], right: Sequence[Table]) -> list[tuple[int, ...]]:
+    """Each padded right factor's values on slot 0 and the points of `image`.
+
+    x(ab) = (xa)b reads b only on im(a), so right factors with equal
+    restrictions give one product after any left factor with this image.
+    Slot 0, 0 in every padded table, keeps the getter from having no
+    argument (the empty map's image) or one (a one-argument itemgetter
+    returns the item, not a tuple).
+    """
+    return list(map(itemgetter(0, *image), right))
 
 
 class ElementSet:
@@ -126,10 +133,7 @@ class ElementSet:
                 lefts_by_image.setdefault(a.image, []).append(i)
             mult: list = [None] * size
             for image, lefts in lefts_by_image.items():
-                # x(ab) = (xa)b reads b only on im(a), so right factors that
-                # agree there give one product.  Slot 0, 0 in every padded
-                # table, keeps the restriction getter from having no argument.
-                restrictions = list(map(itemgetter(0, *sorted(image)), right))
+                restrictions = _restrictions(sorted(image), right)
                 representatives = dict(zip(restrictions, right))
                 class_of = dict(zip(representatives, range(len(representatives))))
                 # the kernel as a plain gather: spread(p)[j] = p[class of j]
@@ -193,10 +197,11 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     Constructive enumeration: for each pair of equal-sized sets
     (A, B) with A in the chain and B in Y, the |B| cyclic rotations of the
     order isomorphism A -> B, plus the empty transformation.  Elements are
-    built in `sort_key` order: for each rank k, every k-point domain in
-    `combinations` order, paired with the image sequences of length k (all
-    rotations of all k-subsets of Y) sorted once.  Raises TooLarge, before
-    building anything, past MAX_ELEMENTS elements.
+    built in `closure`'s order, by rank, then domain, then image sequence:
+    for each rank k, every k-point domain in `combinations` order, paired
+    with the image sequences of length k (all rotations of all k-subsets of
+    Y) sorted once.  Raises TooLarge, before building anything, past
+    MAX_ELEMENTS elements.
     """
     n = ctx.n
     if size_exceeds(n, ctx.r, MAX_ELEMENTS):
@@ -223,8 +228,11 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
 def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> ElementSet:
     """The subsemigroup generated by the given elements.
 
-    Breadth-first right-multiplication on slot tables; no identity or zero
-    is adjoined unless generated.  The result carries the generators.
+    Breadth-first right-multiplication on slot tables, one product per
+    restriction class of the generators on each image met (`_restrictions`);
+    no identity or zero is adjoined unless generated.  Elements are ordered
+    by rank, then domain, then image sequence.  The result carries the
+    generators.
     """
     gens: list[PartialInjection] = []
     seen: set[PartialInjection] = set()
@@ -237,17 +245,29 @@ def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> Elemen
     if not gens:
         raise errors.BadParameters("need at least one generator")
     right = [padded(g.table) for g in gens]
+    # image set (with 0 when not total) -> one right factor per restriction class
+    representatives: dict[frozenset[int], list[Table]] = {}
     tables = {g.table for g in gens}
     frontier = list(tables)
     while frontier:
         fresh = []
         for a in frontier:
-            for p in map(left_multiplier(a), right):
+            image = frozenset(a)
+            reps = representatives.get(image)
+            if reps is None:
+                classes = dict(zip(_restrictions(image, right), right))
+                reps = representatives[image] = list(classes.values())
+            for p in map(left_multiplier(a), reps):
                 if p not in tables:
                     tables.add(p)
                     fresh.append(p)
         frontier = fresh
-    ordered = sorted((PartialInjection.from_table(ctx.n, t) for t in tables), key=sort_key)
+    # (rank, domain, image sequence, table), read off each table by C-level calls
+    n, universe = ctx.n, range(1, ctx.n + 1)
+    keyed = sorted(
+        (n - t.count(0), tuple(compress(universe, t)), tuple(filter(None, t)), t) for t in tables
+    )
+    ordered = [PartialInjection.from_table(n, t, domain) for _, domain, _, t in keyed]
     return ElementSet(ordered, generators=tuple(gens))
 
 

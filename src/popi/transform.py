@@ -6,6 +6,9 @@ package, including the CLI and the JSON wire format.
 
 `left_multiplier` and `padded` form the package's single product kernel:
 `compose`, `ElementSet.mult_table` and `closure` all multiply through them.
+The table and the closure also share the restriction classes of
+`semigroup._restrictions`: x(ab) = (xa)b reads b only on im(a), so they form
+one product per class of right factors that agree there.
 """
 
 from __future__ import annotations

@@ -15,6 +15,12 @@ def semigroup(n: int, pts: tuple[int, ...]):
     return ctx, P.enumerate_semigroup(ctx)
 
 
+def sort_key(a):
+    """The reference element order of `enumerate_semigroup` and `closure`:
+    by rank, then domain, then image sequence."""
+    return (a.rank, a.domain, a.image_seq)
+
+
 def all_range_sets(n: int, max_size: int | None = None):
     top = max_size if max_size is not None else n
     for size in range(1, min(top, n) + 1):

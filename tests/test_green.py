@@ -1,7 +1,9 @@
 import pytest
 
 import popi as P
-from popi import errors
+from popi import errors, green
+from popi.cli import main
+from popi.green import _oracle_partitions
 
 from conftest import all_range_sets, semigroup
 
@@ -113,6 +115,13 @@ class TestOracleMatchesCharacterized:
         single = P.closure(ctx, [P.empty_map(3)])
         assert P.green_oracle(single, "L").classes == ((0,),)
 
+    def test_partitions_of_one_build_match_single_relations(self):
+        for pts in [(1, 3), (1, 2, 3, 4)]:
+            _, S = semigroup(4, pts)
+            both = _oracle_partitions(S, "LRHDJ")
+            assert all(both[rel] == P.green_oracle(S, rel) for rel in "LRHDJ")
+
+
     def test_d_equals_j(self):
         _, S = semigroup(4, (1, 3))
         assert P.green_oracle(S, "D").classes == P.green_oracle(S, "J").classes
@@ -169,3 +178,35 @@ class TestHClassProfile:
                         assert prof.size == max(a.rank, 1)
                     else:
                         assert prof.size == 1
+
+
+class TestOracleBuilds:
+    """Each list of one-sided ideals is built at most once per call, and only
+    when a relation asked for reads it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"left": 0, "right": 0}
+        for side in counts:
+            original = getattr(green, "_%s_ideals" % side)
+
+            def counted(S, side=side, original=original):
+                counts[side] += 1
+                return original(S)
+
+            monkeypatch.setattr(green, "_%s_ideals" % side, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "rel, expected",
+        [("L", (1, 0)), ("R", (0, 1)), ("H", (1, 1)), ("D", (1, 1)), ("J", (1, 1))],
+    )
+    def test_one_relation(self, builds, rel, expected):
+        _, S = semigroup(3, (1, 2))
+        P.green_oracle(S, rel)
+        assert (builds["left"], builds["right"]) == expected
+
+    def test_selftest_builds_each_list_once_per_range_set(self, builds, capsys):
+        assert main(["selftest", "--max-n", "3", "--json"]) == 0
+        # one of each per range set: 1 + 3 + 7 of them at n <= 3
+        assert builds == {"left": 11, "right": 11}

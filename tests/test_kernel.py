@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import popi as P
 from popi import errors
-from popi.semigroup import sort_key
+from popi.rank import full_range_pair
+from popi.semigroup import _restrictions
 from popi.transform import left_multiplier, padded
 
-from conftest import all_partial_injections, all_range_sets, member_of, semigroup
+from conftest import all_partial_injections, all_range_sets, member_of, semigroup, sort_key
 
 
 def reference_table(S):
@@ -99,7 +100,7 @@ class TestMultTable:
 
 
 class TestClosure:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_naive_search(self, n):
         rng = random.Random(n)
         for pts in all_range_sets(n):
@@ -107,10 +108,63 @@ class TestClosure:
             choices = [rng.sample(S.elements, min(k, len(S))) for k in (1, 2, 3)]
             if len(pts) < n:
                 choices.append(P.canonical_generating_set(ctx))
+            else:
+                choices.append(list(full_range_pair(n)))
             for gens in choices:
                 C = P.closure(ctx, gens + gens[:1])
                 assert C.elements == naive_closure(gens), (pts, gens)
                 assert C.generators == tuple(gens)
+
+    def test_generators_agreeing_on_an_image_share_a_class(self):
+        # both send 2 to 3 and leave 3 undefined, so they agree on {2, 3},
+        # the image of g, and differ at 1
+        ctx = P.RangeContext(3, [1, 2, 3])
+        g = P.make_partial_injection(3, [(1, 2), (2, 3)])
+        h = P.make_partial_injection(3, [(1, 1), (2, 3)])
+        right = [padded(g.table), padded(h.table)]
+        on_image, elsewhere = _restrictions(frozenset(g.table), right), _restrictions((1,), right)
+        assert on_image[0] == on_image[1] and elsewhere[0] != elsewhere[1]
+        C = P.closure(ctx, [g, h])
+        assert C.elements == naive_closure([g, h])
+        assert C.generators == (g, h)
+
+    def test_classes_read_the_image_not_the_domain(self):
+        # the generators agree on the domain {1} of the product {1->2} and
+        # differ on its image {2}; classing them by the domain loses one of
+        # {1->2}*g = {1->1} and {1->2}*h = {}
+        ctx = P.RangeContext(3, [1, 2])
+        gens = [
+            P.make_partial_injection(3, [(1, 2), (2, 1)]),
+            P.make_partial_injection(3, [(1, 2), (3, 1)]),
+        ]
+        C = P.closure(ctx, gens)
+        assert C.elements == naive_closure(gens) and len(C) == 11
+
+    def test_duplicate_generators_keep_first_seen_order(self):
+        ctx, S = semigroup(4, (1, 3))
+        a, b = S[5], S[9]
+        C = P.closure(ctx, [b, a, b, a, b])
+        assert C.generators == (b, a)
+        assert C.elements == naive_closure([b, a])
+
+    def test_one_point_chain(self):
+        # a one-slot table multiplies through the one-point kernel
+        ctx = P.RangeContext(1, [1])
+        one, zero = P.identity_on(1, [1]), P.empty_map(1)
+        assert P.closure(ctx, [one]).elements == (one,)
+        assert P.closure(ctx, [zero]).elements == (zero,)
+        assert P.closure(ctx, [one, zero]).elements == (zero, one)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closure_matches_naive_search(data):
+    n = data.draw(st.integers(1, 7))
+    pts = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    gens = data.draw(st.lists(member_of(n, pts), min_size=1, max_size=4))
+    C = P.closure(P.RangeContext(n, pts), gens)
+    assert C.elements == naive_closure(gens)
+    assert C.generators == tuple(dict.fromkeys(gens))
 
 
 @st.composite

@@ -1,4 +1,9 @@
+import contextlib
+import hashlib
+import io
+import json
 import math
+import os
 import random
 from itertools import combinations
 
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 
 import popi as P
 from popi import errors
+from popi.cli import main
 
 from popi.rank import _checked, full_range_pair
 
@@ -464,3 +470,28 @@ def test_decomposition_stages_reproduce_the_element(ctx_a):
     for f in factors[1:]:
         prod = prod * f
     assert prod == a
+
+
+# sha256 per (n, Y) of `rank --json` stdout, captured before `closure` formed
+# one product per restriction class: every Y at n <= 6, full ranges included.
+GOLDEN_RANK = os.path.join(os.path.dirname(__file__), "golden", "rank.json")
+
+
+def rank_digests() -> dict:
+    digests = {}
+    for n in range(1, 7):
+        for pts in all_range_sets(n):
+            y = ",".join(map(str, pts))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["rank", "--n", str(n), "--y", y, "--json"]) == 0
+            digests["%d %s" % (n, y)] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digests
+
+
+def test_rank_reports_match_golden_digests():
+    with open(GOLDEN_RANK) as fh:
+        golden = json.load(fh)
+    digests = rank_digests()
+    assert sorted(digests) == sorted(golden)
+    assert [k for k in digests if digests[k] != golden[k]] == []

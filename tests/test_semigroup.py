@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 import popi as P
 from popi import errors
 from popi import semigroup as semigroup_module
-from popi.semigroup import sort_key
 
-from conftest import all_partial_injections, all_range_sets, member_of, semigroup
+from conftest import all_partial_injections, all_range_sets, member_of, semigroup, sort_key
 
 
 def brute_force_members(n, pts):
