@@ -280,12 +280,20 @@ def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
 
 
 def deletion_test(ctx: RangeContext, generators: list[PartialInjection]) -> list[bool]:
-    """For each generator: does removing it strictly shrink the closure?"""
-    full = len(closure(ctx, generators))
+    """For each generator g of G: does removing it strictly shrink the closure?
+
+    ⟨G∖g⟩ lies inside ⟨G⟩, and equals it iff it holds g.  For any floor
+    k ≤ rank g, it holds g iff its elements of rank at least k are as many
+    as those of ⟨G⟩: g is one of them.  So every closure here, of G and of
+    each G∖g, is taken at the one floor k = the least rank in G, which
+    `closure` builds without the layers below it.
+    """
+    k = min((g.rank for g in generators), default=0)
+    full = len(closure(ctx, generators, k))
     out = []
     for i in range(len(generators)):
         rest = generators[:i] + generators[i + 1 :]
-        out.append(len(closure(ctx, rest)) < full if rest else True)
+        out.append(len(closure(ctx, rest, k)) < full if rest else True)
     return out
 
 

@@ -225,14 +225,24 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     return ElementSet(out)
 
 
-def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> ElementSet:
-    """The subsemigroup generated by the given elements.
+def closure(
+    ctx: RangeContext, generators: Iterable[PartialInjection], min_rank: int = 0
+) -> ElementSet:
+    """The elements of rank at least `min_rank` in the subsemigroup
+    generated by the given elements; with the default 0, all of it.
 
-    Breadth-first right-multiplication on slot tables, one product per
-    restriction class of the generators on each image met (`_restrictions`);
-    no identity or zero is adjoined unless generated.  Elements are ordered
-    by rank, then domain, then image sequence.  The result carries the
-    generators.
+    A product's rank is at most the rank of each factor, so every prefix of
+    a word for an element of rank at least `min_rank` has that rank too, and
+    so has every generator in the word.  The search therefore starts from
+    the generators at or above the floor and keeps only the products that
+    stay there.  It is breadth-first right-multiplication on slot tables,
+    one product per restriction class of those generators on each image met
+    (`_restrictions`).  A class's restriction has |im a ∩ dom h| nonzero
+    values, the rank of its product, so classes below the floor are dropped
+    before any product is formed.  No identity or zero is adjoined unless
+    generated.  Elements are ordered by rank, then domain, then image
+    sequence.  Every generator is checked for membership, and the result
+    carries them all, those below the floor included.
     """
     gens: list[PartialInjection] = []
     seen: set[PartialInjection] = set()
@@ -244,10 +254,12 @@ def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> Elemen
             gens.append(a)
     if not gens:
         raise errors.BadParameters("need at least one generator")
-    right = [padded(g.table) for g in gens]
-    # image set (with 0 when not total) -> one right factor per restriction class
+    seeds = [g for g in gens if g.rank >= min_rank]
+    right = [padded(g.table) for g in seeds]
+    # image set (with 0 when not total) -> one right factor per restriction
+    # class whose product stays at or above the floor
     representatives: dict[frozenset[int], list[Table]] = {}
-    tables = {g.table for g in gens}
+    tables = {g.table for g in seeds}
     frontier = list(tables)
     while frontier:
         fresh = []
@@ -255,7 +267,11 @@ def closure(ctx: RangeContext, generators: Iterable[PartialInjection]) -> Elemen
             image = frozenset(a)
             reps = representatives.get(image)
             if reps is None:
-                classes = dict(zip(_restrictions(image, right), right))
+                classes = {
+                    r: h
+                    for r, h in zip(_restrictions(image, right), right)
+                    if len(r) - r.count(0) >= min_rank
+                }
                 reps = representatives[image] = list(classes.values())
             for p in map(left_multiplier(a), reps):
                 if p not in tables:

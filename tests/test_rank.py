@@ -73,6 +73,17 @@ def search_full_range_pair(ctx, S):
     return None
 
 
+def reference_deletion_test(ctx, generators):
+    """For each generator: does removing it strictly shrink the closure of
+    the whole semigroup?  Every closure is taken in full, with no floor."""
+    full = len(P.closure(ctx, generators))
+    out = []
+    for i in range(len(generators)):
+        rest = generators[:i] + generators[i + 1 :]
+        out.append(len(P.closure(ctx, rest)) < full if rest else True)
+    return out
+
+
 class TestRangeRotation:
     def test_small_example(self):
         ctx = P.RangeContext(3, (1, 2))
@@ -352,6 +363,47 @@ class TestCanonicalGeneratingSet:
         gens = P.canonical_generating_set(ctx)
         assert len(gens) == 6
         assert all(P.deletion_test(ctx, gens))
+
+
+class TestDeletionTest:
+    """The rank-floor `deletion_test` against full closures."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_certificate_generators_match_reference(self, n):
+        # the canonical sets for a proper Y, the full-range pair otherwise
+        for pts in all_range_sets(n):
+            ctx = P.RangeContext(n, pts)
+            gens = list(P.semigroup_rank(ctx).generating_set)
+            assert P.deletion_test(ctx, gens) == reference_deletion_test(ctx, gens), pts
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_mixed_rank_lists_match_reference(self, n):
+        # a few members of rank >= 2, one of them twice, and a product of
+        # two of them whose rank is below every other generator's, so the
+        # floor sits under the other ranks; the product and both copies
+        # of the duplicate are kept
+        rng = random.Random(n)
+        checked = 0
+        for pts in all_range_sets(n):
+            ctx, S = semigroup(n, pts)
+            high = [a for a in S if a.rank >= 2]
+            for _ in range(6):
+                if len(high) < 2:
+                    break
+                gens = rng.sample(high, min(len(high), rng.randint(2, 4)))
+                least = min(g.rank for g in gens)
+                low = [a * b for a in gens for b in gens if (a * b).rank < least]
+                if not low:
+                    continue
+                p = rng.choice(low)
+                gens = gens + [p, gens[0]]
+                rng.shuffle(gens)
+                verdicts = P.deletion_test(ctx, gens)
+                assert verdicts == reference_deletion_test(ctx, gens), (pts, gens)
+                assert not verdicts[gens.index(p)]
+                assert [v for g, v in zip(gens, verdicts) if gens.count(g) > 1] == [False] * 2
+                checked += 1
+        assert checked
 
 
 class TestSemigroupRank:
