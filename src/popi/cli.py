@@ -31,6 +31,7 @@ from .semigroup import (
     cardinality_formula,
     check_table_size,
     closure,
+    element_blocks,
     enumerate_semigroup,
 )
 from .transform import PartialInjection
@@ -54,39 +55,37 @@ def _fmt_elem(a: PartialInjection) -> str:
     return " ".join("%d>%d" % (x, a(x)) for x in a.domain)
 
 
-def _elem_record(i: int, a: PartialInjection) -> dict:
-    return {
-        "index": i,
-        "rank": a.rank,
-        "domain": list(a.domain),
-        "image": list(a.image_seq),
-    }
+def _elem_record(i: int, domain: tuple[int, ...], image: tuple[int, ...]) -> dict:
+    return {"index": i, "rank": len(domain), "domain": list(domain), "image": list(image)}
 
 
 # One element of a listing, as json.dumps(indent=2) writes `_elem_record`
-# two levels deep; `_IntLists` writes its lists.
+# two levels deep.  A block fills in its rank and domain; what is left to
+# fill per element is the index and the image list.
 _RECORD = (
-    '    {\n      "index": %d,\n      "rank": %d,\n      "domain": %s,\n      "image": %s\n    }'
+    '    {\n      "index": %%d,\n      "rank": %d,\n      "domain": %s,\n      "image": %%s\n    }'
 )
 
 
-class _IntLists(dict):
-    """Lists of ints as json.dumps(indent=2) writes them inside a `_RECORD`,
-    each written once per listing."""
-
-    def __missing__(self, seq: tuple[int, ...]) -> str:
-        text = "[\n        " + ",\n        ".join(map(str, seq)) + "\n      ]" if seq else "[]"
-        self[seq] = text
-        return text
+def _int_list(seq: tuple[int, ...]) -> str:
+    """A list of ints as json.dumps(indent=2) writes it inside a `_RECORD`."""
+    return "[\n        " + ",\n        ".join(map(str, seq)) + "\n      ]" if seq else "[]"
 
 
-def _listing_json(report: dict, listing) -> str:
-    """json.dumps(indent=2) of the report with the listing's `_elem_record`
-    dicts as its last key, "elements", written without building the dicts."""
-    lists = _IntLists()
-    records = [
-        _RECORD % (i, a.rank, lists[a.domain], lists[a.image_seq]) for i, a in enumerate(listing)
-    ]
+def _listing_json(report: dict, blocks) -> str:
+    """json.dumps(indent=2) of the report with "count" and, as its last key,
+    "elements": the `_elem_record` dicts of the listing's blocks, written
+    without building the dicts.  Each domain's list is written once per
+    block, each image sequence once per rank."""
+    records: list[str] = []
+    images = None
+    for domain, seqs in blocks:
+        if seqs is not images:  # a new rank
+            images, texts = seqs, [_int_list(seq) for seq in seqs]
+        record = _RECORD % (len(domain), _int_list(domain))
+        start = len(records)
+        records.extend(map(record.__mod__, zip(range(start, start + len(texts)), texts)))
+    report["count"] = len(records)
     head = json.dumps(report, indent=2)  # ends with "\n}"
     # the head and the tail ride on the first and last records, so the
     # document is copied once, by the join
@@ -97,11 +96,14 @@ def _listing_json(report: dict, listing) -> str:
 
 def _emit(args, report: dict, records: list[dict] | None = None, listing=None) -> None:
     """Write the report to stdout or --out; records drive the CSV projection
-    when given.  A listing (a sequence of elements) becomes the report's last
-    key, "elements": JSON writes it through `_listing_json`, the other formats
-    project `_elem_record` dicts."""
+    when given.  A listing (`element_blocks`) becomes the report's "count"
+    and its last key, "elements": JSON writes it through `_listing_json`,
+    the other formats project `_elem_record` dicts."""
     if listing is not None and args.format != "json":
-        records = report["elements"] = [_elem_record(i, a) for i, a in enumerate(listing)]
+        pairs = ((domain, image) for domain, seqs in listing for image in seqs)
+        records = [_elem_record(i, domain, image) for i, (domain, image) in enumerate(pairs)]
+        report["count"] = len(records)
+        report["elements"] = records
     if args.format == "json" and listing is not None:
         text = _listing_json(report, listing)
     elif args.format == "json":
@@ -169,10 +171,8 @@ def _base_report(command: str, config: dict) -> dict:
 
 def cmd_enumerate(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
-    S = enumerate_semigroup(ctx)
     report = _base_report("enumerate", {"n": ctx.n, "y": list(ctx.points)})
-    report["count"] = len(S)
-    _emit(args, report, listing=S.elements)
+    _emit(args, report, listing=element_blocks(ctx))
     return 0
 
 

@@ -10,7 +10,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .transform import PartialInjection, Table, empty_map, left_multiplier, padded
+from .transform import PartialInjection, Table, left_multiplier, padded
 
 
 # The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
@@ -191,37 +191,55 @@ def check_table_size(n: int, r: int) -> None:
         )
 
 
-def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
-    """All orientation-preserving partial injections with image inside Y.
+def element_blocks(
+    ctx: RangeContext,
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The semigroup's elements as blocks `(domain, image sequences)`, one
+    per domain, in enumeration order.
 
-    Constructive enumeration: for each pair of equal-sized sets
-    (A, B) with A in the chain and B in Y, the |B| cyclic rotations of the
-    order isomorphism A -> B, plus the empty transformation.  Elements are
-    built in `closure`'s order, by rank, then domain, then image sequence:
-    for each rank k, every k-point domain in `combinations` order, paired
-    with the image sequences of length k (all rotations of all k-subsets of
-    Y) sorted once.  Raises TooLarge, before building anything, past
-    MAX_ELEMENTS elements.
+    For each pair of equal-sized sets (A, B) with A in the chain and B in Y,
+    the elements with domain A and image B are the |B| cyclic rotations of
+    the order isomorphism A -> B.  So an element is a domain together with an
+    image sequence of its size: the images of its points in ascending order.
+    The empty domain comes first, with `[()]`; then, for each rank k, every
+    k-point domain in `combinations` order, each with the image sequences of
+    length k (all rotations of all k-subsets of Y) sorted once per rank, in
+    one list shared by all the domains of the rank.  Raises TooLarge, before
+    yielding anything, past MAX_ELEMENTS elements.
     """
     n = ctx.n
     if size_exceeds(n, ctx.r, MAX_ELEMENTS):
         raise errors.TooLarge(
             "n=%d with |Y|=%d gives more than %d elements" % (n, ctx.r, MAX_ELEMENTS)
         )
-    out = [empty_map(n)]
+    yield (), [()]
     universe = range(1, n + 1)
     for k in range(1, ctx.r + 1):
         images = sorted(rot for img in combinations(ctx.points, k) for rot in _rotations(img))
-        right = [padded(img) for img in images]
         for dom in combinations(universe, k):
-            # the order isomorphism dom -> {1..k}; the kernel then reads each
-            # padded image sequence through it
-            place = [0] * n
-            for j, x in enumerate(dom, 1):
-                place[x - 1] = j
-            out.extend(
-                PartialInjection.from_table(n, t, dom) for t in map(left_multiplier(place), right)
-            )
+            yield dom, images
+
+
+def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
+    """All orientation-preserving partial injections with image inside Y,
+    built from `element_blocks`, in its order: by rank, then domain, then
+    image sequence, which is `closure`'s order.  Raises TooLarge, before
+    building anything, past MAX_ELEMENTS elements.
+    """
+    n = ctx.n
+    out = []
+    images = right = None
+    for dom, seqs in element_blocks(ctx):
+        if seqs is not images:  # a new rank: pad its image sequences once
+            images, right = seqs, [padded(seq) for seq in seqs]
+        # the order isomorphism dom -> {1..k}; the kernel then reads each
+        # padded image sequence through it
+        place = [0] * n
+        for j, x in enumerate(dom, 1):
+            place[x - 1] = j
+        out.extend(
+            PartialInjection.from_table(n, t, dom) for t in map(left_multiplier(place), right)
+        )
     return ElementSet(out)
 
 

@@ -104,9 +104,9 @@ class PartialInjection:
 
     @property
     def image_seq(self) -> tuple[int, ...]:
-        """Images listed in ascending domain order."""
-        t = self.table
-        return tuple(t[x - 1] for x in self._dom)
+        """Images listed in ascending domain order: the table's nonzero
+        slots, read by C-level calls."""
+        return tuple(filter(None, self.table))
 
     @property
     def image(self) -> frozenset[int]:

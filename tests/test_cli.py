@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import popi as P
-from popi.cli import COMMANDS, _base_report, _elem_record, _parse_args, build_parser, main
+from popi.cli import COMMANDS, _base_report, _parse_args, build_parser, main
 
 from conftest import all_range_sets, proper_range_sets, semigroup
 
@@ -98,11 +98,25 @@ class TestEnumerate:
         S = P.enumerate_semigroup(P.RangeContext(n, pts))
         report = _base_report("enumerate", {"n": n, "y": list(pts)})
         report["count"] = len(S)
-        report["elements"] = [_elem_record(i, a) for i, a in enumerate(S)]
+        report["elements"] = [
+            {"index": i, "rank": a.rank, "domain": list(a.domain), "image": list(a.image_seq)}
+            for i, a in enumerate(S)
+        ]
         y = ",".join(map(str, pts))
         code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", y, "--json")
         assert code == 0
         assert out == json.dumps(report, indent=2) + "\n"
+
+    def test_too_large_refused_before_building(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "enumerate", "--n", "30", "--y", FULL_30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == "error: TooLarge: n=30 with |Y|=30 gives more than 1000000 elements\n"
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "argv",
@@ -324,6 +338,37 @@ def test_decompose_reports_match_golden_digests():
     with open(GOLDEN_DECOMPOSE) as fh:
         golden = json.load(fh)
     digests = decompose_digests()
+    assert sorted(digests) == sorted(golden)
+    assert [k for k in digests if digests[k] != golden[k]] == []
+
+
+# sha256 per (format, n, Y) of `enumerate` stdout, captured while the listing
+# was still written from element objects: every Y at n <= 6, full ranges
+# included, in text, --csv and --json.
+GOLDEN_ENUMERATE = os.path.join(os.path.dirname(__file__), "golden", "enumerate.json")
+ENUMERATE_FORMATS = (("text", []), ("csv", ["--csv"]), ("json", ["--json"]))
+
+
+def enumerate_digests() -> dict:
+    digests = {}
+    for name, flags in ENUMERATE_FORMATS:
+        for n in range(1, 7):
+            for pts in all_range_sets(n):
+                y = ",".join(map(str, pts))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["enumerate", "--n", str(n), "--y", y] + flags) == 0
+                digests["%s %d %s" % (name, n, y)] = hashlib.sha256(
+                    out.getvalue().encode()
+                ).hexdigest()
+    return digests
+
+
+def test_enumerate_listings_match_golden_digests():
+    with open(GOLDEN_ENUMERATE) as fh:
+        golden = json.load(fh)
+    digests = enumerate_digests()
+    assert len(golden) == 3 * 120
     assert sorted(digests) == sorted(golden)
     assert [k for k in digests if digests[k] != golden[k]] == []
 

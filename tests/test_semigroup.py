@@ -120,6 +120,34 @@ class TestEnumerate:
         assert size_exceeds(300000, 300000, semigroup_module.MAX_ELEMENTS)
 
 
+@st.composite
+def range_contexts(draw):
+    """A chain size n <= 8 and any range set Y."""
+    n = draw(st.integers(1, 8))
+    pts = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    return P.RangeContext(n, pts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(range_contexts())
+def test_blocks_give_the_enumeration_order(ctx):
+    # each element built from its (domain, image sequence) pair alone, with
+    # range and injectivity validated
+    built = [
+        P.make_partial_injection(ctx.n, zip(domain, image))
+        for domain, images in semigroup_module.element_blocks(ctx)
+        for image in images
+    ]
+    assert tuple(built) == P.enumerate_semigroup(ctx).elements
+    assert all(P.contains(ctx, a) for a in built)
+
+
+def test_blocks_refuse_before_the_first_block():
+    blocks = semigroup_module.element_blocks(P.RangeContext(30, range(1, 31)))
+    with pytest.raises(errors.TooLarge, match="n=30 with \\|Y\\|=30 gives more than 1000000"):
+        next(blocks)
+
+
 class TestElementSets:
     def test_duplicate_elements_rejected(self):
         with pytest.raises(errors.BadParameters):

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popi as P
 from popi import errors
 
-from conftest import all_partial_injections
+from conftest import all_partial_injections, member_of
 
 
 def pi(n, *pairs):
@@ -230,3 +232,17 @@ class TestChainPermutations:
 
     def test_order_isomorphism(self):
         assert P.order_isomorphism(5, [2, 4], [1, 3]) == pi(5, (2, 1), (4, 3))
+
+
+@st.composite
+def members(draw):
+    """A member of the semigroup on n <= 8 points with any range set."""
+    n = draw(st.integers(1, 8))
+    pts = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)))
+    return draw(member_of(n, pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(members())
+def test_image_seq_reads_the_table_per_domain_point(a):
+    assert a.image_seq == tuple(a.table[x - 1] for x in a.domain)
