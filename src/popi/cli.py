@@ -52,60 +52,80 @@ def _parse_points(text: str) -> tuple[int, ...]:
 def _fmt_elem(a: PartialInjection) -> str:
     if a.is_empty():
         return "empty"
-    return " ".join("%d>%d" % (x, a(x)) for x in a.domain)
-
-
-def _elem_record(i: int, domain: tuple[int, ...], image: tuple[int, ...]) -> dict:
-    return {"index": i, "rank": len(domain), "domain": list(domain), "image": list(image)}
-
-
-# One element of a listing, as json.dumps(indent=2) writes `_elem_record`
-# two levels deep.  A block fills in its rank and domain; what is left to
-# fill per element is the index and the image list.
-_RECORD = (
-    '    {\n      "index": %%d,\n      "rank": %d,\n      "domain": %s,\n      "image": %%s\n    }'
-)
+    return " ".join(map("%d>%d".__mod__, zip(a.domain, a.image_seq)))
 
 
 def _int_list(seq: tuple[int, ...]) -> str:
-    """A list of ints as json.dumps(indent=2) writes it inside a `_RECORD`."""
+    """A list of ints as json.dumps(indent=2) writes it inside a record."""
     return "[\n        " + ",\n        ".join(map(str, seq)) + "\n      ]" if seq else "[]"
 
 
-def _listing_json(report: dict, blocks) -> str:
-    """json.dumps(indent=2) of the report with "count" and, as its last key,
-    "elements": the `_elem_record` dicts of the listing's blocks, written
-    without building the dicts.  Each domain's list is written once per
-    block, each image sequence once per rank."""
-    records: list[str] = []
+def _csv_list(seq: tuple[int, ...]) -> str:
+    """A list of ints as the CSV writer writes it: joined by commas, and
+    quoted when that gives a comma."""
+    text = ",".join(map(str, seq))
+    return '"%s"' % text if len(seq) > 1 else text
+
+
+def _text_list(seq: tuple[int, ...]) -> str:
+    """A list of ints as `_text_report` writes it: the list's str."""
+    return "[%s]" % ", ".join(map(str, seq))
+
+
+# One element of a listing in each format, as json.dumps(indent=2) (two
+# levels deep), the CSV writer and `_text_report` write its record, the dict
+# {"index", "rank", "domain", "image"}, with the writer of its int lists.  A
+# block fills in its rank and domain; what is left to fill per element is
+# the index and the image list.
+_LISTING = {
+    "json": (
+        '    {\n      "index": %%d,\n      "rank": %d,\n      "domain": %s,\n'
+        '      "image": %%s\n    }',
+        _int_list,
+    ),
+    "csv": ("%%d,%d,%s,%%s", _csv_list),
+    "text": ("  index=%%d  rank=%d  domain=%s  image=%%s", _text_list),
+}
+
+
+def _listing(fmt: str, report: dict, blocks) -> str:
+    """The report with "count" and, as its last key, "elements": one record
+    per element of the listing's blocks, in format `fmt`, written without
+    building the records.  Each domain's list is written once per block,
+    each image sequence once per rank.  JSON and text write the report
+    itself around the records; CSV writes the records alone."""
+    record, int_list = _LISTING[fmt]
+    rows: list[str] = []
     images = None
     for domain, seqs in blocks:
         if seqs is not images:  # a new rank
-            images, texts = seqs, [_int_list(seq) for seq in seqs]
-        record = _RECORD % (len(domain), _int_list(domain))
-        start = len(records)
-        records.extend(map(record.__mod__, zip(range(start, start + len(texts)), texts)))
-    report["count"] = len(records)
-    head = json.dumps(report, indent=2)  # ends with "\n}"
-    # the head and the tail ride on the first and last records, so the
+            images, texts = seqs, [int_list(seq) for seq in seqs]
+        row = record % (len(domain), int_list(domain))
+        start = len(rows)
+        rows.extend(map(row.__mod__, zip(range(start, start + len(texts)), texts)))
+    report["count"] = len(rows)
+    # the head and the tail ride on the first and last rows, so the
     # document is copied once, by the join
-    records[0] = head[:-2] + ',\n  "elements": [\n' + records[0]
-    records[-1] += "\n  ]\n}\n"
-    return ",\n".join(records)
+    if fmt == "json":
+        head = json.dumps(report, indent=2)  # ends with "\n}"
+        rows[0] = head[:-2] + ',\n  "elements": [\n' + rows[0]
+        rows[-1] += "\n  ]\n}\n"
+        return ",\n".join(rows)
+    if fmt == "csv":
+        rows[0] = "index,rank,domain,image\r\n" + rows[0]
+        rows[-1] += "\r\n"
+        return "\r\n".join(rows)
+    rows[0] = _text_report(report) + "elements:\n" + rows[0]
+    rows[-1] += "\n"
+    return "\n".join(rows)
 
 
 def _emit(args, report: dict, records: list[dict] | None = None, listing=None) -> None:
     """Write the report to stdout or --out; records drive the CSV projection
     when given.  A listing (`element_blocks`) becomes the report's "count"
-    and its last key, "elements": JSON writes it through `_listing_json`,
-    the other formats project `_elem_record` dicts."""
-    if listing is not None and args.format != "json":
-        pairs = ((domain, image) for domain, seqs in listing for image in seqs)
-        records = [_elem_record(i, domain, image) for i, (domain, image) in enumerate(pairs)]
-        report["count"] = len(records)
-        report["elements"] = records
-    if args.format == "json" and listing is not None:
-        text = _listing_json(report, listing)
+    and its last key, "elements", written by `_listing`."""
+    if listing is not None:
+        text = _listing(args.format, report, listing)
     elif args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":

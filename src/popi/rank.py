@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable
 
 from . import errors
@@ -70,10 +70,14 @@ def range_rotation(ctx: RangeContext) -> PartialInjection:
 
 
 def range_rotation_power(ctx: RangeContext, t: int) -> PartialInjection:
-    """The t-th power of `range_rotation`: each point of Y moves t places on."""
+    """The t-th power of `range_rotation`: each point of Y moves t places on.
+    Its table holds Y rotated t places in Y's slots."""
     pts = ctx.points
-    r = len(pts)
-    return PartialInjection(ctx.n, [(pts[m], pts[(m + t) % r]) for m in range(r)])
+    t %= len(pts)
+    table = [0] * ctx.n
+    for x, y in zip(pts, pts[t:] + pts[:t]):
+        table[x - 1] = y
+    return PartialInjection.from_table(ctx.n, table, pts)
 
 
 # -- shift decomposition ----------------------------------------------------
@@ -85,13 +89,14 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
     Returns the smallest l with a == rotation^l * a1 and a1 order-preserving;
     a1 keeps the image of a.  A descent after the k-th image, at domain
     point d_{k+1}, gives l = n + 1 - d_{k+1}; an ascending sequence, l = 0.
+    x a1 = (x - l) a, so a1's table is a's rotated l slots to the right.
     """
     if not a.is_orientation_preserving():
         raise errors.NotOrientationPreserving("%r" % (a,))
-    n, seq = a.n, a.image_seq
+    n, seq, table = a.n, a.image_seq, a.table
     k = next((k for k in range(1, len(seq)) if seq[k - 1] > seq[k]), None)
     l = 0 if k is None else n + 1 - a.domain[k]
-    a1 = rotation_perm(n, -l) * a
+    a1 = PartialInjection.from_table(n, table[n - l :] + table[: n - l])
     if not a1.is_order_preserving():
         raise errors.DecompositionFailed("no rotation shift found for %r" % (a,))
     return l, a1
@@ -122,7 +127,9 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     points of Y, rotated t places.  gamma is beta^-1 * a plus one pair d -> y
     with d outside beta's image, so beta * gamma == a; y is the least free
     point of Y in the circular gap at d's slot, which keeps gamma
-    orientation-preserving.  The first (t, d) with such a y wins.
+    orientation-preserving.  The first (t, d) with such a y wins.  Both
+    factors are written as slot tables: beta sends ext[i] to the i-th of
+    its images, and beta^-1 * a sends that image to a(ext[i]).
     """
     if not contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
@@ -130,22 +137,26 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     r = ctx.r
     if m > r - 2:
         raise errors.RankTooHigh("rank %d exceeds %d" % (m, r - 2))
-    n = ctx.n
-    c = next(x for x in range(1, n + 1) if x not in a.domain)
+    n, table = ctx.n, a.table
+    c = table.index(0) + 1
     ext = sorted(a.domain + (c,))
     b_img = ctx.points[: m + 1]
     free = sorted(ctx.point_set - a.image)
     outside = [d for d in range(1, n + 1) if d not in b_img]
+    universe = range(1, n + 1)
     for t in range(m + 1):
-        beta = PartialInjection(n, zip(ext, b_img[t:] + b_img[:t]))
-        gamma0 = beta.inverse() * a
-        q, seq = gamma0.domain, gamma0.image_seq
+        beta, gamma0 = [0] * n, [0] * n
+        for x, y in zip(ext, b_img[t:] + b_img[:t]):
+            beta[x - 1] = y
+            gamma0[y - 1] = table[x - 1]
+        q, seq = tuple(compress(universe, gamma0)), tuple(filter(None, gamma0))
         for d in outside:
             y = _gap_point(free, seq, bisect(q, d))
             if y is None:
                 continue
-            gamma = PartialInjection(n, [(d, y), *zip(q, seq)])
-            return _checked(ctx, a, Decomposition(beta, gamma, case="low"), (m + 1, m + 1))
+            gamma0[d - 1] = y
+            factors = PartialInjection.from_table(n, beta), PartialInjection.from_table(n, gamma0)
+            return _checked(ctx, a, Decomposition(*factors, case="low"), (m + 1, m + 1))
     raise errors.DecompositionFailed("no one-higher-rank factorization for %r" % (a,))
 
 
@@ -162,23 +173,31 @@ def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decompositio
     """Factor a rank-(r-1) element as (top-rank) * (restricted corank-one).
 
     The first factor is a rotation shift composed with the order
-    isomorphism from the extended domain onto the range set; the second is
-    order-preserving with domain inside the range set.
+    isomorphism beta from the extended domain onto the range set; the
+    second is order-preserving with domain inside the range set.  Each is
+    written as a slot table: gamma = beta^-1 * a1 sends the i-th point of Y
+    to a1(ext[i]), and x (rotation^l * beta) = (x + l) beta, so the first
+    factor's table is beta's rotated l slots to the left.
     """
     if not contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
     r = ctx.r
     if a.rank != r - 1:
         raise errors.BadRank("expected rank %d, got %d" % (r - 1, a.rank))
-    n = ctx.n
+    n, pts = ctx.n, ctx.points
     l, a1 = shift_decompose(a)
-    dom1 = set(a1.domain)
-    c = min(set(range(1, n + 1)) - dom1)
-    beta = order_isomorphism(n, sorted(dom1 | {c}), ctx.points)
-    gamma = beta.inverse() * a1
+    a1_table = a1.table
+    c = a1_table.index(0) + 1
+    ext = sorted(a1.domain + (c,))
+    beta, gamma_table = [0] * n, [0] * n
+    for x, y in zip(ext, pts):
+        beta[x - 1] = y
+        gamma_table[y - 1] = a1_table[x - 1]
+    gamma = PartialInjection.from_table(n, gamma_table)
     if not is_restricted_corank_one(ctx, gamma):
         raise errors.DecompositionFailed("corank-one factor %r is not restricted" % (gamma,))
-    d = Decomposition(rotation_perm(n, l) * beta, gamma, shift_exponent=l, case="corank_one")
+    shifted = PartialInjection.from_table(n, beta[l:] + beta[:l])
+    d = Decomposition(shifted, gamma, shift_exponent=l, case="corank_one")
     return _checked(ctx, a, d, (r, r - 1))
 
 
@@ -231,9 +250,10 @@ def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> D
             width = "wide" if k >= j else ("mid" if k >= j + 1 - i else "narrow")
         case = "gap.%s.%s" % (order, width)
     beta = range_rotation_power(ctx, (k + ge - j) % r)
+    beta_table = beta.table
     table = [0] * n
-    for x in a.domain:
-        table[beta(x) - 1] = a(x)
+    for x, y in zip(a.domain, a.image_seq):
+        table[beta_table[x - 1] - 1] = y
     table[p - 1] = pts[j - 1]
     gamma = PartialInjection.from_table(n, table)
     return _checked(ctx, a, Decomposition(beta, gamma, case=case), (r, r))

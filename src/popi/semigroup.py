@@ -10,7 +10,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .transform import PartialInjection, Table, left_multiplier, padded
+from .transform import PartialInjection, Table, is_cyclic, left_multiplier, padded
 
 
 # The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
@@ -162,8 +162,9 @@ def contains(ctx: RangeContext, a: PartialInjection) -> bool:
         raise errors.MismatchedChainSize(
             "element lives on a chain of size %d, context has %d" % (a.n, ctx.n)
         )
-    image = a.image
-    return len(image) == a.rank and image <= ctx.point_set and a.is_orientation_preserving()
+    seq = a.image_seq
+    image = frozenset(seq)
+    return len(image) == a.rank and image <= ctx.point_set and is_cyclic(seq)
 
 
 def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

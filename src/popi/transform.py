@@ -13,7 +13,8 @@ one product per class of right factors that agree there.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import compress
+from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Sequence
 
 from . import errors
@@ -44,13 +45,11 @@ def left_multiplier(table: Table) -> Callable[[Table], Table]:
 def is_cyclic(items: Sequence[int]) -> bool:
     """True if the sequence has at most one descent when read circularly.
 
-    Empty, one-element and constant sequences count as cyclic.
+    Empty, one-element and constant sequences count as cyclic.  The
+    descents are counted by one C-level `map` over the sequence and its
+    rotation by one place, a tuple or a list alike.
     """
-    t = len(items)
-    if t <= 1:
-        return True
-    descents = sum(1 for i in range(t) if items[i] > items[(i + 1) % t])
-    return descents <= 1
+    return sum(map(gt, items, items[1:] + items[:1])) <= 1
 
 
 class PartialInjection:
@@ -81,7 +80,7 @@ class PartialInjection:
         self.n = n
         self.table = table
         if domain is None:
-            domain = tuple(x for x in range(1, n + 1) if table[x - 1])
+            domain = tuple(compress(range(1, n + 1), table))
         self._dom = domain
         self._hash = hash((n, table))
 
@@ -165,7 +164,7 @@ class PartialInjection:
 
     def is_order_preserving(self) -> bool:
         seq = self.image_seq
-        return all(seq[i] < seq[i + 1] for i in range(len(seq) - 1))
+        return all(map(lt, seq, seq[1:]))
 
     def is_orientation_preserving(self) -> bool:
         return is_cyclic(self.image_seq)
@@ -257,8 +256,12 @@ def order_isomorphism(n: int, source: Iterable[int], target: Iterable[int]) -> P
 
 def rotation_perm(n: int, k: int = 1) -> PartialInjection:
     """The k-th power of the full cycle i -> i+1 (mod n) on the chain,
-    i -> i+k (mod n), built directly; a negative k gives an inverse power."""
-    return PartialInjection.from_table(n, tuple((i + k - 1) % n + 1 for i in range(1, n + 1)))
+    i -> i+k (mod n), built directly; a negative k gives an inverse power.
+    Its table is 1..n rotated k places: slot i-1 holds (i-1+k mod n) + 1."""
+    _check_chain_size(n)
+    points = tuple(range(1, n + 1))
+    k %= n
+    return PartialInjection.from_table(n, points[k:] + points[:k], points)
 
 
 def reflection_perm(n: int) -> PartialInjection:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+from bisect import bisect
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,7 @@ import popi as P
 from popi import errors
 from popi.cli import main
 
-from popi.rank import _checked, full_range_pair
+from popi.rank import _checked, _gap_point, _missing_index, full_range_pair
 
 from conftest import all_range_sets, member_of, proper_range_sets, semigroup
 
@@ -82,6 +83,89 @@ def reference_deletion_test(ctx, generators):
         rest = generators[:i] + generators[i + 1 :]
         out.append(len(P.closure(ctx, rest)) < full if rest else True)
     return out
+
+
+# -- object-built references ------------------------------------------------
+# The factorization levels as they were built from `PartialInjection` values:
+# pair lists, `order_isomorphism`, `inverse`, `rotation_perm` and products.
+# The table-built levels must return exactly the same decompositions.
+
+
+def reference_range_rotation_power(ctx, t):
+    pts = ctx.points
+    r = len(pts)
+    return P.PartialInjection(ctx.n, [(pts[m], pts[(m + t) % r]) for m in range(r)])
+
+
+def reference_low_rank(ctx, a):
+    if not P.contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
+    m, r, n = a.rank, ctx.r, ctx.n
+    if m > r - 2:
+        raise errors.RankTooHigh("rank %d exceeds %d" % (m, r - 2))
+    c = next(x for x in range(1, n + 1) if x not in a.domain)
+    ext = sorted(a.domain + (c,))
+    b_img = ctx.points[: m + 1]
+    free = sorted(ctx.point_set - a.image)
+    outside = [d for d in range(1, n + 1) if d not in b_img]
+    for t in range(m + 1):
+        beta = P.PartialInjection(n, zip(ext, b_img[t:] + b_img[:t]))
+        gamma0 = beta.inverse() * a
+        q, seq = gamma0.domain, gamma0.image_seq
+        for d in outside:
+            y = _gap_point(free, seq, bisect(q, d))
+            if y is None:
+                continue
+            gamma = P.PartialInjection(n, [(d, y), *zip(q, seq)])
+            return _checked(ctx, a, P.Decomposition(beta, gamma, case="low"), (m + 1, m + 1))
+    raise errors.DecompositionFailed("no one-higher-rank factorization for %r" % (a,))
+
+
+def reference_corank_one(ctx, a):
+    if not P.contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
+    r, n = ctx.r, ctx.n
+    if a.rank != r - 1:
+        raise errors.BadRank("expected rank %d, got %d" % (r - 1, a.rank))
+    l, a1 = P.shift_decompose(a)
+    dom1 = set(a1.domain)
+    c = min(set(range(1, n + 1)) - dom1)
+    beta = P.order_isomorphism(n, sorted(dom1 | {c}), ctx.points)
+    gamma = beta.inverse() * a1
+    if not P.is_restricted_corank_one(ctx, gamma):
+        raise errors.DecompositionFailed("corank-one factor %r is not restricted" % (gamma,))
+    d = P.Decomposition(P.rotation_perm(n, l) * beta, gamma, shift_exponent=l, case="corank_one")
+    return _checked(ctx, a, d, (r, r - 1))
+
+
+def reference_restricted_corank_one(ctx, a):
+    if ctx.is_full:
+        raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
+    if not P.is_restricted_corank_one(ctx, a):
+        raise errors.NotRestricted("%r" % (a,))
+    n, r, pts = ctx.n, ctx.r, ctx.points
+    i = _missing_index(ctx, a.domain)
+    j = _missing_index(ctx, a.image_seq)
+    ge = i >= j
+    order = "ge" if ge else "lt"
+    if pts[0] > 1 or pts[-1] < n:
+        k, p = 0, (1 if pts[0] > 1 else n)
+        case = "%s.%s" % ("low" if p == 1 else "high", order)
+    else:
+        k = next(k for k in range(1, r) if pts[k - 1] < pts[k] - 1)
+        p = pts[k - 1] + 1
+        if ge:
+            width = "wide" if k >= j - 1 else "narrow"
+        else:
+            width = "wide" if k >= j else ("mid" if k >= j + 1 - i else "narrow")
+        case = "gap.%s.%s" % (order, width)
+    beta = reference_range_rotation_power(ctx, (k + ge - j) % r)
+    table = [0] * n
+    for x in a.domain:
+        table[beta(x) - 1] = a(x)
+    table[p - 1] = pts[j - 1]
+    gamma = P.PartialInjection.from_table(n, table)
+    return _checked(ctx, a, P.Decomposition(beta, gamma, case=case), (r, r))
 
 
 class TestRangeRotation:
@@ -522,6 +606,58 @@ def test_decomposition_stages_reproduce_the_element(ctx_a):
     for f in factors[1:]:
         prod = prod * f
     assert prod == a
+
+
+@st.composite
+def members_of_rank(draw, level):
+    """A chain size n <= 8, a proper range set Y and one member a for the
+    factorization `level`: "low" (rank at most r-2), "corank_one" (rank
+    r-1) or "restricted" (rank r-1, order-preserving, domain inside Y)."""
+    least = 2 if level == "low" else 1
+    n = draw(st.integers(least + 1, 8))
+    size = draw(st.integers(least, n - 1))
+    pts = sorted(draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True)))
+    k = draw(st.integers(0, size - 2)) if level == "low" else size - 1
+    chain = pts if level == "restricted" else range(1, n + 1)
+    dom = sorted(draw(st.permutations(chain))[:k])
+    img = sorted(draw(st.permutations(pts))[:k])
+    t = 0 if level == "restricted" else draw(st.integers(0, max(k - 1, 0)))
+    return P.RangeContext(n, pts), P.make_partial_injection(n, zip(dom, img[t:] + img[:t]))
+
+
+LEVELS = {
+    "low": (P.decompose_low_rank, reference_low_rank),
+    "corank_one": (P.decompose_corank_one, reference_corank_one),
+    "restricted": (P.decompose_restricted_corank_one, reference_restricted_corank_one),
+}
+
+
+@pytest.mark.parametrize("level", sorted(LEVELS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_built_levels_match_object_built_references(level, data):
+    ctx, a = data.draw(members_of_rank(level))
+    built, reference = LEVELS[level]
+    d, ref = built(ctx, a), reference(ctx, a)
+    assert (d.beta, d.gamma, d.shift_exponent, d.case) == (
+        ref.beta, ref.gamma, ref.shift_exponent, ref.case
+    )
+    # the factors' domains are what their tables say
+    for f in (d.beta, d.gamma):
+        assert f.domain == tuple(x for x in range(1, ctx.n + 1) if f.table[x - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_range_rotation_power_is_y_rotated(data):
+    n = data.draw(st.integers(1, 9))
+    pts = sorted(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)))
+    ctx, r = P.RangeContext(n, pts), len(pts)
+    t = data.draw(st.integers(-2 * r, 2 * r))
+    g = P.range_rotation_power(ctx, t)
+    assert g == P.PartialInjection(n, [(pts[m], pts[(m + t) % r]) for m in range(r)])
+    assert g.domain == tuple(pts) and P.contains(ctx, g)
+    assert g == reference_range_rotation_power(ctx, t)
 
 
 # sha256 per (n, Y) of `rank --json` stdout, captured before `closure` formed

@@ -246,3 +246,48 @@ def members(draw):
 @given(members())
 def test_image_seq_reads_the_table_per_domain_point(a):
     assert a.image_seq == tuple(a.table[x - 1] for x in a.domain)
+
+
+def descents(seq):
+    """Descents of a sequence read circularly, by definition."""
+    t = len(seq)
+    return sum(1 for i in range(t) if seq[i] > seq[(i + 1) % t])
+
+
+@st.composite
+def raw_tables(draw):
+    """A chain size n <= 8 and any slot table on it, repeated values
+    included, so not every table is injective."""
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_tables(), st.data())
+def test_table_predicates_match_their_definitions(n_table, data):
+    n, table = n_table
+    a = P.PartialInjection.from_table(n, table)
+    domain = tuple(x for x in range(1, n + 1) if table[x - 1])
+    seq = tuple(table[x - 1] for x in domain)
+    assert a.domain == domain and a.image_seq == seq and a.rank == len(domain)
+    for s in (seq, list(seq)):
+        assert P.is_cyclic(s) == (descents(seq) <= 1)
+    assert a.is_order_preserving() == all(seq[i] < seq[i + 1] for i in range(len(seq) - 1))
+    pts = sorted(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)))
+    injective = len(set(seq)) == len(seq)
+    member = injective and set(seq) <= set(pts) and descents(seq) <= 1
+    assert P.contains(P.RangeContext(n, pts), a) == member
+    if not injective:
+        # a repeated value is refused, whatever Y holds
+        assert not P.contains(P.RangeContext(n, range(1, n + 1)), a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rotation_perm_is_i_to_i_plus_k(data):
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(-2 * n, 2 * n))
+    g = P.rotation_perm(n, k)
+    assert g.table == tuple((i + k - 1) % n + 1 for i in range(1, n + 1))
+    assert g.domain == tuple(range(1, n + 1))
+    assert g == P.PartialInjection(n, [(i, (i + k - 1) % n + 1) for i in range(1, n + 1)])
