@@ -7,9 +7,7 @@ from .transform import (
     empty_map,
     identity_on,
     is_cyclic,
-    make_partial_injection,
     order_isomorphism,
-    reflection_perm,
     rotation_perm,
 )
 from .semigroup import (
@@ -19,10 +17,8 @@ from .semigroup import (
     closure,
     contains,
     enumerate_semigroup,
-    rank_layer,
 )
 from .green import (
-    GreenPartition,
     HClassProfile,
     green_characterized,
     green_oracle,
@@ -39,7 +35,6 @@ from .rank import (
     decompose_restricted_corank_one,
     deletion_test,
     is_restricted_corank_one,
-    range_rotation,
     range_rotation_power,
     rotation_exponent_between,
     semigroup_rank,
@@ -61,7 +56,6 @@ __all__ = [
     "PartialInjection",
     "ElementSet",
     "RangeContext",
-    "GreenPartition",
     "HClassProfile",
     "Decomposition",
     "RankCertificate",
@@ -89,12 +83,8 @@ __all__ = [
     "is_regular_characterized",
     "is_regular_oracle",
     "is_restricted_corank_one",
-    "make_partial_injection",
     "order_isomorphism",
-    "range_rotation",
     "range_rotation_power",
-    "rank_layer",
-    "reflection_perm",
     "rotation_exponent_between",
     "rotation_perm",
     "semigroup_rank",

@@ -75,7 +75,7 @@ def _text_list(seq: tuple[int, ...]) -> str:
 # One element of a listing in each format, as json.dumps(indent=2) (two
 # levels deep), the CSV writer and `_text_report` write its record, the dict
 # {"index", "rank", "domain", "image"}, with the writer of its int lists.  A
-# block fills in its rank and domain; what is left to fill per element is
+# domain fills in its rank and its list; what is left to fill per element is
 # the index and the image list.
 _LISTING = {
     "json": (
@@ -91,18 +91,18 @@ _LISTING = {
 def _listing(fmt: str, report: dict, blocks) -> str:
     """The report with "count" and, as its last key, "elements": one record
     per element of the listing's blocks, in format `fmt`, written without
-    building the records.  Each domain's list is written once per block,
-    each image sequence once per rank.  JSON and text write the report
-    itself around the records; CSV writes the records alone."""
+    building the records.  Each image sequence's list is written once per
+    block, that is once per rank, and each domain's list once.  JSON and
+    text write the report itself around the records; CSV writes the records
+    alone."""
     record, int_list = _LISTING[fmt]
     rows: list[str] = []
-    images = None
-    for domain, seqs in blocks:
-        if seqs is not images:  # a new rank
-            images, texts = seqs, [int_list(seq) for seq in seqs]
-        row = record % (len(domain), int_list(domain))
-        start = len(rows)
-        rows.extend(map(row.__mod__, zip(range(start, start + len(texts)), texts)))
+    for seqs, domains in blocks:
+        texts = [int_list(seq) for seq in seqs]
+        for domain in domains:
+            row = record % (len(domain), int_list(domain))
+            start = len(rows)
+            rows.extend(map(row.__mod__, zip(range(start, start + len(texts)), texts)))
     report["count"] = len(rows)
     # the head and the tail ride on the first and last rows, so the
     # document is copied once, by the join
@@ -223,11 +223,10 @@ def cmd_green(args) -> int:
     report = _base_report(
         "green", {"n": ctx.n, "y": list(ctx.points), "rel": args.rel, "check": args.check}
     )
-    report["class_count"] = len(part.classes)
-    report["class_sizes"] = [len(c) for c in part.classes]
+    report["class_count"] = len(part)
+    report["class_sizes"] = [len(c) for c in part]
     if args.check:
-        oracle = green_oracle(S, args.rel)
-        report["oracle_agrees"] = part.same_partition(oracle)
+        report["oracle_agrees"] = part == green_oracle(S, args.rel)
     _emit(args, report)
     return 0
 
@@ -322,7 +321,7 @@ def cmd_selftest(args) -> int:
                         break
                 oracle = _oracle_partitions(S, "LRHD")
                 for rel in ("L", "R", "H", "D"):
-                    if not green_characterized(ctx, S, rel).same_partition(oracle[rel]):
+                    if green_characterized(ctx, S, rel) != oracle[rel]:
                         failures.append("green-%s %s" % (rel, where))
     report = _base_report("selftest", {"max_n": args.max_n})
     report["failures"] = failures

@@ -3,12 +3,14 @@
 The "oracle" path works from the ideal definitions over the finite element
 set with an external identity adjoined.  The "characterized" path uses the
 closed-form descriptions (regularity by domain containment; L/R/H/D by
-image, domain and rank).  Tests assert the two partitions coincide.
+image, domain and rank).  A partition is its classes: a tuple of tuples of
+element indices, each sorted and ordered by its least index, so two
+partitions of one element set are equal exactly when their tuples are.
+Tests assert the two partitions coincide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import errors
@@ -16,25 +18,10 @@ from .semigroup import ElementSet, RangeContext, contains
 from .transform import PartialInjection
 
 
-@dataclass(frozen=True)
-class GreenPartition:
-    relation: str  # one of "L", "R", "H", "D", "J"
-    classes: tuple[tuple[int, ...], ...]
-    method: str  # "oracle" or "characterized"
-
-    def class_map(self) -> dict[int, int]:
-        """Element index -> class position."""
-        out = {}
-        for c, members in enumerate(self.classes):
-            for i in members:
-                out[i] = c
-        return out
-
-    def same_partition(self, other: "GreenPartition") -> bool:
-        return self.classes == other.classes
+Partition = tuple[tuple[int, ...], ...]
 
 
-def _normalize(groups) -> tuple[tuple[int, ...], ...]:
+def _normalize(groups) -> Partition:
     classes = [tuple(sorted(g)) for g in groups]
     classes.sort(key=lambda c: c[0])
     return tuple(classes)
@@ -65,7 +52,7 @@ def is_regular_oracle(S: ElementSet, a_index: int) -> bool:
 # -- characterized partitions ----------------------------------------------
 
 
-def green_characterized(ctx: RangeContext, S: ElementSet, relation: str) -> GreenPartition:
+def green_characterized(ctx: RangeContext, S: ElementSet, relation: str) -> Partition:
     """Partition from the closed-form descriptions of L, R, H and D."""
     if relation not in ("L", "R", "H", "D"):
         raise errors.BadParameters("unknown relation %r" % relation)
@@ -81,7 +68,7 @@ def green_characterized(ctx: RangeContext, S: ElementSet, relation: str) -> Gree
         else:  # D: regular classes by rank, non-regular by shared domain
             key = ("reg", a.rank) if regular else ("non", a.domain)
         groups.setdefault(key, []).append(i)
-    return GreenPartition(relation, _normalize(groups.values()), "characterized")
+    return _normalize(groups.values())
 
 
 # -- oracle partitions ------------------------------------------------------
@@ -97,7 +84,7 @@ def _right_ideals(S: ElementSet) -> list[frozenset[int]]:
     return [frozenset((a, *row)) for a, row in enumerate(S.mult_table())]
 
 
-def _group_by_key(keys) -> tuple[tuple[int, ...], ...]:
+def _group_by_key(keys) -> Partition:
     """The classes of indices whose keys are equal."""
     groups: dict = {}
     for i, key in enumerate(keys):
@@ -115,7 +102,7 @@ def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def green_oracle(S: ElementSet, relation: str) -> GreenPartition:
+def green_oracle(S: ElementSet, relation: str) -> Partition:
     """Partition computed from principal-ideal comparisons (see
     `_oracle_partitions`)."""
     if relation not in ("L", "R", "H", "D", "J"):
@@ -123,7 +110,7 @@ def green_oracle(S: ElementSet, relation: str) -> GreenPartition:
     return _oracle_partitions(S, relation)[relation]
 
 
-def _oracle_partitions(S: ElementSet, relations: str) -> dict[str, GreenPartition]:
+def _oracle_partitions(S: ElementSet, relations: str) -> dict[str, Partition]:
     """The oracle partition of each relation named, from one build of each
     list of one-sided ideals they need: R alone needs no left ideals, and L
     alone no right ideals.
@@ -163,7 +150,7 @@ def _oracle_partitions(S: ElementSet, relations: str) -> dict[str, GreenPartitio
         ideals = [_two_sided_ideal(S, left[c[0]]) for c in d_classes]
         merged = (sum((d_classes[k] for k in ks), ()) for ks in _group_by_key(ideals))
         classes["J"] = _normalize(merged)
-    return {rel: GreenPartition(rel, classes[rel], "oracle") for rel in relations}
+    return {rel: classes[rel] for rel in relations}
 
 
 # -- H-class structure ------------------------------------------------------

@@ -35,7 +35,7 @@ def _dihedral_map(n: int, k: int, reflected: bool) -> Callable[[int], int]:
 
 
 def _tabulate(n: int, f: Callable[[int], int]) -> PartialInjection:
-    return PartialInjection.from_table(n, tuple(map(f, range(1, n + 1))))
+    return PartialInjection.from_table(tuple(map(f, range(1, n + 1))))
 
 
 def dihedral_elements(n: int) -> list[PartialInjection]:

@@ -14,13 +14,7 @@ from itertools import combinations, compress
 from typing import Iterable
 
 from . import errors
-from .semigroup import (
-    ElementSet,
-    RangeContext,
-    closure,
-    contains,
-    enumerate_semigroup,
-)
+from .semigroup import RangeContext, closure, contains, enumerate_semigroup
 from .transform import (
     PartialInjection,
     empty_map,
@@ -43,9 +37,6 @@ class Decomposition:
     shift_exponent: int = 0
     case: str | None = None
 
-    def product(self) -> PartialInjection:
-        return self.beta * self.gamma
-
 
 @dataclass(frozen=True)
 class RankCertificate:
@@ -54,7 +45,6 @@ class RankCertificate:
     domains that bound the rank from below: one per top-rank R-class for a
     proper range set, and those of the two idempotents for the full one."""
 
-    ctx: RangeContext
     claimed_rank: int
     generating_set: tuple[PartialInjection, ...]
     order: int
@@ -64,20 +54,16 @@ class RankCertificate:
 # -- range-set rotation -----------------------------------------------------
 
 
-def range_rotation(ctx: RangeContext) -> PartialInjection:
-    """The cycle on the range set sending each point to the next one, wrapping."""
-    return range_rotation_power(ctx, 1)
-
-
 def range_rotation_power(ctx: RangeContext, t: int) -> PartialInjection:
-    """The t-th power of `range_rotation`: each point of Y moves t places on.
-    Its table holds Y rotated t places in Y's slots."""
+    """The t-th power of the cycle on the range set that sends each point to
+    the next one, wrapping: each point of Y moves t places on.  Its table
+    holds Y rotated t places in Y's slots."""
     pts = ctx.points
     t %= len(pts)
     table = [0] * ctx.n
     for x, y in zip(pts, pts[t:] + pts[:t]):
         table[x - 1] = y
-    return PartialInjection.from_table(ctx.n, table, pts)
+    return PartialInjection.from_table(table, pts)
 
 
 # -- shift decomposition ----------------------------------------------------
@@ -96,7 +82,7 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
     n, seq, table = a.n, a.image_seq, a.table
     k = next((k for k in range(1, len(seq)) if seq[k - 1] > seq[k]), None)
     l = 0 if k is None else n + 1 - a.domain[k]
-    a1 = PartialInjection.from_table(n, table[n - l :] + table[: n - l])
+    a1 = PartialInjection.from_table(table[n - l :] + table[: n - l])
     if not a1.is_order_preserving():
         raise errors.DecompositionFailed("no rotation shift found for %r" % (a,))
     return l, a1
@@ -155,7 +141,7 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
             if y is None:
                 continue
             gamma0[d - 1] = y
-            factors = PartialInjection.from_table(n, beta), PartialInjection.from_table(n, gamma0)
+            factors = PartialInjection.from_table(beta), PartialInjection.from_table(gamma0)
             return _checked(ctx, a, Decomposition(*factors, case="low"), (m + 1, m + 1))
     raise errors.DecompositionFailed("no one-higher-rank factorization for %r" % (a,))
 
@@ -193,10 +179,10 @@ def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decompositio
     for x, y in zip(ext, pts):
         beta[x - 1] = y
         gamma_table[y - 1] = a1_table[x - 1]
-    gamma = PartialInjection.from_table(n, gamma_table)
+    gamma = PartialInjection.from_table(gamma_table)
     if not is_restricted_corank_one(ctx, gamma):
         raise errors.DecompositionFailed("corank-one factor %r is not restricted" % (gamma,))
-    shifted = PartialInjection.from_table(n, beta[l:] + beta[:l])
+    shifted = PartialInjection.from_table(beta[l:] + beta[:l])
     d = Decomposition(shifted, gamma, shift_exponent=l, case="corank_one")
     return _checked(ctx, a, d, (r, r - 1))
 
@@ -255,7 +241,7 @@ def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> D
     for x, y in zip(a.domain, a.image_seq):
         table[beta_table[x - 1] - 1] = y
     table[p - 1] = pts[j - 1]
-    gamma = PartialInjection.from_table(n, table)
+    gamma = PartialInjection.from_table(table)
     return _checked(ctx, a, Decomposition(beta, gamma, case=case), (r, r))
 
 
@@ -293,7 +279,7 @@ def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
     gens = []
     for dom in combinations(range(1, ctx.n + 1), ctx.r):
         if dom == ctx.points:
-            gens.append(range_rotation(ctx))
+            gens.append(range_rotation_power(ctx, 1))
         else:
             gens.append(order_isomorphism(ctx.n, dom, ctx.points))
     return gens
@@ -354,7 +340,7 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
         witness = tuple(combinations(range(1, n + 1), ctx.r))
     if len(closure(ctx, gens)) != len(S):
         raise errors.DecompositionFailed("generating set failed to generate")
-    return RankCertificate(ctx, len(gens), gens, len(S), witness)
+    return RankCertificate(len(gens), gens, len(S), witness)
 
 
 # -- full pipeline ----------------------------------------------------------

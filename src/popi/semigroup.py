@@ -10,7 +10,15 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .transform import PartialInjection, Table, is_cyclic, left_multiplier, padded
+from .transform import (
+    PartialInjection,
+    Table,
+    _check_chain_size,
+    _is_int,
+    is_cyclic,
+    left_multiplier,
+    padded,
+)
 
 
 # The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
@@ -25,31 +33,29 @@ MAX_TABLE_ENTRIES = 10**7
 class RangeContext:
     """The ambient chain size n together with the restricted range Y."""
 
-    __slots__ = ("n", "points", "_set")
+    __slots__ = ("n", "points", "point_set")
 
     def __init__(self, n: int, points: Iterable[int]):
-        if n < 1:
-            raise errors.BadParameters("chain size must be positive")
+        _check_chain_size(n)
         if n > MAX_ELEMENTS:
             raise errors.TooLarge(
                 "a chain of %d points gives more than %d elements" % (n, MAX_ELEMENTS)
             )
-        pts = sorted(set(points))
+        pts = list(points)
+        if not all(map(_is_int, pts)):
+            raise errors.BadParameters("range points must be ints, got %r" % (pts,))
+        pts = sorted(set(pts))
         if not pts:
             raise errors.BadParameters("range set must be nonempty")
         if pts[0] < 1 or pts[-1] > n:
             raise errors.PointOutOfRange("range set not contained in 1..%d" % n)
         self.n = n
         self.points = tuple(pts)
-        self._set = frozenset(pts)
+        self.point_set = frozenset(pts)
 
     @property
     def r(self) -> int:
         return len(self.points)
-
-    @property
-    def point_set(self) -> frozenset[int]:
-        return self._set
 
     @property
     def is_full(self) -> bool:
@@ -92,7 +98,8 @@ class ElementSet:
         generators: tuple[PartialInjection, ...] | None = None,
     ):
         self.elements = tuple(elements)
-        self._index = {a: i for i, a in enumerate(self.elements)}
+        # by slot table, which is the element
+        self._index = {a.table: i for i, a in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise errors.BadParameters("duplicate elements")
         self.generators = generators
@@ -108,10 +115,10 @@ class ElementSet:
         return self.elements[i]
 
     def __contains__(self, a: PartialInjection) -> bool:
-        return a in self._index
+        return a.table in self._index
 
     def index_of(self, a: PartialInjection) -> int:
-        return self._index[a]
+        return self._index[a.table]
 
     def mult_table(self) -> list[list[int]]:
         """Full multiplication table over element indices (cached).
@@ -126,7 +133,7 @@ class ElementSet:
             if len({a.n for a in self.elements}) > 1:
                 # the kernel reads tables without their chain size
                 raise errors.MismatchedChainSize("elements live on different chains")
-            index_of_table = {a.table: i for i, a in enumerate(self.elements)}.__getitem__
+            index_of_table = self._index.__getitem__
             right = [padded(b.table) for b in self.elements]
             lefts_by_image: dict[frozenset[int], list[int]] = {}
             for i, a in enumerate(self.elements):
@@ -168,8 +175,8 @@ def contains(ctx: RangeContext, a: PartialInjection) -> bool:
 
 
 def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    k = len(points)
-    for t in range(k):
+    """The cyclic rotations of a sequence; the empty one has itself alone."""
+    for t in range(max(len(points), 1)):
         yield points[t:] + points[:t]
 
 
@@ -194,31 +201,30 @@ def check_table_size(n: int, r: int) -> None:
 
 def element_blocks(
     ctx: RangeContext,
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The semigroup's elements as blocks `(domain, image sequences)`, one
-    per domain, in enumeration order.
+) -> Iterator[tuple[list[tuple[int, ...]], Iterable[tuple[int, ...]]]]:
+    """The semigroup's elements as blocks `(image sequences, domains)`, one
+    per rank, in enumeration order.
 
     For each pair of equal-sized sets (A, B) with A in the chain and B in Y,
     the elements with domain A and image B are the |B| cyclic rotations of
     the order isomorphism A -> B.  So an element is a domain together with an
     image sequence of its size: the images of its points in ascending order.
-    The empty domain comes first, with `[()]`; then, for each rank k, every
-    k-point domain in `combinations` order, each with the image sequences of
-    length k (all rotations of all k-subsets of Y) sorted once per rank, in
-    one list shared by all the domains of the rank.  Raises TooLarge, before
-    yielding anything, past MAX_ELEMENTS elements.
+    The rank-k block pairs every k-point domain, in `combinations` order,
+    with every image sequence of length k (all rotations of all k-subsets of
+    Y), sorted; its elements are the domains in order, each with every image
+    sequence in order.  Rank 0 comes first, with `[()]` and the one empty
+    domain.  The domains are an iterator, read once.  Raises TooLarge,
+    before yielding anything, past MAX_ELEMENTS elements.
     """
     n = ctx.n
     if size_exceeds(n, ctx.r, MAX_ELEMENTS):
         raise errors.TooLarge(
             "n=%d with |Y|=%d gives more than %d elements" % (n, ctx.r, MAX_ELEMENTS)
         )
-    yield (), [()]
     universe = range(1, n + 1)
-    for k in range(1, ctx.r + 1):
+    for k in range(ctx.r + 1):
         images = sorted(rot for img in combinations(ctx.points, k) for rot in _rotations(img))
-        for dom in combinations(universe, k):
-            yield dom, images
+        yield images, combinations(universe, k)
 
 
 def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
@@ -229,18 +235,17 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     """
     n = ctx.n
     out = []
-    images = right = None
-    for dom, seqs in element_blocks(ctx):
-        if seqs is not images:  # a new rank: pad its image sequences once
-            images, right = seqs, [padded(seq) for seq in seqs]
-        # the order isomorphism dom -> {1..k}; the kernel then reads each
-        # padded image sequence through it
-        place = [0] * n
-        for j, x in enumerate(dom, 1):
-            place[x - 1] = j
-        out.extend(
-            PartialInjection.from_table(n, t, dom) for t in map(left_multiplier(place), right)
-        )
+    for seqs, domains in element_blocks(ctx):
+        right = [padded(seq) for seq in seqs]
+        for dom in domains:
+            # the order isomorphism dom -> {1..k}; the kernel then reads each
+            # padded image sequence through it
+            place = [0] * n
+            for j, x in enumerate(dom, 1):
+                place[x - 1] = j
+            out.extend(
+                PartialInjection.from_table(t, dom) for t in map(left_multiplier(place), right)
+            )
     return ElementSet(out)
 
 
@@ -302,10 +307,6 @@ def closure(
     keyed = sorted(
         (n - t.count(0), tuple(compress(universe, t)), tuple(filter(None, t)), t) for t in tables
     )
-    ordered = [PartialInjection.from_table(n, t, domain) for _, domain, _, t in keyed]
+    ordered = [PartialInjection.from_table(t, domain) for _, domain, _, t in keyed]
     return ElementSet(ordered, generators=tuple(gens))
 
-
-def rank_layer(S: ElementSet, k: int) -> list[int]:
-    """Indices of the elements whose image has exactly k points."""
-    return [i for i, a in enumerate(S.elements) if a.rank == k]

@@ -55,17 +55,20 @@ def is_cyclic(items: Sequence[int]) -> bool:
 class PartialInjection:
     """An injective partial self-map of the chain {1, ..., n}.
 
-    Immutable value type: freely shareable, hashable, compared by chain
-    size and graph.  Composition acts left to right: x(a*b) == (xa)b.
+    Immutable value type: freely shareable, hashable, and compared by its
+    slot table, whose length is the chain size n.  Composition acts left to
+    right: x(a*b) == (xa)b.
     """
 
-    __slots__ = ("n", "table", "_dom", "_hash")
+    __slots__ = ("n", "table", "domain")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         _check_chain_size(n)
         table = [0] * n
         values = set()
         for x, y in pairs:
+            if not (_is_int(x) and _is_int(y)):
+                raise errors.BadParameters("points must be ints, got (%r, %r)" % (x, y))
             if not (1 <= x <= n and 1 <= y <= n):
                 raise errors.PointOutOfRange("pair (%r, %r) outside 1..%d" % (x, y, n))
             if table[x - 1]:
@@ -74,32 +77,28 @@ class PartialInjection:
                 raise errors.DuplicateValue("value %d used twice" % y)
             table[x - 1] = y
             values.add(y)
-        self._finish(n, tuple(table))
+        self._finish(tuple(table))
 
-    def _finish(self, n: int, table: tuple[int, ...], domain=None) -> None:
-        self.n = n
+    def _finish(self, table: Table, domain: tuple[int, ...] | None = None) -> None:
+        self.n = len(table)
         self.table = table
         if domain is None:
-            domain = tuple(compress(range(1, n + 1), table))
-        self._dom = domain
-        self._hash = hash((n, table))
+            domain = tuple(compress(range(1, self.n + 1), table))
+        self.domain = domain
 
     @classmethod
     def from_table(
-        cls, n: int, table: Sequence[int], domain: tuple[int, ...] | None = None
+        cls, table: Sequence[int], domain: tuple[int, ...] | None = None
     ) -> "PartialInjection":
         """Fast constructor trusting an already-valid slot table, and its
         ascending domain tuple when given: the product kernel's door, which
-        checks neither range nor injectivity (`contains` does)."""
+        checks neither range nor injectivity (`contains` does).  The chain
+        size is the table's length."""
         obj = cls.__new__(cls)
-        obj._finish(n, tuple(table), domain)
+        obj._finish(tuple(table), domain)
         return obj
 
     # -- basic accessors ----------------------------------------------------
-
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return self._dom
 
     @property
     def image_seq(self) -> tuple[int, ...]:
@@ -113,7 +112,7 @@ class PartialInjection:
 
     @property
     def rank(self) -> int:
-        return len(self._dom)
+        return len(self.domain)
 
     def __call__(self, x: int) -> int:
         v = self.table[x - 1]
@@ -121,15 +120,8 @@ class PartialInjection:
             raise KeyError("point %d not in domain" % x)
         return v
 
-    def get(self, x: int) -> int | None:
-        v = self.table[x - 1]
-        return v or None
-
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(x for x in self._dom if self.table[x - 1] == x)
-
     def is_empty(self) -> bool:
-        return not self._dom
+        return not self.domain
 
     # -- algebra ------------------------------------------------------------
 
@@ -139,17 +131,15 @@ class PartialInjection:
             raise errors.MismatchedChainSize(
                 "cannot compose maps on chains of size %d and %d" % (self.n, other.n)
             )
-        return PartialInjection.from_table(
-            self.n, left_multiplier(self.table)(padded(other.table))
-        )
+        return PartialInjection.from_table(left_multiplier(self.table)(padded(other.table)))
 
     __mul__ = compose
 
     def inverse(self) -> "PartialInjection":
         table = [0] * self.n
-        for x in self._dom:
+        for x in self.domain:
             table[self.table[x - 1] - 1] = x
-        return PartialInjection.from_table(self.n, table)
+        return PartialInjection.from_table(table)
 
     def power(self, k: int) -> "PartialInjection":
         """k-fold composition with itself; k=0 gives the identity on the chain."""
@@ -180,24 +170,24 @@ class PartialInjection:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialInjection):
             return NotImplemented
-        return self.n == other.n and self.table == other.table
+        return self.table == other.table
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.table)
 
     def __repr__(self) -> str:
-        body = ", ".join("%d->%d" % (x, self.table[x - 1]) for x in self._dom)
+        body = ", ".join("%d->%d" % (x, self.table[x - 1]) for x in self.domain)
         return "PartialInjection(n=%d, {%s})" % (self.n, body)
 
     # -- wire format --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "pairs": [[x, self.table[x - 1]] for x in self._dom]}
+        return {"n": self.n, "pairs": [[x, self.table[x - 1]] for x in self.domain]}
 
     @classmethod
     def from_json_dict(cls, data: dict, chain: int | None = None) -> "PartialInjection":
         """Inverse of `to_json_dict`; BadParameters for any other shape,
-        points that are not ints included.
+        points that are not ints included (the constructor refuses those).
 
         Given `chain`, an element on a chain of another size raises
         MismatchedChainSize before its table is built.
@@ -206,8 +196,6 @@ class PartialInjection:
             n, pairs = data["n"], [(x, y) for x, y in data["pairs"]]
         except (TypeError, KeyError, ValueError) as exc:
             raise errors.BadParameters("not a partial injection: %r" % (data,)) from exc
-        if not all(_is_int(x) and _is_int(y) for x, y in pairs):
-            raise errors.BadParameters("points must be ints: %r" % (data,))
         _check_chain_size(n)
         if chain is not None and n != chain:
             raise errors.MismatchedChainSize(
@@ -225,14 +213,9 @@ def _check_chain_size(n) -> None:
         raise errors.BadParameters("chain size must be a positive int, got %r" % (n,))
 
 
-def make_partial_injection(n: int, pairs: Iterable[tuple[int, int]]) -> PartialInjection:
-    """Build a partial injection, validating range and injectivity."""
-    return PartialInjection(n, pairs)
-
-
 def empty_map(n: int) -> PartialInjection:
     """The zero transformation: nowhere defined."""
-    return PartialInjection.from_table(n, (0,) * n)
+    return PartialInjection.from_table((0,) * n)
 
 
 def identity_on(n: int, points: Iterable[int]) -> PartialInjection:
@@ -242,7 +225,7 @@ def identity_on(n: int, points: Iterable[int]) -> PartialInjection:
         if not (1 <= x <= n):
             raise errors.PointOutOfRange("point %r outside 1..%d" % (x, n))
         table[x - 1] = x
-    return PartialInjection.from_table(n, table)
+    return PartialInjection.from_table(table)
 
 
 def order_isomorphism(n: int, source: Iterable[int], target: Iterable[int]) -> PartialInjection:
@@ -261,9 +244,5 @@ def rotation_perm(n: int, k: int = 1) -> PartialInjection:
     _check_chain_size(n)
     points = tuple(range(1, n + 1))
     k %= n
-    return PartialInjection.from_table(n, points[k:] + points[:k], points)
+    return PartialInjection.from_table(points[k:] + points[:k], points)
 
-
-def reflection_perm(n: int) -> PartialInjection:
-    """The order-reversing permutation i -> n+1-i."""
-    return PartialInjection.from_table(n, tuple(range(n, 0, -1)))

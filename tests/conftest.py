@@ -21,6 +21,16 @@ def sort_key(a):
     return (a.rank, a.domain, a.image_seq)
 
 
+def rank_layer(S, k: int) -> list[int]:
+    """Indices of the elements of S whose image has exactly k points."""
+    return [i for i, a in enumerate(S) if a.rank == k]
+
+
+def class_map(partition) -> dict[int, int]:
+    """Element index -> position of its class in a partition."""
+    return {i: c for c, members in enumerate(partition) for i in members}
+
+
 def all_range_sets(n: int, max_size: int | None = None):
     top = max_size if max_size is not None else n
     for size in range(1, min(top, n) + 1):
@@ -42,7 +52,7 @@ def all_partial_injections(n: int, max_rank: int | None = None):
         for dom in combinations(universe, k):
             for img in combinations(universe, k):
                 for arranged in permutations(img):
-                    yield P.make_partial_injection(n, zip(dom, arranged))
+                    yield P.PartialInjection(n, zip(dom, arranged))
 
 
 @st.composite
@@ -53,4 +63,4 @@ def member_of(draw, n: int, pts):
     dom = sorted(draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)))
     img = sorted(draw(st.lists(st.sampled_from(pts), min_size=k, max_size=k, unique=True)))
     t = draw(st.integers(0, max(k - 1, 0)))
-    return P.make_partial_injection(n, zip(dom, img[t:] + img[:t]))
+    return P.PartialInjection(n, zip(dom, img[t:] + img[:t]))

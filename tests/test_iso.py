@@ -18,7 +18,12 @@ from conftest import all_range_sets, semigroup
 
 
 def pi(n, *pairs):
-    return P.make_partial_injection(n, pairs)
+    return P.PartialInjection(n, pairs)
+
+
+def reflection(n):
+    """The order-reversing permutation i -> n+1-i."""
+    return P.PartialInjection.from_table(tuple(range(n, 0, -1)))
 
 
 class TestDihedralElements:
@@ -36,7 +41,7 @@ class TestDihedralElements:
     def test_defining_relation(self):
         for n in (3, 4, 5, 6):
             g = P.rotation_perm(n)
-            h = P.reflection_perm(n)
+            h = reflection(n)
             assert g * h == h * g.power(n - 1)
 
     def test_small_chain_rejected(self):
@@ -114,7 +119,7 @@ def full_dihedral_group(n):
     """The 2n rotations and reflections, as the rotation powers followed by
     the reflection times each of them."""
     rotations = [P.rotation_perm(n, k) for k in range(n)]
-    h = P.reflection_perm(n)
+    h = reflection(n)
     return rotations + [h * g for g in rotations]
 
 

@@ -18,11 +18,11 @@ from popi.cli import main
 
 from popi.rank import _checked, _gap_point, _missing_index, full_range_pair
 
-from conftest import all_range_sets, member_of, proper_range_sets, semigroup
+from conftest import all_range_sets, member_of, proper_range_sets, rank_layer, semigroup
 
 
 def pi(n, *pairs):
-    return P.make_partial_injection(n, pairs)
+    return P.PartialInjection(n, pairs)
 
 
 # -- reference searches -----------------------------------------------------
@@ -58,7 +58,7 @@ def search_low_rank(ctx, a):
                     for y in sorted(ctx.point_set - img):
                         table = list(gamma0.table)
                         table[d - 1] = y
-                        gamma = P.PartialInjection.from_table(n, table)
+                        gamma = P.PartialInjection.from_table(table)
                         if gamma.is_orientation_preserving() and beta * gamma == a:
                             return beta, gamma
     return None
@@ -68,7 +68,7 @@ def search_full_range_pair(ctx, S):
     """The first rank-(n-1) element that generates S together with the
     chain rotation."""
     g = P.rotation_perm(ctx.n)
-    for i in P.rank_layer(S, ctx.n - 1):
+    for i in rank_layer(S, ctx.n - 1):
         if len(P.closure(ctx, [g, S[i]])) == len(S):
             return S[i]
     return None
@@ -164,23 +164,23 @@ def reference_restricted_corank_one(ctx, a):
     for x in a.domain:
         table[beta(x) - 1] = a(x)
     table[p - 1] = pts[j - 1]
-    gamma = P.PartialInjection.from_table(n, table)
+    gamma = P.PartialInjection.from_table(table)
     return _checked(ctx, a, P.Decomposition(beta, gamma, case=case), (r, r))
 
 
 class TestRangeRotation:
     def test_small_example(self):
         ctx = P.RangeContext(3, (1, 2))
-        assert P.range_rotation(ctx) == pi(3, (1, 2), (2, 1))
+        assert P.range_rotation_power(ctx, 1) == pi(3, (1, 2), (2, 1))
 
     def test_full_range_equals_chain_rotation(self):
         for n in range(1, 6):
             ctx = P.RangeContext(n, range(1, n + 1))
-            assert P.range_rotation(ctx) == P.rotation_perm(n)
+            assert P.range_rotation_power(ctx, 1) == P.rotation_perm(n)
 
     def test_order_divides_range_size(self):
         ctx = P.RangeContext(5, (1, 3, 4))
-        gbar = P.range_rotation(ctx)
+        gbar = P.range_rotation_power(ctx, 1)
         acc = gbar
         for _ in range(ctx.r - 1):
             acc = acc * gbar
@@ -188,7 +188,7 @@ class TestRangeRotation:
 
     def test_powers(self):
         ctx = P.RangeContext(5, (1, 3, 4))
-        gbar = P.range_rotation(ctx)
+        gbar = P.range_rotation_power(ctx, 1)
         assert P.range_rotation_power(ctx, 0) == P.identity_on(5, ctx.points)
         assert P.range_rotation_power(ctx, 2) == gbar * gbar
 
@@ -227,14 +227,14 @@ class TestDecomposeLowRank:
         ctx = P.RangeContext(3, (1, 2))
         d = P.decompose_low_rank(ctx, P.empty_map(3))
         assert d.beta.rank == 1 and d.gamma.rank == 1
-        assert d.product() == P.empty_map(3)
+        assert d.beta * d.gamma == P.empty_map(3)
 
     def test_rank_one_in_bigger_context(self):
         ctx = P.RangeContext(4, (1, 2, 3))
         a = pi(4, (3, 1))
         d = P.decompose_low_rank(ctx, a)
         assert d.beta.rank == 2 and d.gamma.rank == 2
-        assert d.product() == a
+        assert d.beta * d.gamma == a
 
     def test_rejects_high_rank(self):
         ctx = P.RangeContext(3, (1, 2))
@@ -259,7 +259,7 @@ class TestDecomposeLowRank:
                     d = P.decompose_low_rank(ctx, a)
                     assert d.beta.rank == a.rank + 1 == d.gamma.rank
                     assert P.contains(ctx, d.beta) and P.contains(ctx, d.gamma)
-                    assert d.product() == a
+                    assert d.beta * d.gamma == a
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -289,7 +289,7 @@ class TestDecomposeCorankOne:
         assert d.shift_exponent == 0
         assert d.beta == pi(3, (1, 1), (3, 2))
         assert d.gamma == pi(3, (2, 1))
-        assert d.product() == pi(3, (3, 1))
+        assert d.beta * d.gamma == pi(3, (3, 1))
 
     def test_all_corank_one_elements(self):
         for n in range(2, 6):
@@ -302,7 +302,7 @@ class TestDecomposeCorankOne:
                     d = P.decompose_corank_one(ctx, a)
                     assert d.beta.rank == r
                     assert P.is_restricted_corank_one(ctx, d.gamma)
-                    assert d.product() == a
+                    assert d.beta * d.gamma == a
 
     def test_bad_rank(self):
         ctx = P.RangeContext(3, (1, 2))
@@ -322,7 +322,7 @@ class TestDecomposeRestrictedCorankOne:
         assert d.case == "high.lt"
         assert d.beta == P.identity_on(3, {1, 2})
         assert d.gamma == pi(3, (2, 1), (3, 2))
-        assert d.product() == pi(3, (2, 1))
+        assert d.beta * d.gamma == pi(3, (2, 1))
 
     def test_case_dispatch(self):
         ctx = P.RangeContext(3, (2, 3))
@@ -353,7 +353,7 @@ class TestDecomposeRestrictedCorankOne:
                     d = P.decompose_restricted_corank_one(ctx, a)
                     assert d.beta.rank == ctx.r == d.gamma.rank
                     assert P.contains(ctx, d.beta) and P.contains(ctx, d.gamma)
-                    assert d.product() == a
+                    assert d.beta * d.gamma == a
 
 
 class TestRotationExponent:
@@ -399,7 +399,7 @@ class TestRotationExponent:
                 ctx, S = semigroup(n, pts)
                 r = len(pts)
                 by_dom = {}
-                for i in P.rank_layer(S, r):
+                for i in rank_layer(S, r):
                     by_dom.setdefault(S[i].domain, []).append(S[i])
                 for dom, members in by_dom.items():
                     assert len(members) == r
@@ -414,7 +414,7 @@ class TestProductDomainStability:
         rng = random.Random(23)
         for n, pts in [(4, (1, 3)), (5, (1, 2, 4)), (5, (2, 3, 4, 5))]:
             ctx, S = semigroup(n, pts)
-            top = [S[i] for i in P.rank_layer(S, len(pts))]
+            top = [S[i] for i in rank_layer(S, len(pts))]
             for _ in range(400):
                 a, b = rng.choice(top), rng.choice(top)
                 ab = a * b
@@ -427,7 +427,7 @@ class TestCanonicalGeneratingSet:
         ctx = P.RangeContext(3, (1, 2))
         gens = P.canonical_generating_set(ctx)
         assert [g.domain for g in gens] == [(1, 2), (1, 3), (2, 3)]
-        assert gens[0] == P.range_rotation(ctx)
+        assert gens[0] == P.range_rotation_power(ctx, 1)
         assert len(P.closure(ctx, gens)) == 13
 
     def test_counts_and_generation(self):
@@ -499,9 +499,9 @@ class TestSemigroupRank:
         assert len(cert.lower_bound_witness) == 4
 
     def test_full_range_pair(self):
-        cert = P.semigroup_rank(P.RangeContext(4, (1, 2, 3, 4)))
+        ctx = P.RangeContext(4, (1, 2, 3, 4))
+        cert = P.semigroup_rank(ctx)
         assert cert.claimed_rank == 2
-        ctx = cert.ctx
         assert len(P.closure(ctx, list(cert.generating_set))) == P.cardinality_formula(4, 4)
 
     def test_certificate_invariants(self):
@@ -527,7 +527,7 @@ class TestChecked:
     def test_rejects_non_member_factor(self):
         # 1 -> 3 -> 1 multiplies out right, but beta's image leaves Y
         d = P.Decomposition(pi(3, (1, 3)), pi(3, (3, 1)), case="low")
-        assert d.product() == pi(3, (1, 1)) and not P.contains(self.ctx, d.beta)
+        assert d.beta * d.gamma == pi(3, (1, 1)) and not P.contains(self.ctx, d.beta)
         with pytest.raises(errors.DecompositionFailed):
             _checked(self.ctx, pi(3, (1, 1)), d, (1, 1))
 
@@ -550,7 +550,7 @@ class TestTopRankFactorization:
         assert prod == P.empty_map(3)
         assert all(f.rank == 2 for f in factors)
         assert steps[0][0] == "raise_rank"
-        assert all(d.product() == a for _, a, d in steps)
+        assert all(d.beta * d.gamma == a for _, a, d in steps)
 
     def test_full_range_rejected(self):
         with pytest.raises(errors.FullRangeNotSupported):
@@ -558,7 +558,7 @@ class TestTopRankFactorization:
 
     def test_top_rank_is_identity_factorization(self):
         ctx = P.RangeContext(3, (1, 2))
-        gbar = P.range_rotation(ctx)
+        gbar = P.range_rotation_power(ctx, 1)
         assert P.top_rank_factorization(ctx, gbar) == [gbar]
 
     def test_all_elements_small_grid(self):
@@ -579,7 +579,7 @@ def members(draw):
 
 
 def assert_factors(d, x, beta_rank, gamma_rank):
-    assert d.product() == x
+    assert d.beta * d.gamma == x
     assert (d.beta.rank, d.gamma.rank) == (beta_rank, gamma_rank)
 
 
@@ -622,7 +622,7 @@ def members_of_rank(draw, level):
     dom = sorted(draw(st.permutations(chain))[:k])
     img = sorted(draw(st.permutations(pts))[:k])
     t = 0 if level == "restricted" else draw(st.integers(0, max(k - 1, 0)))
-    return P.RangeContext(n, pts), P.make_partial_injection(n, zip(dom, img[t:] + img[:t]))
+    return P.RangeContext(n, pts), P.PartialInjection(n, zip(dom, img[t:] + img[:t]))
 
 
 LEVELS = {

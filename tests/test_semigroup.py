@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,14 @@ import popi as P
 from popi import errors
 from popi import semigroup as semigroup_module
 
-from conftest import all_partial_injections, all_range_sets, member_of, semigroup, sort_key
+from conftest import (
+    all_partial_injections,
+    all_range_sets,
+    member_of,
+    rank_layer,
+    semigroup,
+    sort_key,
+)
 
 
 def brute_force_members(n, pts):
@@ -77,7 +86,7 @@ class TestEnumerate:
             S = P.enumerate_semigroup(P.RangeContext(n, pts))
             assert S.elements == tuple(sorted(S.elements, key=sort_key))
             # the domain handed to from_table is the one the table defines
-            assert all(a.domain == P.PartialInjection.from_table(n, a.table).domain for a in S)
+            assert all(a.domain == P.PartialInjection.from_table(a.table).domain for a in S)
 
     def test_too_large_boundary(self, monkeypatch):
         assert P.cardinality_formula(10, 10) <= semigroup_module.MAX_ELEMENTS
@@ -134,12 +143,28 @@ def test_blocks_give_the_enumeration_order(ctx):
     # each element built from its (domain, image sequence) pair alone, with
     # range and injectivity validated
     built = [
-        P.make_partial_injection(ctx.n, zip(domain, image))
-        for domain, images in semigroup_module.element_blocks(ctx)
+        P.PartialInjection(ctx.n, zip(domain, image))
+        for images, domains in semigroup_module.element_blocks(ctx)
+        for domain in domains
         for image in images
     ]
     assert tuple(built) == P.enumerate_semigroup(ctx).elements
     assert all(P.contains(ctx, a) for a in built)
+
+
+@settings(max_examples=50, deadline=None)
+@given(range_contexts())
+def test_one_block_per_rank(ctx):
+    n, r = ctx.n, ctx.r
+    blocks = list(semigroup_module.element_blocks(ctx))
+    assert len(blocks) == r + 1
+    for k, (images, domains) in enumerate(blocks):
+        domains = list(domains)
+        assert len(domains) == math.comb(n, k) == len(set(domains))
+        assert all(len(d) == k and list(d) == sorted(d) for d in domains)
+        assert len(images) == max(k, 1) * math.comb(r, k) == len(set(images))
+        assert all(len(seq) == k and set(seq) <= ctx.point_set for seq in images)
+    assert blocks[0][0] == [()]
 
 
 def test_blocks_refuse_before_the_first_block():
@@ -173,8 +198,6 @@ class TestCardinalityFormula:
 
     def test_layer_counting_identity(self):
         # the closed form sums the per-rank layer sizes
-        import math
-
         for n in range(1, 8):
             for r in range(1, n + 1):
                 layered = 1 + sum(
@@ -186,8 +209,8 @@ class TestCardinalityFormula:
 class TestContains:
     def test_examples(self):
         ctx = P.RangeContext(3, (1, 2))
-        assert P.contains(ctx, P.make_partial_injection(3, [(3, 1)]))
-        assert not P.contains(ctx, P.make_partial_injection(3, [(1, 3)]))
+        assert P.contains(ctx, P.PartialInjection(3, [(3, 1)]))
+        assert not P.contains(ctx, P.PartialInjection(3, [(1, 3)]))
         assert P.contains(ctx, P.empty_map(3))
 
     def test_chain_mismatch(self):
@@ -197,7 +220,7 @@ class TestContains:
     def test_rejects_non_injective_table(self):
         # `from_table` trusts its table; 1 and 2 both going to 2 is no injection
         ctx = P.RangeContext(3, (1, 2))
-        assert not P.contains(ctx, P.PartialInjection.from_table(3, [2, 2, 0]))
+        assert not P.contains(ctx, P.PartialInjection.from_table([2, 2, 0]))
 
 
 @st.composite
@@ -235,24 +258,22 @@ class TestClosure:
     def test_rejects_outside_generator(self):
         ctx = P.RangeContext(3, (1, 2))
         with pytest.raises(errors.GeneratorOutsideSemigroup):
-            P.closure(ctx, [P.make_partial_injection(3, [(1, 3)])])
+            P.closure(ctx, [P.PartialInjection(3, [(1, 3)])])
 
 
 class TestRankLayer:
     def test_layer_sizes(self):
         _, S = semigroup(3, (1, 2))
-        assert len(P.rank_layer(S, 1)) == 6
-        assert len(P.rank_layer(S, 2)) == 6
-        zero = P.rank_layer(S, 0)
+        assert len(rank_layer(S, 1)) == 6
+        assert len(rank_layer(S, 2)) == 6
+        zero = rank_layer(S, 0)
         assert [S[i] for i in zero] == [P.empty_map(3)]
 
     def test_layer_counts_match_binomials(self):
-        import math
-
         for n in range(1, 6):
             for pts in all_range_sets(n):
                 _, S = semigroup(n, pts)
                 r = len(pts)
                 for k in range(1, r + 1):
                     expect = k * math.comb(n, k) * math.comb(r, k)
-                    assert len(P.rank_layer(S, k)) == expect
+                    assert len(rank_layer(S, k)) == expect

@@ -11,7 +11,7 @@ from conftest import all_partial_injections, member_of
 
 
 def pi(n, *pairs):
-    return P.make_partial_injection(n, pairs)
+    return P.PartialInjection(n, pairs)
 
 
 class TestConstruction:
@@ -23,7 +23,7 @@ class TestConstruction:
         a = pi(3, (1, 2), (3, 1))
         assert a.domain == (1, 3)
         assert a.image_seq == (2, 1)
-        assert a(1) == 2 and a(3) == 1 and a.get(2) is None
+        assert a(1) == 2 and a(3) == 1 and a.table[1] == 0
 
     def test_duplicate_value_rejected(self):
         with pytest.raises(errors.DuplicateValue):
@@ -45,8 +45,7 @@ class TestConstruction:
                 P.PartialInjection(n, [])
 
     def test_point_outside_domain(self):
-        a = P.make_partial_injection(3, [(1, 2)])
-        assert a.get(2) is None
+        a = P.PartialInjection(3, [(1, 2)])
         with pytest.raises(KeyError):
             a(2)
 
@@ -155,24 +154,13 @@ class TestOrientation:
         assert P.empty_map(3).is_order_preserving()
 
 
-class TestFixedPoints:
-    def test_identity(self):
-        assert P.identity_on(3, {1, 2}).fixed_points() == {1, 2}
-
-    def test_no_fixed(self):
-        assert pi(3, (1, 2), (3, 1)).fixed_points() == frozenset()
-
-    def test_partial(self):
-        assert pi(3, (1, 1), (2, 3)).fixed_points() == {1}
-
-
 def _random_maps(rng, count, n):
     out = []
     for _ in range(count):
         k = rng.randrange(0, n + 1)
         dom = rng.sample(range(1, n + 1), k)
         img = rng.sample(range(1, n + 1), k)
-        out.append(P.make_partial_injection(n, zip(dom, img)))
+        out.append(P.PartialInjection(n, zip(dom, img)))
     return out
 
 
@@ -219,8 +207,10 @@ class TestChainPermutations:
             assert P.rotation_perm(n, -k) * P.rotation_perm(n, k) == identity
 
     def test_reflection(self):
-        assert P.reflection_perm(3) == pi(3, (1, 3), (2, 2), (3, 1))
-        assert P.reflection_perm(4).power(2) == P.identity_on(4, range(1, 5))
+        # the order-reversing permutation, from its table
+        assert P.PartialInjection.from_table((3, 2, 1)) == pi(3, (1, 3), (2, 2), (3, 1))
+        h = P.PartialInjection.from_table((4, 3, 2, 1))
+        assert h.power(2) == P.identity_on(4, range(1, 5))
 
     def test_negative_power_rejected(self):
         with pytest.raises(errors.BadParameters):
@@ -266,7 +256,7 @@ def raw_tables(draw):
 @given(raw_tables(), st.data())
 def test_table_predicates_match_their_definitions(n_table, data):
     n, table = n_table
-    a = P.PartialInjection.from_table(n, table)
+    a = P.PartialInjection.from_table(table)
     domain = tuple(x for x in range(1, n + 1) if table[x - 1])
     seq = tuple(table[x - 1] for x in domain)
     assert a.domain == domain and a.image_seq == seq and a.rank == len(domain)
@@ -291,3 +281,62 @@ def test_rotation_perm_is_i_to_i_plus_k(data):
     assert g.table == tuple((i + k - 1) % n + 1 for i in range(1, n + 1))
     assert g.domain == tuple(range(1, n + 1))
     assert g == P.PartialInjection(n, [(i, (i + k - 1) % n + 1) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: P.RangeContext(5, [1.5, 2]),
+        lambda: P.RangeContext(5.0, [1, 2]),
+        lambda: P.RangeContext(True, [1]),
+        lambda: P.RangeContext(3, [True, 2]),
+        lambda: P.PartialInjection(3, [(1, True)]),
+        lambda: P.PartialInjection(3, [(1.0, 2)]),
+        lambda: P.PartialInjection.from_json_dict({"n": 3, "pairs": [[1, 2.0]]}, chain=3),
+    ],
+    ids=["float-point", "float-n", "bool-n", "bool-point", "bool-image", "float-pair",
+         "json-float"],
+)
+def test_non_int_input_refused(build):
+    with pytest.raises(errors.BadParameters):
+        build()
+
+
+@st.composite
+def same_chain_tables(draw):
+    """A chain size n <= 8 and a few slot tables on it, any values, so not
+    every table is injective; some repeat and some share their domain."""
+    n = draw(st.integers(1, 8))
+    table = st.lists(st.integers(0, n), min_size=n, max_size=n).map(tuple)
+    tables = draw(st.lists(table, min_size=1, max_size=8))
+    # the first table's values moved onto the same domain: equal domains,
+    # usually different tables
+    first = tables[0]
+    values = [v for v in first if v]
+    shifted = iter(values[1:] + values[:1])
+    return n, tables + [tuple(next(shifted) if v else 0 for v in first), first]
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_chain_tables())
+def test_an_element_is_its_table(n_tables):
+    n, tables = n_tables
+    elems = [P.PartialInjection.from_table(t) for t in tables]
+    assert all(a.n == len(t) == n for a, t in zip(elems, tables))
+    for a, s in zip(elems, tables):
+        for b, t in zip(elems, tables):
+            assert (a == b) == (s == t)
+            if a == b:
+                assert hash(a) == hash(b)
+    # a set of the distinct elements, probed by every table
+    index = {t: i for i, t in enumerate(dict.fromkeys(tables[::2]))}
+    S = P.ElementSet([P.PartialInjection.from_table(t) for t in index])
+    for a, t in zip(elems, tables):
+        assert (a in S) == (t in index)
+        if t in index:
+            assert S.index_of(a) == index[t]
+        # the same graph on a longer chain: another element, never a member
+        longer = P.PartialInjection.from_table(t + (0,))
+        assert longer.n == n + 1 and longer != a and longer not in S
+        with pytest.raises(errors.MismatchedChainSize):
+            a * longer
