@@ -283,18 +283,28 @@ def cmd_decompose(args) -> int:
     elem = PartialInjection.from_json_dict(data, chain=ctx.n)
     steps: list = []
     factors = top_rank_factorization(ctx, elem, steps)
+    # each step's input is an earlier β or γ, and each factor is one, so
+    # every element is formatted once per report
+    texts: dict = {}
+
+    def fmt(a: PartialInjection) -> str:
+        text = texts.get(a.table)
+        if text is None:
+            text = texts[a.table] = _fmt_elem(a)
+        return text
+
     report = _base_report(
-        "decompose", {"n": ctx.n, "y": list(ctx.points), "element": _fmt_elem(elem)}
+        "decompose", {"n": ctx.n, "y": list(ctx.points), "element": fmt(elem)}
     )
-    report["factors"] = [_fmt_elem(f) for f in factors]
+    report["factors"] = [fmt(f) for f in factors]
     report["steps"] = [
         {
             "op": op,
             "case": d.case,
             "shift": d.shift_exponent,
-            "input": _fmt_elem(a),
-            "beta": _fmt_elem(d.beta),
-            "gamma": _fmt_elem(d.gamma),
+            "input": fmt(a),
+            "beta": fmt(d.beta),
+            "gamma": fmt(d.gamma),
         }
         for op, a, d in steps
     ]

@@ -5,7 +5,7 @@ with range restricted to a fixed subset of the chain.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -87,22 +87,15 @@ def _restrictions(image: Iterable[int], right: Sequence[Table]) -> list[tuple[in
 
 class ElementSet:
     """A deduplicated, deterministically indexed collection of elements.
-
-    When built by `closure`, carries the generator list.  Immutable after
-    construction.
+    Immutable after construction.
     """
 
-    def __init__(
-        self,
-        elements: Sequence[PartialInjection],
-        generators: tuple[PartialInjection, ...] | None = None,
-    ):
+    def __init__(self, elements: Sequence[PartialInjection]):
         self.elements = tuple(elements)
         # by slot table, which is the element
         self._index = {a.table: i for i, a in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise errors.BadParameters("duplicate elements")
-        self.generators = generators
         self._mult: list[list[int]] | None = None
 
     def __len__(self) -> int:
@@ -230,8 +223,8 @@ def element_blocks(
 def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     """All orientation-preserving partial injections with image inside Y,
     built from `element_blocks`, in its order: by rank, then domain, then
-    image sequence, which is `closure`'s order.  Raises TooLarge, before
-    building anything, past MAX_ELEMENTS elements.
+    image sequence.  Raises TooLarge, before building anything, past
+    MAX_ELEMENTS elements.
     """
     n = ctx.n
     out = []
@@ -249,11 +242,20 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     return ElementSet(out)
 
 
+class Closure(frozenset):
+    """The slot tables of a closure, with the generators it was given."""
+
+    __slots__ = ("generators",)
+
+    generators: tuple[PartialInjection, ...]
+
+
 def closure(
     ctx: RangeContext, generators: Iterable[PartialInjection], min_rank: int = 0
-) -> ElementSet:
-    """The elements of rank at least `min_rank` in the subsemigroup
-    generated by the given elements; with the default 0, all of it.
+) -> Closure:
+    """The slot tables of the elements of rank at least `min_rank` in the
+    subsemigroup generated by the given elements; with the default 0, all
+    of it.
 
     A product's rank is at most the rank of each factor, so every prefix of
     a word for an element of rank at least `min_rank` has that rank too, and
@@ -264,9 +266,10 @@ def closure(
     (`_restrictions`).  A class's restriction has |im a ∩ dom h| nonzero
     values, the rank of its product, so classes below the floor are dropped
     before any product is formed.  No identity or zero is adjoined unless
-    generated.  Elements are ordered by rank, then domain, then image
-    sequence.  Every generator is checked for membership, and the result
-    carries them all, those below the floor included.
+    generated.  The result is a set, in no order, and builds no element.
+    Every generator is checked for membership, and the result's
+    `generators` holds them all, deduplicated in first-seen order, those
+    below the floor included.
     """
     gens: list[PartialInjection] = []
     seen: set[PartialInjection] = set()
@@ -302,11 +305,6 @@ def closure(
                     tables.add(p)
                     fresh.append(p)
         frontier = fresh
-    # (rank, domain, image sequence, table), read off each table by C-level calls
-    n, universe = ctx.n, range(1, ctx.n + 1)
-    keyed = sorted(
-        (n - t.count(0), tuple(compress(universe, t)), tuple(filter(None, t)), t) for t in tables
-    )
-    ordered = [PartialInjection.from_table(t, domain) for _, domain, _, t in keyed]
-    return ElementSet(ordered, generators=tuple(gens))
-
+    result = Closure(tables)
+    result.generators = tuple(gens)
+    return result

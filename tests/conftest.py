@@ -16,9 +16,15 @@ def semigroup(n: int, pts: tuple[int, ...]):
 
 
 def sort_key(a):
-    """The reference element order of `enumerate_semigroup` and `closure`:
-    by rank, then domain, then image sequence."""
+    """The reference element order of `enumerate_semigroup` and of
+    `ordered_closure`: by rank, then domain, then image sequence."""
     return (a.rank, a.domain, a.image_seq)
+
+
+def ordered_closure(ctx, gens, min_rank: int = 0):
+    """`closure`'s tables as an `ElementSet`, in `sort_key` order."""
+    tables = P.closure(ctx, gens, min_rank)
+    return P.ElementSet(sorted(map(P.PartialInjection.from_table, tables), key=sort_key))
 
 
 def rank_layer(S, k: int) -> list[int]:

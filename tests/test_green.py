@@ -5,7 +5,7 @@ from popi import errors, green
 from popi.cli import main
 from popi.green import _oracle_partitions
 
-from conftest import all_range_sets, class_map, rank_layer, semigroup
+from conftest import all_range_sets, class_map, ordered_closure, rank_layer, semigroup
 
 
 def pi(n, *pairs):
@@ -110,7 +110,7 @@ class TestOracleMatchesCharacterized:
 
     def test_singleton_set(self):
         ctx = P.RangeContext(3, (1, 2))
-        single = P.closure(ctx, [P.empty_map(3)])
+        single = ordered_closure(ctx, [P.empty_map(3)])
         assert P.green_oracle(single, "L") == ((0,),)
 
     def test_partitions_of_one_build_match_single_relations(self):

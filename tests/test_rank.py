@@ -665,15 +665,19 @@ def test_range_rotation_power_is_y_rotated(data):
 GOLDEN_RANK = os.path.join(os.path.dirname(__file__), "golden", "rank.json")
 
 
+def rank_digest(n: str, y: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["rank", "--n", n, "--y", y, "--json"]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def rank_digests() -> dict:
     digests = {}
     for n in range(1, 7):
         for pts in all_range_sets(n):
             y = ",".join(map(str, pts))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(["rank", "--n", str(n), "--y", y, "--json"]) == 0
-            digests["%d %s" % (n, y)] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            digests["%d %s" % (n, y)] = rank_digest(str(n), y)
     return digests
 
 
@@ -683,3 +687,16 @@ def test_rank_reports_match_golden_digests():
     digests = rank_digests()
     assert sorted(digests) == sorted(golden)
     assert [k for k in digests if digests[k] != golden[k]] == []
+
+
+# sha256 of `rank --json` stdout for seven Y at n = 7, the full range among
+# them, and for (8, {1..5}), captured before `closure` returned its set of
+# tables instead of sorted elements.
+GOLDEN_RANK_LARGE = os.path.join(os.path.dirname(__file__), "golden", "rank_large.json")
+
+
+def test_larger_rank_reports_match_golden_digests():
+    with open(GOLDEN_RANK_LARGE) as fh:
+        golden = json.load(fh)
+    assert "7 1,2,3,4,5,6,7" in golden and "8 1,2,3,4,5" in golden and len(golden) == 8
+    assert {key: rank_digest(*key.split()) for key in golden} == golden

@@ -12,6 +12,7 @@ from conftest import (
     all_partial_injections,
     all_range_sets,
     member_of,
+    ordered_closure,
     rank_layer,
     semigroup,
     sort_key,
@@ -242,17 +243,17 @@ def test_products_of_members_are_members(ctx_a_b):
 class TestClosure:
     def test_zero_alone(self):
         ctx = P.RangeContext(3, (1, 2))
-        C = P.closure(ctx, [P.empty_map(3)])
+        C = ordered_closure(ctx, [P.empty_map(3)])
         assert C.elements == (P.empty_map(3),)
 
     def test_canonical_set_generates_everything(self):
         ctx, S = semigroup(3, (1, 2))
-        C = P.closure(ctx, P.canonical_generating_set(ctx))
+        C = ordered_closure(ctx, P.canonical_generating_set(ctx))
         assert set(C.elements) == set(S.elements)
 
     def test_idempotent_on_full_set(self):
         ctx, S = semigroup(3, (1, 2))
-        C = P.closure(ctx, list(S.elements))
+        C = ordered_closure(ctx, list(S.elements))
         assert C.elements == S.elements
 
     def test_rejects_outside_generator(self):
