@@ -218,6 +218,8 @@ def cmd_card(args) -> int:
 
 def cmd_green(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
+    if args.check:
+        check_table_size(ctx.n, ctx.r)  # before the semigroup is built
     S = enumerate_semigroup(ctx)
     part = green_characterized(ctx, S, args.rel)
     report = _base_report(

@@ -14,7 +14,7 @@ from itertools import combinations, compress
 from typing import Iterable
 
 from . import errors
-from .semigroup import RangeContext, closure, contains, enumerate_semigroup
+from .semigroup import MAX_ELEMENTS, RangeContext, closure, contains, element_blocks
 from .transform import (
     PartialInjection,
     empty_map,
@@ -40,7 +40,7 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class RankCertificate:
-    """`order` is |S| as enumerated by `semigroup_rank`, which raises unless
+    """`order` is |S| as counted by `semigroup_rank`, which raises unless
     `generating_set` closes to all of S.  `lower_bound_witness` holds the
     domains that bound the rank from below: one per top-rank R-class for a
     proper range set, and those of the two idempotents for the full one."""
@@ -63,7 +63,7 @@ def range_rotation_power(ctx: RangeContext, t: int) -> PartialInjection:
     table = [0] * ctx.n
     for x, y in zip(pts, pts[t:] + pts[:t]):
         table[x - 1] = y
-    return PartialInjection.from_table(table, pts)
+    return PartialInjection.from_table(table)
 
 
 # -- shift decomposition ----------------------------------------------------
@@ -325,22 +325,24 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
     R-class, whose domains bound the rank from below.  Full range set: the
     constructed pair of `full_range_pair`.  A finite monogenic semigroup
     has exactly one idempotent, so the two idempotents of S, the empty map
-    and the identity, show that no single element generates it.
+    and the identity, show that no single element generates it.  |S| is
+    counted as the (domain, image sequence) pairs of `element_blocks`, not
+    built, and not read from `cardinality_formula`.
     """
-    S = enumerate_semigroup(ctx)
+    order = sum(len(seqs) * sum(1 for _ in domains) for seqs, domains in element_blocks(ctx))
     n = ctx.n
     if ctx.is_full:
         gens = full_range_pair(n)
         idempotents = (empty_map(n), identity_on(n, ctx.points))
-        if not all(e in S and e.is_idempotent() for e in idempotents):
+        if not all(contains(ctx, e) and e.is_idempotent() for e in idempotents):
             raise errors.DecompositionFailed("lower-bound witness is not two idempotents of S")
         witness = tuple(e.domain for e in idempotents)
     else:
         gens = tuple(canonical_generating_set(ctx))
         witness = tuple(combinations(range(1, n + 1), ctx.r))
-    if len(closure(ctx, gens)) != len(S):
+    if len(closure(ctx, gens)) != order:
         raise errors.DecompositionFailed("generating set failed to generate")
-    return RankCertificate(len(gens), gens, len(S), witness)
+    return RankCertificate(len(gens), gens, order, witness)
 
 
 # -- full pipeline ----------------------------------------------------------
@@ -354,11 +356,22 @@ def top_rank_factorization(
 
     When `steps` is given, one `(op, input, Decomposition)` triple is
     appended per factorization, in the order they are made.
+
+    Each rank-raising split doubles the factors, and a rank-(r-1) element
+    gives at most three, so a rank-m element gives at most
+    3 * 2^max(r-1-m, 0) factors of r pairs each.  Past MAX_ELEMENTS pairs, TooLarge is raised
+    before the first split.
     """
     if ctx.is_full:
         raise errors.FullRangeNotSupported("pipeline is defined for proper range sets")
     if not contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
+    r, splits = ctx.r, max(ctx.r - 1 - a.rank, 0)
+    if 3 * 2**splits * r > MAX_ELEMENTS:
+        raise errors.TooLarge(
+            "a rank-%d element with |Y|=%d gives up to 3*2^%d factors of %d pairs, more than %d"
+            % (a.rank, r, splits, r, MAX_ELEMENTS)
+        )
     factors = _factor(ctx, a, steps)
     prod = factors[0]
     for f in factors[1:]:

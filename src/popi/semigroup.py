@@ -236,9 +236,7 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
             place = [0] * n
             for j, x in enumerate(dom, 1):
                 place[x - 1] = j
-            out.extend(
-                PartialInjection.from_table(t, dom) for t in map(left_multiplier(place), right)
-            )
+            out.extend(map(PartialInjection.from_table, map(left_multiplier(place), right)))
     return ElementSet(out)
 
 

@@ -60,7 +60,7 @@ class PartialInjection:
     right: x(a*b) == (xa)b.
     """
 
-    __slots__ = ("n", "table", "domain")
+    __slots__ = ("table",)
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         _check_chain_size(n)
@@ -77,28 +77,27 @@ class PartialInjection:
                 raise errors.DuplicateValue("value %d used twice" % y)
             table[x - 1] = y
             values.add(y)
-        self._finish(tuple(table))
-
-    def _finish(self, table: Table, domain: tuple[int, ...] | None = None) -> None:
-        self.n = len(table)
-        self.table = table
-        if domain is None:
-            domain = tuple(compress(range(1, self.n + 1), table))
-        self.domain = domain
+        self.table = tuple(table)
 
     @classmethod
-    def from_table(
-        cls, table: Sequence[int], domain: tuple[int, ...] | None = None
-    ) -> "PartialInjection":
-        """Fast constructor trusting an already-valid slot table, and its
-        ascending domain tuple when given: the product kernel's door, which
-        checks neither range nor injectivity (`contains` does).  The chain
-        size is the table's length."""
+    def from_table(cls, table: Sequence[int]) -> "PartialInjection":
+        """Fast constructor trusting an already-valid slot table: the product
+        kernel's door, which checks neither range nor injectivity (`contains`
+        does)."""
         obj = cls.__new__(cls)
-        obj._finish(tuple(table), domain)
+        obj.table = tuple(table)
         return obj
 
     # -- basic accessors ----------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return len(self.table)
+
+    @property
+    def domain(self) -> tuple[int, ...]:
+        """The defined points in ascending order: the nonzero slots."""
+        return tuple(compress(range(1, len(self.table) + 1), self.table))
 
     @property
     def image_seq(self) -> tuple[int, ...]:
@@ -112,7 +111,7 @@ class PartialInjection:
 
     @property
     def rank(self) -> int:
-        return len(self.domain)
+        return len(self.table) - self.table.count(0)
 
     def __call__(self, x: int) -> int:
         v = self.table[x - 1]
@@ -121,7 +120,7 @@ class PartialInjection:
         return v
 
     def is_empty(self) -> bool:
-        return not self.domain
+        return not any(self.table)
 
     # -- algebra ------------------------------------------------------------
 
@@ -244,5 +243,5 @@ def rotation_perm(n: int, k: int = 1) -> PartialInjection:
     _check_chain_size(n)
     points = tuple(range(1, n + 1))
     k %= n
-    return PartialInjection.from_table(points[k:] + points[:k], points)
+    return PartialInjection.from_table(points[k:] + points[:k])
 

@@ -159,6 +159,18 @@ class TestGreen:
         code, doc = run_json(capsys, "green", "--n", "3", "--y", "1,2,3", "--rel", "H")
         assert code == 0 and sum(doc["class_sizes"]) == 31
 
+    def test_check_too_large_refused_before_building(self, capsys):
+        y = ",".join(map(str, range(1, 11)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "green", "--n", "10", "--y", y, "--rel", "D", "--check")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == "error: TooLarge: n=10 with |Y|=10 gives more than 10000000 table entries\n"
+        assert peak < 2**20
+
 
 class TestRank:
     def test_proper_range(self, capsys):
@@ -177,22 +189,23 @@ class TestRank:
         assert row["generators"] == ",".join(doc["generators"])
         assert row["closure_ok"] == "True" and row["config.y"] == "1,2"
 
-    def test_enumerates_once(self, capsys, monkeypatch):
-        import popi.cli
-        import popi.rank
+    def test_builds_no_element_set(self, capsys, monkeypatch):
+        # the certificate counts S from its blocks, and closures are sets of
+        # tables, so no element set is built
+        built = []
+        real_init = P.ElementSet.__init__
 
-        calls = []
-        real_enumerate = popi.rank.enumerate_semigroup
+        def counting_init(self, elements):
+            built.append(self)
+            real_init(self, elements)
 
-        def counting_enumerate(ctx):
-            calls.append(ctx)
-            return real_enumerate(ctx)
-
-        for module in (popi.cli, popi.rank):
-            monkeypatch.setattr(module, "enumerate_semigroup", counting_enumerate)
+        monkeypatch.setattr(P.ElementSet, "__init__", counting_init)
         code, doc = run_json(capsys, "rank", "--n", "4", "--y", "1,3")
         assert code == 0 and doc["closure_ok"] and doc["deletion_test"] == "all-shrink"
-        assert len(calls) == 1
+        assert built == []
+        # the counter sees an enumeration
+        P.enumerate_semigroup(P.RangeContext(4, (1, 3)))
+        assert len(built) == 1
 
     def test_full_range(self, capsys):
         code, doc = run_json(capsys, "rank", "--n", "4", "--y", "1,2,3,4")
@@ -299,6 +312,22 @@ class TestDecompose:
         )
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: TooLarge")
+
+    @pytest.mark.parametrize("n, r", [(17, 16), (1100, 1050)])
+    def test_factors_past_element_bound_refused(self, capsys, n, r):
+        # the empty map gives up to 3 * 2^(r-1) factors of r pairs; at
+        # r = 1050 the splits once ran past the recursion limit
+        elem = json.dumps({"n": n, "pairs": []})
+        y = ",".join(map(str, range(1, r + 1)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "decompose", "--n", str(n), "--y", y, "--element", elem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: TooLarge: ") and "Traceback" not in err
+        assert peak < 2**20
 
     @pytest.mark.parametrize("point", ["1.5", '"1"', "true"])
     def test_points_must_be_ints(self, capsys, point):

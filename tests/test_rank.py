@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from bisect import bisect
 from itertools import combinations
 
@@ -513,6 +514,25 @@ class TestSemigroupRank:
         assert doms == sorted(cert.lower_bound_witness)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_order_counts_the_enumeration(self, n):
+        # every Y at n <= 6, and the full range at n = 7
+        for pts in all_range_sets(n) if n <= 6 else [tuple(range(1, n + 1))]:
+            ctx, S = semigroup(n, pts)
+            assert P.semigroup_rank(ctx).order == len(S)
+
+    def test_too_large_refused_before_building(self):
+        ctx = P.RangeContext(30, range(1, 31))
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.TooLarge):
+                P.semigroup_rank(ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestChecked:
     """The one check every factorization stage passes its factors through."""
 
@@ -568,6 +588,23 @@ class TestTopRankFactorization:
                 for a in S:
                     factors = P.top_rank_factorization(ctx, a)
                     assert all(f.rank == len(pts) for f in factors)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_factor_count_bound(self, n):
+        # each rank-raising split doubles the factors and a rank-(r-1)
+        # element gives at most three: the bound the pipeline refuses past.
+        # Some element reaches it, except at n = 2: there r = 1, and the
+        # empty map is restricted, so it splits into two factors at once
+        reached = False
+        for pts in proper_range_sets(n):
+            ctx, S = semigroup(n, pts)
+            r = len(pts)
+            for a in S:
+                bound = 3 * 2 ** max(r - 1 - a.rank, 0)
+                count = len(P.top_rank_factorization(ctx, a))
+                assert count <= bound
+                reached |= count == bound
+        assert reached == (n > 2)
 
 
 @st.composite

@@ -272,6 +272,20 @@ def test_table_predicates_match_their_definitions(n_table, data):
         assert not P.contains(P.RangeContext(n, range(1, n + 1)), a)
 
 
+def test_table_is_the_only_state():
+    # n, domain, rank and is_empty read the table, so an unchecked table
+    # cannot disagree with them: 1 and 2 both going to 1 has rank 2 and an
+    # image of one point, so it is no member
+    assert P.PartialInjection.__slots__ == ("table",)
+    a = P.PartialInjection.from_table((1, 1, 0))
+    assert not hasattr(a, "__dict__")
+    assert (a.n, a.domain, a.rank, a.is_empty()) == (3, (1, 2), 2, False)
+    assert not P.contains(P.RangeContext(3, [1, 2]), a)
+    assert P.PartialInjection.from_table((0, 0)).is_empty()
+    with pytest.raises(TypeError):
+        P.PartialInjection.from_table((1, 1, 0), (1,))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rotation_perm_is_i_to_i_plus_k(data):
