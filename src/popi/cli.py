@@ -414,10 +414,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OptionTable(dict):
+    """A command's options as its argument function adds them: option name
+    -> (dest, type, const, default, required, choices), where a flag, which
+    takes no value, has type None.  The defaults are argparse's."""
+
+    def add_argument(self, name, action="store", dest=None, type=str, const=None,
+                     default=None, required=False, choices=None, help=None):
+        if action == "store_true":
+            const, default = True, False
+        dest = dest or name.lstrip("-").replace("-", "_")
+        type = type if action == "store" else None
+        self[name] = (dest, type, const, default, required, choices)
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """What the full parser gives for a plain argv, less `command`, read
+    without building a parser; None for any other argv.  A plain argv is a
+    command's name, then exact option names of that command, each option
+    that takes a value followed by one that does not start with "-", every
+    value valid and every required option given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, add_args = COMMANDS[argv[0]]
+    options = _OptionTable()
+    add_args(options)
+    values, missing = {}, set()
+    for name, (dest, _, _, default, required, _) in options.items():
+        values.setdefault(dest, default)  # as argparse: a dest's first default
+        if required:
+            missing.add(name)
+    tokens = iter(argv[1:])
+    for name in tokens:
+        if name not in options:
+            return None
+        dest, type_, const, _, _, choices = options[name]
+        missing.discard(name)
+        if type_ is None:
+            values[dest] = const
+            continue
+        text = next(tokens, "-")  # a missing value is not plain either
+        if text.startswith("-"):
+            return None
+        try:
+            value = type_(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if missing:
+        return None
+    return argparse.Namespace(**values, func=handler)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """What the full parser gives for argv, less `command`: a command's argv
-    is parsed by its own arguments alone, and the full parser takes every
-    other argv and reports leftover strings, with the same texts."""
+    """What the full parser gives for argv, less `command`: a plain argv is
+    read from its command's option table, any other argv of a command is
+    parsed by that command's own arguments alone, and the full parser takes
+    every other argv and reports leftover strings, with the same texts."""
+    args = _read_plain(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog="popi " + argv[0])
         _, handler, add_args = COMMANDS[argv[0]]

@@ -357,17 +357,18 @@ def top_rank_factorization(
     When `steps` is given, one `(op, input, Decomposition)` triple is
     appended per factorization, in the order they are made.
 
-    Each rank-raising split doubles the factors, and a rank-(r-1) element
-    gives at most three, so a rank-m element gives at most
-    3 * 2^max(r-1-m, 0) factors of r pairs each.  Past MAX_ELEMENTS pairs, TooLarge is raised
-    before the first split.
+    A rank-r element is its own single factor, a rank-(r-1) element gives
+    at most three, and each rank-raising split doubles the factors, so a
+    rank-m element with m < r gives at most 3 * 2^(r-1-m) factors of r
+    pairs each.  Past MAX_ELEMENTS pairs, TooLarge is raised before the
+    first split.
     """
     if ctx.is_full:
         raise errors.FullRangeNotSupported("pipeline is defined for proper range sets")
     if not contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
-    r, splits = ctx.r, max(ctx.r - 1 - a.rank, 0)
-    if 3 * 2**splits * r > MAX_ELEMENTS:
+    r, splits = ctx.r, ctx.r - 1 - a.rank
+    if splits >= 0 and 3 * 2**splits * r > MAX_ELEMENTS:
         raise errors.TooLarge(
             "a rank-%d element with |Y|=%d gives up to 3*2^%d factors of %d pairs, more than %d"
             % (a.rank, r, splits, r, MAX_ELEMENTS)

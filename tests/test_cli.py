@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -9,9 +10,19 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popi as P
-from popi.cli import COMMANDS, _base_report, _parse_args, build_parser, main
+from popi.cli import (
+    COMMANDS,
+    _base_report,
+    _OptionTable,
+    _parse_args,
+    _read_plain,
+    build_parser,
+    main,
+)
 
 from conftest import all_range_sets, proper_range_sets, semigroup
 
@@ -503,6 +514,16 @@ PARSER_CASES = {
     "double-dash-in-command": ["rank", "--", "--n", "3", "--y", "1,2"],
     "repeated-option": ["rank", "--n", "4", "--n", "3", "--y", "1,2"],
     "negative-leftover": ["selftest", "--max-n", "1", "-5"],
+    # argvs where a reader of plain argvs and argparse could part; captured
+    # from the parser that built only the named command's subparser
+    "negative-int-value": ["rank", "--n", "-3", "--y", "1"],
+    "dash-value": ["rank", "--n", "3", "--y", "-1,2"],
+    "empty-value": ["rank", "--n", "3", "--y", ""],
+    "option-as-value": ["rank", "--n", "3", "--y", "1,2", "--out", "--json"],
+    "repeated-flag": ["green", "--n", "3", "--y", "1,2", "--rel", "D", "--check", "--check"],
+    "csv-then-json": ["rank", "--n", "3", "--y", "1,2", "--csv", "--json"],
+    "json-then-csv": ["rank", "--n", "3", "--y", "1,2", "--json", "--csv"],
+    "selftest-bare": ["selftest"],
 }
 
 
@@ -561,3 +582,71 @@ class TestParser:
         full = build_parser().parse_args(argv)
         del full.command  # what _parse_args leaves out
         assert _parse_args(argv) == full
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS)
+    def test_plain_argv_builds_no_parser(self, argv, monkeypatch, capsys, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.chdir(tmp_path)  # card's --out writes there
+        assert main(list(argv)) == 0
+        assert built == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_plain_reader_agrees_with_argparse(self, data):
+        # a plain reader may decline any argv, but what it reads is what
+        # argparse parses, and it declines every argv argparse exits on
+        command = data.draw(st.sampled_from(COMMAND_NAMES))
+        options = _OptionTable()
+        COMMANDS[command][2](options)
+        names = sorted(options)
+        values = st.one_of(
+            st.integers(-20, 20).map(str),
+            st.sampled_from(["x", "1,2", "1.5", "", "-1,2", "-x", "-", " 3", "L", "D", "Q"]),
+        )
+        tokens = st.one_of(
+            st.sampled_from(names),
+            st.sampled_from(names).flatmap(
+                lambda name: st.integers(2, len(name) - 1).map(lambda k: name[:k])
+            ),
+            st.tuples(st.sampled_from(names), values).map("=".join),
+            st.sampled_from(["--", "-h", "--help", "--version", command]),
+            values,
+        )
+
+        def valid(name):
+            _, type_, _, _, _, choices = options[name]
+            if choices is not None:
+                return st.sampled_from(choices)
+            return st.integers(1, 4).map(str) if type_ is int else st.just("1,2")
+
+        # most options in turn, each mostly with a valid value if it takes
+        # one, so that many argvs are plain; then a few tokens of any kind
+        # anywhere
+        argv = [command]
+        for name in data.draw(st.permutations(names)):
+            kind = data.draw(st.sampled_from(["absent", "bare", "any", "valid", "valid", "valid"]))
+            if kind != "absent":
+                argv.append(name)
+            if kind in ("any", "valid") and options[name][1] is not None:
+                argv.append(data.draw(values if kind == "any" else valid(name)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            argv.insert(data.draw(st.integers(1, len(argv))), data.draw(tokens))
+        plain = _read_plain(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                full = build_parser().parse_args(argv)
+        except SystemExit:
+            assert plain is None
+            return
+        if plain is not None:
+            del full.command
+            assert plain == full

@@ -581,6 +581,16 @@ class TestTopRankFactorization:
         gbar = P.range_rotation_power(ctx, 1)
         assert P.top_rank_factorization(ctx, gbar) == [gbar]
 
+    def test_top_rank_element_is_never_too_large(self):
+        # one factor of r pairs, past where three would be refused
+        ctx = P.RangeContext(400001, range(1, 400001))
+        a = P.range_rotation_power(ctx, 1)
+        assert P.top_rank_factorization(ctx, a) == [a]
+        table = list(a.table)
+        table[0] = 0
+        with pytest.raises(errors.TooLarge):
+            P.top_rank_factorization(ctx, P.PartialInjection.from_table(table))
+
     def test_all_elements_small_grid(self):
         for n in range(2, 5):
             for pts in proper_range_sets(n):
@@ -591,8 +601,9 @@ class TestTopRankFactorization:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_factor_count_bound(self, n):
-        # each rank-raising split doubles the factors and a rank-(r-1)
-        # element gives at most three: the bound the pipeline refuses past.
+        # a rank-r element is its own factor, each rank-raising split
+        # doubles the factors and a rank-(r-1) element gives at most three:
+        # the bound the pipeline refuses past.
         # Some element reaches it, except at n = 2: there r = 1, and the
         # empty map is restricted, so it splits into two factors at once
         reached = False
@@ -600,10 +611,10 @@ class TestTopRankFactorization:
             ctx, S = semigroup(n, pts)
             r = len(pts)
             for a in S:
-                bound = 3 * 2 ** max(r - 1 - a.rank, 0)
+                bound = 1 if a.rank == r else 3 * 2 ** (r - 1 - a.rank)
                 count = len(P.top_rank_factorization(ctx, a))
                 assert count <= bound
-                reached |= count == bound
+                reached |= a.rank < r and count == bound
         assert reached == (n > 2)
 
 
