@@ -400,7 +400,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, for help, --version and errors."""
+    """The parser of every command, for every argv that is not plain."""
     parser = argparse.ArgumentParser(
         prog="popi",
         description="Orientation-preserving partial injections with restricted range.",
@@ -470,22 +470,13 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """What the full parser gives for argv, less `command`: a plain argv is
-    read from its command's option table, any other argv of a command is
-    parsed by that command's own arguments alone, and the full parser takes
-    every other argv and reports leftover strings, with the same texts."""
+    read from its command's option table, and the full parser takes every
+    other argv, with its help, usage and error texts."""
     args = _read_plain(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog="popi " + argv[0])
-        _, handler, add_args = COMMANDS[argv[0]]
-        add_args(parser)
-        parser.set_defaults(func=handler)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-        build_parser().error("unrecognized arguments: %s" % " ".join(rest))
-    return build_parser().parse_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        del args.command
+    return args
 
 
 def main(argv=None) -> int:
