@@ -36,7 +36,6 @@ from .rank import (
     deletion_test,
     is_restricted_corank_one,
     range_rotation_power,
-    rotation_exponent_between,
     semigroup_rank,
     shift_decompose,
     top_rank_factorization,
@@ -46,7 +45,6 @@ from .iso import (
     bruteforce_isomorphism,
     conjugation_isomorphism,
     decide_isomorphic,
-    dihedral_elements,
     is_dihedral_restriction,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "decompose_low_rank",
     "decompose_restricted_corank_one",
     "deletion_test",
-    "dihedral_elements",
     "empty_map",
     "enumerate_semigroup",
     "green_characterized",
@@ -85,7 +82,6 @@ __all__ = [
     "is_restricted_corank_one",
     "order_isomorphism",
     "range_rotation_power",
-    "rotation_exponent_between",
     "rotation_perm",
     "semigroup_rank",
     "shift_decompose",

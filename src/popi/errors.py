@@ -49,15 +49,7 @@ class NotRestricted(PopiError):
     """Element is not an order-preserving corank-one map with domain in the range set."""
 
 
-class DomainMismatch(PopiError):
-    pass
-
-
 class FullRangeNotSupported(PopiError):
-    pass
-
-
-class ChainTooSmall(PopiError):
     pass
 
 

@@ -160,8 +160,6 @@ class HClassProfile(NamedTuple):
     size: int
     is_group: bool
     is_cyclic_group: bool
-    common_domain: frozenset[int]
-    common_image: frozenset[int]
 
 
 def _powers(x) -> set:
@@ -194,6 +192,4 @@ def h_class_profile(ctx: RangeContext, S: ElementSet, a_index: int) -> HClassPro
         all(e * x == x == x * e for x in members) for e in members
     )
     is_cyclic = is_group and any(len(_powers(x)) == len(members) for x in members)
-    return HClassProfile(
-        len(members), is_group, is_cyclic, frozenset(a.domain), a.image
-    )
+    return HClassProfile(len(members), is_group, is_cyclic)

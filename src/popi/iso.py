@@ -34,22 +34,6 @@ def _dihedral_map(n: int, k: int, reflected: bool) -> Callable[[int], int]:
     return lambda x: (x + k - 1) % n + 1
 
 
-def _tabulate(n: int, f: Callable[[int], int]) -> PartialInjection:
-    return PartialInjection.from_table(tuple(map(f, range(1, n + 1))))
-
-
-def dihedral_elements(n: int) -> list[PartialInjection]:
-    """The 2n rotations and reflections of the chain, as permutations:
-    the rotations for k = 0..n-1, then the reflections for k = 0..n-1.
-
-    Undefined for n <= 2, where the group does not embed in the symmetric
-    group on the chain.
-    """
-    if n <= 2:
-        raise errors.ChainTooSmall("need n >= 3, got %d" % n)
-    return [_tabulate(n, _dihedral_map(n, k, s)) for s in (False, True) for k in range(n)]
-
-
 def is_dihedral_restriction(a: PartialInjection) -> bool:
     """Pairwise criterion: every defined pair of points keeps its circular
     distance, possibly reflected."""
@@ -68,7 +52,7 @@ def decide_isomorphic(n: int, y, z) -> IsoWitness:
     """Closed-form decision with witness.
 
     A map carrying Y onto Z sends min Y into Z, so only those 2|Y| maps are
-    tried, in `dihedral_elements` order; only the one found is tabulated.
+    tried, rotations before reflections; only the one found is tabulated.
     """
     yset = frozenset(y)
     zset = frozenset(z)
@@ -84,7 +68,8 @@ def decide_isomorphic(n: int, y, z) -> IsoWitness:
         for k in sorted((p + y0 - 1 if reflected else p - y0) % n for p in zset):
             f = _dihedral_map(n, k, reflected)
             if {f(p) for p in yset} == zset:
-                return IsoWitness(True, "dihedral", delta=_tabulate(n, f))
+                table = tuple(map(f, range(1, n + 1)))
+                return IsoWitness(True, "dihedral", delta=PartialInjection.from_table(table))
     return IsoWitness(False, "none")
 
 

@@ -248,26 +248,6 @@ def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> D
 # -- top-layer structure ----------------------------------------------------
 
 
-def rotation_exponent_between(
-    ctx: RangeContext, a: PartialInjection, b: PartialInjection
-) -> int:
-    """The unique t with a == b * (range rotation)^t for two top-rank
-    elements sharing a domain."""
-    if a.rank != ctx.r or b.rank != ctx.r:
-        raise errors.BadRank("both elements must have full range rank")
-    if not (contains(ctx, a) and contains(ctx, b)):
-        raise errors.NotAMember("arguments must belong to the semigroup")
-    if a.domain != b.domain:
-        raise errors.DomainMismatch("domains differ")
-    first = a.domain[0]
-    pa = ctx.points.index(a(first))
-    pb = ctx.points.index(b(first))
-    t = (pa - pb) % ctx.r
-    if b * range_rotation_power(ctx, t) != a:
-        raise errors.DecompositionFailed("rotation exponent check failed")
-    return t
-
-
 def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
     """One top-rank representative per domain: the order isomorphism onto
     the range set, except that the representative with domain equal to the

@@ -114,7 +114,7 @@ class PartialInjection:
         return len(self.table) - self.table.count(0)
 
     def __call__(self, x: int) -> int:
-        v = self.table[x - 1]
+        v = self.table[x - 1] if 1 <= x <= len(self.table) else 0
         if not v:
             raise KeyError("point %d not in domain" % x)
         return v
@@ -214,17 +214,12 @@ def _check_chain_size(n) -> None:
 
 def empty_map(n: int) -> PartialInjection:
     """The zero transformation: nowhere defined."""
-    return PartialInjection.from_table((0,) * n)
+    return PartialInjection(n)
 
 
 def identity_on(n: int, points: Iterable[int]) -> PartialInjection:
     """The partial identity fixing the given points and undefined elsewhere."""
-    table = [0] * n
-    for x in points:
-        if not (1 <= x <= n):
-            raise errors.PointOutOfRange("point %r outside 1..%d" % (x, n))
-        table[x - 1] = x
-    return PartialInjection.from_table(table)
+    return PartialInjection(n, ((x, x) for x in points))
 
 
 def order_isomorphism(n: int, source: Iterable[int], target: Iterable[int]) -> PartialInjection:

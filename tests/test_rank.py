@@ -19,11 +19,7 @@ from popi.cli import main
 
 from popi.rank import _checked, _gap_point, _missing_index, full_range_pair
 
-from conftest import all_range_sets, member_of, proper_range_sets, rank_layer, semigroup
-
-
-def pi(n, *pairs):
-    return P.PartialInjection(n, pairs)
+from conftest import all_range_sets, member_of, pi, proper_range_sets, rank_layer, semigroup
 
 
 # -- reference searches -----------------------------------------------------
@@ -362,51 +358,22 @@ class TestRotationExponent:
         ctx = P.RangeContext(3, (1, 2))
         b = pi(3, (1, 1), (3, 2))
         a = pi(3, (1, 2), (3, 1))
-        assert P.rotation_exponent_between(ctx, a, b) == 1
-
-    def test_zero_for_equal(self):
-        ctx = P.RangeContext(3, (1, 2))
-        b = pi(3, (1, 1), (3, 2))
-        assert P.rotation_exponent_between(ctx, b, b) == 0
-
-    def test_max_exponent(self):
-        ctx = P.RangeContext(4, (1, 3, 4))
-        b = P.order_isomorphism(4, [1, 2, 3], ctx.points)
-        a = b * P.range_rotation_power(ctx, ctx.r - 1)
-        assert P.rotation_exponent_between(ctx, a, b) == ctx.r - 1
-
-    def test_domain_mismatch(self):
-        ctx = P.RangeContext(3, (1, 2))
-        with pytest.raises(errors.DomainMismatch):
-            P.rotation_exponent_between(
-                ctx, pi(3, (1, 1), (2, 2)), pi(3, (1, 1), (3, 2))
-            )
-
-    def test_rejects_rank_below_top(self):
-        ctx = P.RangeContext(3, (1, 2))
-        with pytest.raises(errors.BadRank):
-            P.rotation_exponent_between(ctx, pi(3, (1, 1), (3, 2)), pi(3, (1, 1)))
-
-    def test_rejects_non_member(self):
-        ctx = P.RangeContext(3, (1, 2))
-        with pytest.raises(errors.NotAMember):
-            P.rotation_exponent_between(ctx, pi(3, (1, 1), (3, 2)), pi(3, (1, 1), (3, 3)))
+        assert b * P.range_rotation_power(ctx, 1) == a
 
     def test_enumerates_full_h_class(self):
-        # two top-rank elements with a common domain differ by a unique
-        # rotation power, and the powers sweep out the whole H-class
+        # the r powers of the range rotation, applied after one top-rank
+        # element, give exactly the r members of its domain
         for n in range(2, 6):
             for pts in proper_range_sets(n):
                 ctx, S = semigroup(n, pts)
                 r = len(pts)
                 by_dom = {}
                 for i in rank_layer(S, r):
-                    by_dom.setdefault(S[i].domain, []).append(S[i])
+                    by_dom.setdefault(S[i].domain, set()).add(S[i])
                 for dom, members in by_dom.items():
                     assert len(members) == r
-                    b = members[0]
-                    seen = {P.rotation_exponent_between(ctx, a, b) for a in members}
-                    assert seen == set(range(r))
+                    b = next(iter(members))
+                    assert {b * P.range_rotation_power(ctx, t) for t in range(r)} == members
 
 
 class TestProductDomainStability:

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 import popi as P
 from popi import errors
 
-from conftest import all_partial_injections, member_of
-
-
-def pi(n, *pairs):
-    return P.PartialInjection(n, pairs)
+from conftest import all_partial_injections, member_of, pi
 
 
 class TestConstruction:
@@ -48,6 +44,11 @@ class TestConstruction:
         a = P.PartialInjection(3, [(1, 2)])
         with pytest.raises(KeyError):
             a(2)
+        # off the chain: x - 1 would index slot -1, the image of 3, or past the table
+        b = P.PartialInjection(3, [(3, 2)])
+        for x in (0, -1, 4):
+            with pytest.raises(KeyError):
+                b(x)
 
     def test_equality_requires_same_chain(self):
         assert pi(3, (1, 1)) != pi(4, (1, 1))
@@ -122,6 +123,10 @@ class TestIdentityOn:
     def test_out_of_range(self):
         with pytest.raises(errors.PointOutOfRange):
             P.identity_on(3, {4})
+
+    def test_repeated_point(self):
+        with pytest.raises(errors.DuplicateKey):
+            P.identity_on(3, [1, 1])
 
 
 class TestCyclicPredicate:
@@ -307,9 +312,15 @@ def test_rotation_perm_is_i_to_i_plus_k(data):
         lambda: P.PartialInjection(3, [(1, True)]),
         lambda: P.PartialInjection(3, [(1.0, 2)]),
         lambda: P.PartialInjection.from_json_dict({"n": 3, "pairs": [[1, 2.0]]}, chain=3),
+        lambda: P.empty_map(0),
+        lambda: P.empty_map(True),
+        lambda: P.identity_on(0, []),
+        lambda: P.identity_on(3, [True]),
+        lambda: P.identity_on(3, [1.0]),
     ],
     ids=["float-point", "float-n", "bool-n", "bool-point", "bool-image", "float-pair",
-         "json-float"],
+         "json-float", "empty-zero-n", "empty-bool-n", "identity-zero-n", "identity-bool-point",
+         "identity-float-point"],
 )
 def test_non_int_input_refused(build):
     with pytest.raises(errors.BadParameters):
