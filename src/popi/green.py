@@ -4,17 +4,18 @@ The "oracle" path works from the ideal definitions over the finite element
 set with an external identity adjoined.  The "characterized" path uses the
 closed-form descriptions (regularity by domain containment; L/R/H/D by
 image, domain and rank).  A partition is its classes: a tuple of tuples of
-element indices, each sorted and ordered by its least index, so two
-partitions of one element set are equal exactly when their tuples are.
+`enumerate_semigroup` indices, each sorted and ordered by its least index,
+so two partitions of one semigroup are equal exactly when their tuples are.
 Tests assert the two partitions coincide.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 from . import errors
-from .semigroup import ElementSet, RangeContext, contains
+from .semigroup import ElementSet, RangeContext, _rotations, contains, element_blocks
 from .transform import PartialInjection
 
 
@@ -30,16 +31,11 @@ def _normalize(groups) -> Partition:
 # -- regularity -------------------------------------------------------------
 
 
-def _domain_inside_range(ctx: RangeContext, a) -> bool:
-    """The closed form of regularity for a member: its domain lies inside Y."""
-    return ctx.point_set.issuperset(a.domain)
-
-
 def is_regular_characterized(ctx: RangeContext, a) -> bool:
     """Closed form: regular exactly when the domain lies inside the range set."""
     if not contains(ctx, a):
         raise errors.NotAMember("%r is not in the semigroup" % (a,))
-    return _domain_inside_range(ctx, a)
+    return ctx.point_set.issuperset(a.domain)
 
 
 def is_regular_oracle(S: ElementSet, a_index: int) -> bool:
@@ -52,22 +48,27 @@ def is_regular_oracle(S: ElementSet, a_index: int) -> bool:
 # -- characterized partitions ----------------------------------------------
 
 
-def green_characterized(ctx: RangeContext, S: ElementSet, relation: str) -> Partition:
-    """Partition from the closed-form descriptions of L, R, H and D."""
+def green_characterized(ctx: RangeContext, relation: str) -> Partition:
+    """Partition from the closed-form descriptions of L, R, H and D over the
+    unbuilt pairs of `element_blocks`; a pair alone keys a class of one."""
     if relation not in ("L", "R", "H", "D"):
         raise errors.BadParameters("unknown relation %r" % relation)
     groups: dict = {}
-    for i, a in enumerate(S.elements):
-        regular = _domain_inside_range(ctx, a)
-        if relation == "L":
-            key = ("reg", a.image) if regular else ("one", i)
-        elif relation == "R":
-            key = a.domain
-        elif relation == "H":
-            key = ("reg", a.domain, a.image) if regular else ("one", i)
-        else:  # D: regular classes by rank, non-regular by shared domain
-            key = ("reg", a.rank) if regular else ("non", a.domain)
-        groups.setdefault(key, []).append(i)
+    index = count()  # the blocks' order is the enumeration's
+    for seqs, domains in element_blocks(ctx):
+        images = list(map(frozenset, seqs))
+        for domain in domains:
+            regular = ctx.point_set.issuperset(domain)
+            for seq, image in zip(seqs, images):
+                if relation == "L":
+                    key = ("reg", image) if regular else ("one", domain, seq)
+                elif relation == "R":
+                    key = domain
+                elif relation == "H":
+                    key = ("reg", domain, image) if regular else ("one", domain, seq)
+                else:  # D: regular classes by rank, non-regular by shared domain
+                    key = ("reg", len(domain)) if regular else ("non", domain)
+                groups.setdefault(key, []).append(next(index))
     return _normalize(groups.values())
 
 
@@ -172,21 +173,16 @@ def _powers(x) -> set:
     return powers
 
 
-def h_class_profile(ctx: RangeContext, S: ElementSet, a_index: int) -> HClassProfile:
-    """Size and group structure of the H-class of one element.
+def h_class_profile(ctx: RangeContext, a: PartialInjection) -> HClassProfile:
+    """Size and group structure of the H-class of one member.
 
     Regular elements share their H-class with everything of equal domain
     and image: the rotations of the image sequence on the domain, one per
     point (the empty map is its own class).  Non-regular elements sit alone.
     """
-    a = S[a_index]
-    if _domain_inside_range(ctx, a):
-        seq = a.image_seq
-        members = [
-            PartialInjection(a.n, zip(a.domain, seq[t:] + seq[:t])) for t in range(max(a.rank, 1))
-        ]
-    else:
-        members = [a]
+    members = [a]
+    if is_regular_characterized(ctx, a):
+        members = [PartialInjection(a.n, zip(a.domain, seq)) for seq in _rotations(a.image_seq)]
     member_set = set(members)
     is_group = all(x * y in member_set for x in members for y in members) and any(
         all(e * x == x == x * e for x in members) for e in members

@@ -14,7 +14,7 @@ from itertools import combinations, compress
 from typing import Iterable
 
 from . import errors
-from .semigroup import MAX_ELEMENTS, RangeContext, closure, contains, element_blocks
+from .semigroup import MAX_ELEMENTS, RangeContext, closure, contains, element_count
 from .transform import (
     PartialInjection,
     empty_map,
@@ -306,10 +306,9 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
     constructed pair of `full_range_pair`.  A finite monogenic semigroup
     has exactly one idempotent, so the two idempotents of S, the empty map
     and the identity, show that no single element generates it.  |S| is
-    counted as the (domain, image sequence) pairs of `element_blocks`, not
-    built, and not read from `cardinality_formula`.
+    `element_count`, so no element set is built.
     """
-    order = sum(len(seqs) * sum(1 for _ in domains) for seqs, domains in element_blocks(ctx))
+    order = element_count(ctx)
     n = ctx.n
     if ctx.is_full:
         gens = full_range_pair(n)

@@ -149,8 +149,8 @@ class ElementSet:
 
 def cardinality_formula(n: int, r: int) -> int:
     """Closed-form element count: 1 + r * C(n+r-1, r), exact."""
-    if not 1 <= r <= n:
-        raise errors.BadParameters("need 1 <= r <= n, got r=%r, n=%r" % (r, n))
+    if not (_is_int(n) and _is_int(r) and 1 <= r <= n):
+        raise errors.BadParameters("need ints 1 <= r <= n, got r=%r, n=%r" % (r, n))
     return 1 + r * math.comb(n + r - 1, r)
 
 
@@ -218,6 +218,11 @@ def element_blocks(
     for k in range(ctx.r + 1):
         images = sorted(rot for img in combinations(ctx.points, k) for rot in _rotations(img))
         yield images, combinations(universe, k)
+
+
+def element_count(ctx: RangeContext) -> int:
+    """|S|: the pairs of `element_blocks`, counted unbuilt, not the formula."""
+    return sum(len(seqs) * sum(1 for _ in domains) for seqs, domains in element_blocks(ctx))
 
 
 def enumerate_semigroup(ctx: RangeContext) -> ElementSet:

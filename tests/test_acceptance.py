@@ -58,7 +58,7 @@ class TestAcceptance:
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
                 for rel in ("L", "R", "H", "D"):
-                    if P.green_characterized(ctx, S, rel) != P.green_oracle(S, rel):
+                    if P.green_characterized(ctx, rel) != P.green_oracle(S, rel):
                         ok = False
                 if P.green_oracle(S, "D") != P.green_oracle(S, "J"):
                     ok = False
@@ -69,8 +69,8 @@ class TestAcceptance:
         for n in range(1, 6):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                for i, a in enumerate(S.elements):
-                    prof = P.h_class_profile(ctx, S, i)
+                for a in S:
+                    prof = P.h_class_profile(ctx, a)
                     if P.is_regular_characterized(ctx, a):
                         if prof.size != max(a.rank, 1):
                             ok = False

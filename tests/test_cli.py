@@ -41,6 +41,20 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+@pytest.fixture
+def element_sets(monkeypatch):
+    """The element sets built while the test runs."""
+    built = []
+    real_init = P.ElementSet.__init__
+
+    def counting_init(self, elements):
+        built.append(self)
+        real_init(self, elements)
+
+    monkeypatch.setattr(P.ElementSet, "__init__", counting_init)
+    return built
+
+
 class TestCard:
     def test_matches_formula(self, capsys):
         code, doc = run_json(capsys, "card", "--n", "3", "--y", "1,2")
@@ -54,6 +68,17 @@ class TestCard:
     def test_needs_y_or_r(self, capsys):
         code, out, err = run(capsys, "card", "--n", "3")
         assert code == 2 and "BadParameters" in err
+
+    def test_y_and_r_refused(self, capsys):
+        code, out, err = run(capsys, "card", "--n", "5", "--y", "1,2", "--r", "4")
+        assert code == 2 and out == ""
+        assert err == "error: BadParameters: card takes --y or --r, not both\n"
+
+    def test_builds_no_element_set(self, capsys, element_sets):
+        # the count reads the blocks' pairs; |S| = 923,781 at n = 10
+        code, doc = run_json(capsys, "card", "--n", "10", "--r", "10")
+        assert code == 0 and doc["formula"] == doc["enumerated"] == 923781
+        assert element_sets == []
 
     def test_r_past_n_refused_before_building(self, capsys):
         tracemalloc.start()
@@ -169,6 +194,15 @@ class TestGreen:
     def test_h_relation(self, capsys):
         code, doc = run_json(capsys, "green", "--n", "3", "--y", "1,2,3", "--rel", "H")
         assert code == 0 and sum(doc["class_sizes"]) == 31
+
+    def test_only_check_builds_an_element_set(self, capsys, element_sets):
+        code, doc = run_json(capsys, "green", "--n", "4", "--y", "1,3", "--rel", "D")
+        assert code == 0 and sum(doc["class_sizes"]) == 21
+        assert element_sets == []
+        code, checked = run_json(capsys, "green", "--n", "4", "--y", "1,3", "--rel", "D", "--check")
+        assert code == 0 and checked["oracle_agrees"] is True
+        assert checked["class_sizes"] == doc["class_sizes"]
+        assert len(element_sets) == 1
 
     def test_check_too_large_refused_before_building(self, capsys):
         y = ",".join(map(str, range(1, 11)))
@@ -427,6 +461,27 @@ class TestSelftest:
         _, doc = run_json(capsys, "selftest", "--max-n", "2")
         assert code == 1 and doc["failures"][0] == "cardinality n=1 y={1}"
         assert row["failures"].split(",") == doc["failures"]
+
+    def test_regularity_failure_once_per_range_set(self, capsys, monkeypatch):
+        import popi.cli
+
+        monkeypatch.setattr(popi.cli, "is_regular_characterized", lambda ctx, a: None)
+        code, doc = run_json(capsys, "selftest", "--max-n", "2")
+        assert code == 1 and doc["ok"] is False
+        assert doc["failures"] == [
+            "regularity n=1 y={1} i=0",
+            "regularity n=2 y={1} i=0",
+            "regularity n=2 y={2} i=0",
+            "regularity n=2 y={1 2} i=0",
+        ]
+
+    def test_green_failure_per_relation(self, capsys, monkeypatch):
+        import popi.cli
+
+        monkeypatch.setattr(popi.cli, "green_characterized", lambda ctx, rel: ())
+        code, doc = run_json(capsys, "selftest", "--max-n", "1")
+        assert code == 1 and doc["ok"] is False
+        assert doc["failures"] == ["green-%s n=1 y={1}" % rel for rel in "LRHD"]
 
 
 class TestErrors:

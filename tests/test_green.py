@@ -4,6 +4,7 @@ import popi as P
 from popi import errors, green
 from popi.cli import main
 from popi.green import _oracle_partitions
+from popi.semigroup import element_blocks
 
 from conftest import all_range_sets, class_map, ordered_closure, pi, rank_layer, semigroup
 
@@ -66,9 +67,9 @@ class TestCharacterizedExamples:
         ctx, S = semigroup(3, (1, 2))
         a = S.index_of(pi(3, (3, 1)))
         b = S.index_of(pi(3, (3, 2)))
-        rmap = class_map(P.green_characterized(ctx, S, "R"))
-        dmap = class_map(P.green_characterized(ctx, S, "D"))
-        lmap = class_map(P.green_characterized(ctx, S, "L"))
+        rmap = class_map(P.green_characterized(ctx, "R"))
+        dmap = class_map(P.green_characterized(ctx, "D"))
+        lmap = class_map(P.green_characterized(ctx, "L"))
         assert rmap[a] == rmap[b]
         assert dmap[a] == dmap[b]
         assert lmap[a] != lmap[b]
@@ -77,12 +78,12 @@ class TestCharacterizedExamples:
         ctx, S = semigroup(3, (1, 2))
         e = S.index_of(P.identity_on(3, {1, 2}))
         c = S.index_of(pi(3, (1, 2), (2, 1)))
-        hmap = class_map(P.green_characterized(ctx, S, "H"))
+        hmap = class_map(P.green_characterized(ctx, "H"))
         assert hmap[e] == hmap[c]
 
     def test_top_regular_d_class_content(self):
         ctx, S = semigroup(3, (1, 2))
-        dmap = class_map(P.green_characterized(ctx, S, "D"))
+        dmap = class_map(P.green_characterized(ctx, "D"))
         e = S.index_of(P.identity_on(3, {1, 2}))
         members = [i for i, c in dmap.items() if c == dmap[e]]
         expected = {e, S.index_of(pi(3, (1, 2), (2, 1)))}
@@ -95,12 +96,12 @@ class TestOracleMatchesCharacterized:
         for n in range(1, 5):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                assert P.green_characterized(ctx, S, rel) == P.green_oracle(S, rel)
+                assert P.green_characterized(ctx, rel) == P.green_oracle(S, rel)
 
     def test_unknown_relation_rejected(self):
         ctx, S = semigroup(3, (1, 2))
         with pytest.raises(errors.BadParameters):
-            P.green_characterized(ctx, S, "J")  # the oracle's alone
+            P.green_characterized(ctx, "J")  # the oracle's alone
         with pytest.raises(errors.BadParameters):
             P.green_oracle(S, "Q")
 
@@ -132,42 +133,52 @@ class TestOracleMatchesCharacterized:
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
                 r = len(pts)
-                rmap = class_map(P.green_characterized(ctx, S, "R"))
+                rmap = class_map(P.green_characterized(ctx, "R"))
                 top_classes = {rmap[i] for i in rank_layer(S, r)}
                 assert len(top_classes) == math.comb(n, r)
 
 
 class TestHClassProfile:
     def test_idempotent_of_rank_two(self):
-        ctx, S = semigroup(3, (1, 2))
-        prof = P.h_class_profile(ctx, S, S.index_of(P.identity_on(3, {1, 2})))
+        ctx = P.RangeContext(3, (1, 2))
+        prof = P.h_class_profile(ctx, P.identity_on(3, {1, 2}))
         assert prof == (2, True, True)
 
     def test_nonregular_singleton(self):
-        ctx, S = semigroup(3, (1, 2))
-        prof = P.h_class_profile(ctx, S, S.index_of(pi(3, (3, 1))))
+        ctx = P.RangeContext(3, (1, 2))
+        prof = P.h_class_profile(ctx, pi(3, (3, 1)))
         assert prof == (1, False, False)
 
     def test_zero(self):
-        ctx, S = semigroup(3, (1, 2))
-        prof = P.h_class_profile(ctx, S, S.index_of(P.empty_map(3)))
+        ctx = P.RangeContext(3, (1, 2))
+        prof = P.h_class_profile(ctx, P.empty_map(3))
         assert prof.size == 1 and prof.is_group and prof.is_cyclic_group
 
-    def test_full_range_identity_at_seven(self):
+    def test_non_member_refused(self):
+        ctx = P.RangeContext(3, (1, 2))
+        with pytest.raises(errors.NotAMember):
+            P.h_class_profile(ctx, pi(3, (1, 3)))
+        with pytest.raises(errors.MismatchedChainSize):
+            P.h_class_profile(ctx, P.empty_map(4))
+
+    def test_full_range_identity_at_seven(self, monkeypatch):
         # |S| = 12,013 is past the multiplication table's bound; the profile
         # needs only the seven rotations in the identity's class, the last
-        # of which ends the element order
-        ctx, S = semigroup(7, tuple(range(1, 8)))
-        for i in (S.index_of(P.identity_on(7, ctx.points)), len(S) - 1):
-            prof = P.h_class_profile(ctx, S, i)
+        # of which ends the element order, and builds no element set
+        monkeypatch.setattr(P.ElementSet, "__init__", None)
+        ctx = P.RangeContext(7, range(1, 8))
+        *_, (images, [domain]) = element_blocks(ctx)  # the top rank has one domain
+        last = pi(7, *zip(domain, images[-1]))
+        for a in (P.identity_on(7, ctx.points), last):
+            prof = P.h_class_profile(ctx, a)
             assert prof.size == 7 and prof.is_group and prof.is_cyclic_group
 
     def test_regular_class_sizes(self):
         for n in range(1, 5):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                for i, a in enumerate(S.elements):
-                    prof = P.h_class_profile(ctx, S, i)
+                for a in S:
+                    prof = P.h_class_profile(ctx, a)
                     if P.is_regular_characterized(ctx, a):
                         assert prof.size == max(a.rank, 1)
                     else:

@@ -196,6 +196,9 @@ class TestCardinalityFormula:
             P.cardinality_formula(3, 4)
         with pytest.raises(errors.BadParameters):
             P.cardinality_formula(3, 0)
+        for n, r in [(True, True), (3.0, 2), (3, 2.0), (3, True), ("3", 2)]:
+            with pytest.raises(errors.BadParameters):
+                P.cardinality_formula(n, r)
 
     def test_layer_counting_identity(self):
         # the closed form sums the per-rank layer sizes
