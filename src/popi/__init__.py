@@ -43,9 +43,7 @@ from .rank import (
 from .iso import (
     IsoWitness,
     bruteforce_isomorphism,
-    conjugation_isomorphism,
     decide_isomorphic,
-    is_dihedral_restriction,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "canonical_generating_set",
     "cardinality_formula",
     "closure",
-    "conjugation_isomorphism",
     "contains",
     "decide_isomorphic",
     "decompose_corank_one",
@@ -76,7 +73,6 @@ __all__ = [
     "h_class_profile",
     "identity_on",
     "is_cyclic",
-    "is_dihedral_restriction",
     "is_regular_characterized",
     "is_regular_oracle",
     "is_restricted_corank_one",

@@ -53,14 +53,6 @@ class FullRangeNotSupported(PopiError):
     pass
 
 
-class NotARangeMap(PopiError):
-    pass
-
-
-class InvalidConjugator(PopiError):
-    pass
-
-
 class TooLarge(PopiError):
     """The semigroup asked for has more elements than the package builds."""
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
-from . import errors
-from .semigroup import ElementSet, RangeContext, contains, enumerate_semigroup
+from .semigroup import ElementSet, RangeContext, check_table_size, enumerate_semigroup
 from .transform import PartialInjection
 
 
@@ -32,20 +31,6 @@ def _dihedral_map(n: int, k: int, reflected: bool) -> Callable[[int], int]:
     if reflected:
         return lambda x: (k - x) % n + 1
     return lambda x: (x + k - 1) % n + 1
-
-
-def is_dihedral_restriction(a: PartialInjection) -> bool:
-    """Pairwise criterion: every defined pair of points keeps its circular
-    distance, possibly reflected."""
-    n = a.n
-    dom = a.domain
-    for s in range(len(dom)):
-        for t in range(s + 1, len(dom)):
-            i, j = dom[s], dom[t]
-            gap = j - i
-            if abs(a(j) - a(i)) not in (gap, n - gap):
-                return False
-    return True
 
 
 def decide_isomorphic(n: int, y, z) -> IsoWitness:
@@ -73,77 +58,46 @@ def decide_isomorphic(n: int, y, z) -> IsoWitness:
     return IsoWitness(False, "none")
 
 
-def conjugation_isomorphism(
-    n: int, y, z, sigma: PartialInjection
-) -> dict[PartialInjection, PartialInjection]:
-    """The map a -> sigma^-1 * a * sigma, verified as an isomorphism.
-
-    The conjugator must carry the first range set onto the second and be a
-    rotation/reflection of the chain, unless both range sets have at most
-    two points, where any permutation works.
-    """
-    cy = RangeContext(n, y)
-    cz = RangeContext(n, z)
-    if not sigma.is_permutation() or sigma.n != n:
-        raise errors.InvalidConjugator("conjugator must be a permutation of the chain")
-    if frozenset(sigma(p) for p in cy.points) != cz.point_set:
-        raise errors.NotARangeMap("conjugator does not carry one range set to the other")
-    if cy.r > 2 and not is_dihedral_restriction(sigma):
-        raise errors.InvalidConjugator(
-            "range sets with more than two points need a rotation/reflection"
-        )
-    inv = sigma.inverse()
-    S = enumerate_semigroup(cy)
-    T = enumerate_semigroup(cz)
-    phi = {a: inv * a * sigma for a in S}
-    if len(set(phi.values())) != len(S) or len(S) != len(T):
-        raise errors.DecompositionFailed("conjugation map is not a bijection")
-    for b in phi.values():
-        if not contains(cz, b):
-            raise errors.DecompositionFailed("conjugation map leaves the target semigroup")
-    for a in S:
-        for b in S:
-            if phi[a * b] != phi[a] * phi[b]:
-                raise errors.DecompositionFailed("conjugation map is not a homomorphism")
-    return phi
-
-
 # -- independent brute-force oracle ----------------------------------------
 
 
-def bruteforce_isomorphism(S: ElementSet, T: ElementSet) -> dict[int, int] | None:
-    """Search for a product-preserving bijection between two element sets.
+def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
+    """Search for a product-preserving bijection between the semigroups on
+    n points with range sets y and z, as a map of `enumerate_semigroup`
+    indices, or None.
 
-    Tries every bijection phi between the two range sets (forced by the
-    images of the singleton identities).  An element's candidates are the
-    elements of T whose key (rank, image, graph on the range set) is its own
-    key mapped through phi.  The search then extends over elements by
+    Range sets of unequal size give semigroups of unequal size: None, before
+    anything is built.  Past the table bound, TooLarge before anything is
+    built.  Tries every bijection phi between the two range sets (forced by
+    the images of the singleton identities).  An element's candidates are
+    the elements of T whose key (rank, image, graph on the range set) is its
+    own key mapped through phi.  The search then extends over elements by
     backtracking with constraint propagation: assigning one element forces
     every product with already-assigned elements.
     """
-    if len(S) != len(T):
+    cy = RangeContext(n, y)
+    cz = RangeContext(n, z)
+    if cy.r != cz.r:
         return None
-    ypts = sorted({p for a in S for p in a.image_seq})
-    zpts = sorted({p for a in T for p in a.image_seq})
-    if len(ypts) != len(zpts):
-        return None
+    check_table_size(n, cy.r)
+    S = enumerate_semigroup(cy)
+    T = enumerate_semigroup(cz)
     m_s = S.mult_table()
     m_t = T.mult_table()
 
-    def keys(E: ElementSet, pts: list[int]) -> list[tuple]:
-        inside = set(pts)
+    def keys(E: ElementSet, inside: frozenset[int]) -> list[tuple]:
         return [
             (a.rank, a.image, frozenset((x, a(x)) for x in a.domain if x in inside)) for a in E
         ]
 
     t_keys: dict = {}
-    for j, k in enumerate(keys(T, zpts)):
+    for j, k in enumerate(keys(T, cz.point_set)):
         t_keys.setdefault(k, []).append(j)
-    s_keys = keys(S, ypts)
+    s_keys = keys(S, cy.point_set)
     order = sorted(range(len(S)), key=lambda i: (-s_keys[i][0], i))
 
-    for image_choice in permutations(zpts):
-        phi = dict(zip(ypts, image_choice)).__getitem__
+    for image_choice in permutations(cz.points):
+        phi = dict(zip(cy.points, image_choice)).__getitem__
         cand: list = [None] * len(S)
         for i in order:
             rank, image, graph = s_keys[i]

@@ -8,6 +8,7 @@ returning a wrong witness.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations, compress
@@ -307,9 +308,19 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
     has exactly one idempotent, so the two idempotents of S, the empty map
     and the identity, show that no single element generates it.  |S| is
     `element_count`, so no element set is built.
+
+    The canonical set holds C(n, r) tables of n slots.  Past MAX_ELEMENTS
+    slots, TooLarge is raised before anything is counted or built.  A
+    proper range set gives C(n, r) >= n, so n*n decides first, and the
+    exact binomial is only computed when n*n is within the bound.
     """
+    n, r = ctx.n, ctx.r
+    if not ctx.is_full and (n * n > MAX_ELEMENTS or n * math.comb(n, r) > MAX_ELEMENTS):
+        raise errors.TooLarge(
+            "n=%d with |Y|=%d gives C(%d, %d) generators of %d slots, more than %d slots"
+            % (n, r, n, r, n, MAX_ELEMENTS)
+        )
     order = element_count(ctx)
-    n = ctx.n
     if ctx.is_full:
         gens = full_range_pair(n)
         idempotents = (empty_map(n), identity_on(n, ctx.points))
@@ -318,7 +329,7 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
         witness = tuple(e.domain for e in idempotents)
     else:
         gens = tuple(canonical_generating_set(ctx))
-        witness = tuple(combinations(range(1, n + 1), ctx.r))
+        witness = tuple(combinations(range(1, n + 1), r))
     if len(closure(ctx, gens)) != order:
         raise errors.DecompositionFailed("generating set failed to generate")
     return RankCertificate(len(gens), gens, order, witness)

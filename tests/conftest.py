@@ -3,6 +3,7 @@
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import strategies as st
 
 import popi as P
@@ -13,6 +14,20 @@ def semigroup(n: int, pts: tuple[int, ...]):
     """Context plus enumerated element set, cached across tests."""
     ctx = P.RangeContext(n, pts)
     return ctx, P.enumerate_semigroup(ctx)
+
+
+@pytest.fixture
+def element_sets(monkeypatch):
+    """The element sets built while the test runs."""
+    built = []
+    real_init = P.ElementSet.__init__
+
+    def counting_init(self, elements):
+        built.append(self)
+        real_init(self, elements)
+
+    monkeypatch.setattr(P.ElementSet, "__init__", counting_init)
+    return built
 
 
 def pi(n, *pairs):
@@ -31,6 +46,29 @@ def full_dihedral_group(n):
     rotations = [P.rotation_perm(n, k) for k in range(n)]
     h = reflection(n)
     return rotations + [h * g for g in rotations]
+
+
+def is_dihedral_restriction(a):
+    """The pairwise criterion for a restriction of a rotation or reflection:
+    every two points of the domain keep their circular distance."""
+    n, dom = a.n, a.domain
+    return all(
+        abs(a(j) - a(i)) in (j - i, n - j + i) for s, i in enumerate(dom) for j in dom[s + 1 :]
+    )
+
+
+def conjugation_isomorphism(n, y, z, sigma):
+    """The map a -> sigma^-1 * a * sigma on the semigroup for y, if it is a
+    bijection onto the semigroup for z that preserves every product; None
+    otherwise."""
+    S, T = semigroup(n, y)[1], semigroup(n, z)[1]
+    inv = sigma.inverse()
+    phi = {a: inv * a * sigma for a in S}
+    if set(phi.values()) != set(T) or len(S) != len(T):
+        return None
+    if any(phi[a * b] != phi[a] * phi[b] for a in S for b in S):
+        return None
+    return phi
 
 
 def sort_key(a):

@@ -41,20 +41,6 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-@pytest.fixture
-def element_sets(monkeypatch):
-    """The element sets built while the test runs."""
-    built = []
-    real_init = P.ElementSet.__init__
-
-    def counting_init(self, elements):
-        built.append(self)
-        real_init(self, elements)
-
-    monkeypatch.setattr(P.ElementSet, "__init__", counting_init)
-    return built
-
-
 class TestCard:
     def test_matches_formula(self, capsys):
         code, doc = run_json(capsys, "card", "--n", "3", "--y", "1,2")
@@ -162,6 +148,10 @@ class TestEnumerate:
             # counts of thousands of digits, refused before they are computed
             pytest.param(["card", "--n", "100000", "--r", "20000"], id="card-huge-count"),
             pytest.param(["card", "--n", "300000", "--r", "300000"], id="card-huge-full-range"),
+            # |S| fits, but the canonical generating set holds C(n, |Y|)
+            # tables of n slots: 10^10 and about 5 * 10^8
+            pytest.param(["rank", "--n", "100000", "--y", "1"], id="rank-generators-one-point"),
+            pytest.param(["rank", "--n", "999", "--y", "1,2"], id="rank-generators-two-points"),
         ],
     )
     def test_too_large_refused_within_a_second(self, argv):
@@ -234,23 +224,15 @@ class TestRank:
         assert row["generators"] == ",".join(doc["generators"])
         assert row["closure_ok"] == "True" and row["config.y"] == "1,2"
 
-    def test_builds_no_element_set(self, capsys, monkeypatch):
+    def test_builds_no_element_set(self, capsys, element_sets):
         # the certificate counts S from its blocks, and closures are sets of
         # tables, so no element set is built
-        built = []
-        real_init = P.ElementSet.__init__
-
-        def counting_init(self, elements):
-            built.append(self)
-            real_init(self, elements)
-
-        monkeypatch.setattr(P.ElementSet, "__init__", counting_init)
         code, doc = run_json(capsys, "rank", "--n", "4", "--y", "1,3")
         assert code == 0 and doc["closure_ok"] and doc["deletion_test"] == "all-shrink"
-        assert built == []
+        assert element_sets == []
         # the counter sees an enumeration
         P.enumerate_semigroup(P.RangeContext(4, (1, 3)))
-        assert len(built) == 1
+        assert len(element_sets) == 1
 
     def test_full_range(self, capsys):
         code, doc = run_json(capsys, "rank", "--n", "4", "--y", "1,2,3,4")
@@ -286,15 +268,11 @@ class TestIso:
         assert code == 0 and "element_map" not in row
         assert row["oracle"] == "True" and row["config.z"] == "2,4"
 
-    def test_oracle_builds_nothing_for_unequal_sizes(self, capsys, monkeypatch):
-        import popi.cli
-
-        calls = []
-        monkeypatch.setattr(popi.cli, "enumerate_semigroup", calls.append)
+    def test_oracle_builds_nothing_for_unequal_sizes(self, capsys, element_sets):
         code, doc = run_json(
             capsys, "iso", "--n", "6", "--y", "1,2,3", "--z", "1,2,3,4", "--oracle"
         )
-        assert code == 0 and calls == []
+        assert code == 0 and element_sets == []
         assert doc["verdict"] is False and doc["oracle"] is False and doc["agree"] is True
 
 
