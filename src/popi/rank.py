@@ -15,7 +15,14 @@ from itertools import combinations, compress
 from typing import Iterable
 
 from . import errors
-from .semigroup import MAX_ELEMENTS, RangeContext, closure, contains, element_count
+from .semigroup import (
+    MAX_ELEMENTS,
+    RangeContext,
+    check_search_size,
+    closure,
+    contains,
+    element_count,
+)
 from .transform import (
     PartialInjection,
     empty_map,
@@ -249,14 +256,29 @@ def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> D
 # -- top-layer structure ----------------------------------------------------
 
 
+def _check_generating_set_size(ctx: RangeContext) -> None:
+    """TooLarge if the canonical set's C(n, r) tables of n slots pass
+    MAX_ELEMENTS slots.  A proper range set gives C(n, r) >= n, so n*n
+    decides first, and the exact binomial is only computed when n*n is
+    within the bound."""
+    n, r = ctx.n, ctx.r
+    if n * n > MAX_ELEMENTS or n * math.comb(n, r) > MAX_ELEMENTS:
+        raise errors.TooLarge(
+            "n=%d with |Y|=%d gives C(%d, %d) generators of %d slots, more than %d slots"
+            % (n, r, n, r, n, MAX_ELEMENTS)
+        )
+
+
 def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
     """One top-rank representative per domain: the order isomorphism onto
     the range set, except that the representative with domain equal to the
-    range set is the range rotation."""
+    range set is the range rotation.  Past MAX_ELEMENTS slots, TooLarge is
+    raised before any is built."""
     if ctx.is_full:
         raise errors.FullRangeNotSupported(
             "full-range rank is certified by a constructed pair, not by representatives"
         )
+    _check_generating_set_size(ctx)
     gens = []
     for dom in combinations(range(1, ctx.n + 1), ctx.r):
         if dom == ctx.points:
@@ -309,17 +331,15 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
     and the identity, show that no single element generates it.  |S| is
     `element_count`, so no element set is built.
 
-    The canonical set holds C(n, r) tables of n slots.  Past MAX_ELEMENTS
-    slots, TooLarge is raised before anything is counted or built.  A
-    proper range set gives C(n, r) >= n, so n*n decides first, and the
-    exact binomial is only computed when n*n is within the bound.
+    For a proper range set, TooLarge is raised before anything is counted
+    or built when the canonical set passes MAX_ELEMENTS slots or the chain
+    passes the closure's MAX_SEARCH_POINTS.  A full range set past the
+    search bound already passes MAX_ELEMENTS elements.
     """
     n, r = ctx.n, ctx.r
-    if not ctx.is_full and (n * n > MAX_ELEMENTS or n * math.comb(n, r) > MAX_ELEMENTS):
-        raise errors.TooLarge(
-            "n=%d with |Y|=%d gives C(%d, %d) generators of %d slots, more than %d slots"
-            % (n, r, n, r, n, MAX_ELEMENTS)
-        )
+    if not ctx.is_full:
+        _check_generating_set_size(ctx)
+        check_search_size(n)
     order = element_count(ctx)
     if ctx.is_full:
         gens = full_range_pair(n)

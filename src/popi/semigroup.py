@@ -6,13 +6,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
 from .transform import (
     PartialInjection,
-    Table,
     _check_chain_size,
     _is_int,
     is_cyclic,
@@ -25,6 +23,9 @@ from .transform import (
 # range (923,781 elements) fits.  It also bounds the chain: past it, the
 # rank-1 layer alone, n*|Y| elements, is larger.
 MAX_ELEMENTS = 10**6
+# The longest chain the searches take, `closure` and `ElementSet.mult_table`:
+# they multiply `bytes` tables, and a byte holds at most 255.
+MAX_SEARCH_POINTS = 255
 # The largest `ElementSet.mult_table`, at 8 bytes of list slot per entry
 # about 80 MiB; n = 6 with the full range (2,773^2 entries) fits.
 MAX_TABLE_ENTRIES = 10**7
@@ -73,16 +74,34 @@ class RangeContext:
         return "RangeContext(n=%d, Y={%s})" % (self.n, ", ".join(map(str, self.points)))
 
 
-def _restrictions(image: Iterable[int], right: Sequence[Table]) -> list[tuple[int, ...]]:
-    """Each padded right factor's values on slot 0 and the points of `image`.
+def check_search_size(n: int) -> None:
+    """TooLarge if a chain of n points is past MAX_SEARCH_POINTS."""
+    if n > MAX_SEARCH_POINTS:
+        raise errors.TooLarge(
+            "a chain of %d points is longer than the %d a search takes" % (n, MAX_SEARCH_POINTS)
+        )
+
+
+def _right_factor(table: Sequence[int]) -> bytes:
+    """The search kernel's right factor: b's table as the 256-byte
+    translation table that sends 0 to 0 and each point v to its image.
+
+    A search table a is `bytes(a.table)`, and the product x(ab) = (xa)b is
+    `a.translate(_right_factor(b.table))`: one C call, whose result is
+    hashable and not tracked by the garbage collector.  The chain has at
+    most MAX_SEARCH_POINTS points.
+    """
+    return b"\0" + bytes(table) + bytes(MAX_SEARCH_POINTS - len(table))
+
+
+def _restrictions(image: Iterable[int], right: Sequence[bytes]) -> list[bytes]:
+    """Each right factor's values on the points of `image`, in ascending
+    order.
 
     x(ab) = (xa)b reads b only on im(a), so right factors with equal
     restrictions give one product after any left factor with this image.
-    Slot 0, 0 in every padded table, keeps the getter from having no
-    argument (the empty map's image) or one (a one-argument itemgetter
-    returns the item, not a tuple).
     """
-    return list(map(itemgetter(0, *image), right))
+    return list(map(bytes(sorted(image)).translate, right))
 
 
 class ElementSet:
@@ -117,32 +136,36 @@ class ElementSet:
         """Full multiplication table over element indices (cached).
 
         Requires closure under composition; raises KeyError otherwise.
-        Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES.
+        Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES
+        or on a chain past MAX_SEARCH_POINTS.  Products are formed by the
+        search kernel of `_right_factor` on `bytes` tables.
         """
         if self._mult is None:
             size = len(self.elements)
             if size * size > MAX_TABLE_ENTRIES:
                 raise errors.TooLarge("%d^2 table entries exceed %d" % (size, MAX_TABLE_ENTRIES))
-            if len({a.n for a in self.elements}) > 1:
+            chains = {a.n for a in self.elements}
+            if len(chains) > 1:
                 # the kernel reads tables without their chain size
                 raise errors.MismatchedChainSize("elements live on different chains")
-            index_of_table = self._index.__getitem__
-            right = [padded(b.table) for b in self.elements]
+            check_search_size(max(chains, default=0))
+            tables = [bytes(a.table) for a in self.elements]
+            index_of_table = dict(zip(tables, range(size))).__getitem__
+            right = list(map(_right_factor, tables))
             lefts_by_image: dict[frozenset[int], list[int]] = {}
             for i, a in enumerate(self.elements):
                 lefts_by_image.setdefault(a.image, []).append(i)
             mult: list = [None] * size
             for image, lefts in lefts_by_image.items():
-                restrictions = _restrictions(sorted(image), right)
+                restrictions = _restrictions(image, right)
                 representatives = dict(zip(restrictions, right))
                 class_of = dict(zip(representatives, range(len(representatives))))
-                # the kernel as a plain gather: spread(p)[j] = p[class of j]
+                # a plain gather: spread(p)[j] = p[class of j]
                 spread = left_multiplier(tuple(map(class_of.__getitem__, restrictions)))
                 for i in lefts:
                     # a lookup per class still raises KeyError for an open set
-                    left = left_multiplier(self.elements[i].table)
-                    products = tuple(map(index_of_table, map(left, representatives.values())))
-                    mult[i] = list(spread(products))
+                    products = map(tables[i].translate, representatives.values())
+                    mult[i] = list(spread(tuple(map(index_of_table, products))))
             self._mult = mult
         return self._mult
 
@@ -185,11 +208,12 @@ def size_exceeds(n: int, r: int, limit: int) -> bool:
 
 def check_table_size(n: int, r: int) -> None:
     """TooLarge if the table of the semigroup for n and |Y| = r would pass
-    MAX_TABLE_ENTRIES."""
+    MAX_TABLE_ENTRIES, or its chain MAX_SEARCH_POINTS."""
     if size_exceeds(n, r, math.isqrt(MAX_TABLE_ENTRIES)):
         raise errors.TooLarge(
             "n=%d with |Y|=%d gives more than %d table entries" % (n, r, MAX_TABLE_ENTRIES)
         )
+    check_search_size(n)
 
 
 def element_blocks(
@@ -246,7 +270,8 @@ def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
 
 
 class Closure(frozenset):
-    """The slot tables of a closure, with the generators it was given."""
+    """The slot tables of a closure, as `bytes`, with the generators it was
+    given."""
 
     __slots__ = ("generators",)
 
@@ -264,16 +289,19 @@ def closure(
     a word for an element of rank at least `min_rank` has that rank too, and
     so has every generator in the word.  The search therefore starts from
     the generators at or above the floor and keeps only the products that
-    stay there.  It is breadth-first right-multiplication on slot tables,
-    one product per restriction class of those generators on each image met
+    stay there.  It is breadth-first right-multiplication on `bytes` slot
+    tables through the search kernel (`_right_factor`), one product per
+    restriction class of those generators on each image met
     (`_restrictions`).  A class's restriction has |im a ∩ dom h| nonzero
     values, the rank of its product, so classes below the floor are dropped
     before any product is formed.  No identity or zero is adjoined unless
-    generated.  The result is a set, in no order, and builds no element.
-    Every generator is checked for membership, and the result's
-    `generators` holds them all, deduplicated in first-seen order, those
-    below the floor included.
+    generated.  The result is a set of `bytes` tables, in no order, and
+    builds no element.  Every generator is checked for membership, and the
+    result's `generators` holds them all, deduplicated in first-seen order,
+    those below the floor included.  A chain past MAX_SEARCH_POINTS raises
+    TooLarge before anything is checked or built.
     """
+    check_search_size(ctx.n)
     gens: list[PartialInjection] = []
     seen: set[PartialInjection] = set()
     for a in generators:
@@ -284,12 +312,12 @@ def closure(
             gens.append(a)
     if not gens:
         raise errors.BadParameters("need at least one generator")
-    seeds = [g for g in gens if g.rank >= min_rank]
-    right = [padded(g.table) for g in seeds]
+    seeds = [bytes(g.table) for g in gens if g.rank >= min_rank]
+    right = list(map(_right_factor, seeds))
     # image set (with 0 when not total) -> one right factor per restriction
     # class whose product stays at or above the floor
-    representatives: dict[frozenset[int], list[Table]] = {}
-    tables = {g.table for g in seeds}
+    representatives: dict[frozenset[int], list[bytes]] = {}
+    tables = set(seeds)
     frontier = list(tables)
     while frontier:
         fresh = []
@@ -303,7 +331,7 @@ def closure(
                     if len(r) - r.count(0) >= min_rank
                 }
                 reps = representatives[image] = list(classes.values())
-            for p in map(left_multiplier(a), reps):
+            for p in map(a.translate, reps):
                 if p not in tables:
                     tables.add(p)
                     fresh.append(p)

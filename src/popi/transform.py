@@ -4,11 +4,13 @@ A partial injection is stored as a fixed-length table: slot x-1 holds the
 image of x, or 0 when x is undefined.  Points are 1-based throughout the
 package, including the CLI and the JSON wire format.
 
-`left_multiplier` and `padded` form the package's single product kernel:
-`compose`, `ElementSet.mult_table` and `closure` all multiply through them.
-The table and the closure also share the restriction classes of
-`semigroup._restrictions`: x(ab) = (xa)b reads b only on im(a), so they form
-one product per class of right factors that agree there.
+The package has two products, one per table representation.  `compose`
+multiplies the tuple tables of elements through `left_multiplier` and
+`padded`.  The searches, `ElementSet.mult_table` and `closure`, multiply
+`bytes` tables with `bytes.translate` (`semigroup._right_factor`), and share
+the restriction classes of `semigroup._restrictions`: x(ab) = (xa)b reads b
+only on im(a), so they form one product per class of right factors that
+agree there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def padded(table: Table) -> Table:
 
 
 def left_multiplier(table: Table) -> Callable[[Table], Table]:
-    """The product kernel: left multiplication by the map with this table.
+    """The element product: left multiplication by the map with this table.
 
     The returned function takes `padded(b)` and returns the table of the
     product, x(ab) = (xa)b, in one C-level `itemgetter` call.  Build it once

@@ -152,6 +152,8 @@ class TestEnumerate:
             # tables of n slots: 10^10 and about 5 * 10^8
             pytest.param(["rank", "--n", "100000", "--y", "1"], id="rank-generators-one-point"),
             pytest.param(["rank", "--n", "999", "--y", "1,2"], id="rank-generators-two-points"),
+            # the closure multiplies bytes tables, of at most 255 points
+            pytest.param(["rank", "--n", "256", "--y", "1"], id="rank-search-points"),
         ],
     )
     def test_too_large_refused_within_a_second(self, argv):
@@ -503,6 +505,19 @@ class TestErrors:
         )
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: TooLarge")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["green", "--n", "256", "--y", "1", "--rel", "D", "--check"],
+         ["iso", "--n", "256", "--y", "1", "--z", "2", "--oracle"],
+         ["rank", "--n", "256", "--y", "1"]],
+        ids=["green-check", "iso-oracle", "rank"],
+    )
+    def test_search_past_255_points_refused_before_building(self, capsys, element_sets, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: TooLarge: a chain of 256 points is longer than the 255 a search takes\n"
+        assert element_sets == []
 
     def test_out_unwritable(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

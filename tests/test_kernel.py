@@ -1,8 +1,10 @@
-"""The slot-table product kernel against the definitions it replaces.
+"""The two product kernels against the definitions they replace.
 
-`compose`, `ElementSet.mult_table` and `closure` all multiply through
-`left_multiplier`; these tests hold each of them to a definition-level
-reference built from `PartialInjection` values.
+`compose` multiplies tuple slot tables through `left_multiplier` and
+`padded`.  The searches, `ElementSet.mult_table` and `closure`, multiply
+`bytes` tables through `bytes.translate` and `_right_factor`.  These tests
+hold each of them to a definition-level reference built from
+`PartialInjection` values, and the search kernel to `compose`.
 """
 
 import random
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import popi as P
 from popi import errors
 from popi.rank import full_range_pair
-from popi.semigroup import _restrictions
+from popi.semigroup import _restrictions, _right_factor
 from popi.transform import left_multiplier, padded
 
 from conftest import (
@@ -128,7 +130,7 @@ class TestClosure:
         ctx = P.RangeContext(3, [1, 2, 3])
         g = P.PartialInjection(3, [(1, 2), (2, 3)])
         h = P.PartialInjection(3, [(1, 1), (2, 3)])
-        right = [padded(g.table), padded(h.table)]
+        right = [_right_factor(g.table), _right_factor(h.table)]
         on_image, elsewhere = _restrictions(frozenset(g.table), right), _restrictions((1,), right)
         assert on_image[0] == on_image[1] and elsewhere[0] != elsewhere[1]
         assert ordered_closure(ctx, [g, h]).elements == naive_closure([g, h])
@@ -167,7 +169,7 @@ class TestClosure:
             P.closure(ctx, [P.PartialInjection(4, [(2, 2)])] + gens, 2)
 
     def test_one_point_chain(self):
-        # a one-slot table multiplies through the one-point kernel
+        # a one-slot table, the shortest the search kernel reads
         ctx = P.RangeContext(1, [1])
         one, zero = P.identity_on(1, [1]), P.empty_map(1)
         assert ordered_closure(ctx, [one]).elements == (one,)
@@ -195,7 +197,7 @@ def test_closure_is_the_set_of_its_tables(data):
     k = data.draw(st.integers(-1, n + 1))
     C = P.closure(P.RangeContext(n, pts), gens, k)
     assert isinstance(C, frozenset)
-    assert C == {a.table for a in naive_closure(gens) if a.rank >= k}
+    assert C == {bytes(a.table) for a in naive_closure(gens) if a.rank >= k}
     assert C.generators == tuple(dict.fromkeys(gens))
 
 
@@ -237,6 +239,25 @@ def test_closure_above_a_floor_is_the_top_of_the_full_closure(data):
     if not P.contains(ctx, outsider):
         with pytest.raises(errors.GeneratorOutsideSemigroup):
             P.closure(ctx, gens + [outsider], max(k, outsider.rank + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_search_kernel_matches_compose(data):
+    n = data.draw(st.integers(1, 9))
+    pts = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    a = data.draw(member_of(n, pts))
+    bs = data.draw(st.lists(member_of(n, pts), min_size=1, max_size=6))
+    right = [_right_factor(b.table) for b in bs]
+    for b, h in zip(bs, right):
+        assert bytes(a.table).translate(h) == bytes((a * b).table)
+    # b and c share a restriction class on im a iff a * b == a * c; the
+    # closure passes the image with 0 when a is not total
+    products = [(a * b).table for b in bs]
+    by_product = [products.index(p) for p in products]
+    for image in (a.image, frozenset(a.table)):
+        restrictions = _restrictions(image, right)
+        assert [restrictions.index(r) for r in restrictions] == by_product
 
 
 triples = st.integers(1, 9).flatmap(lambda n: st.tuples(maps_on(n), maps_on(n), maps_on(n)))

@@ -410,6 +410,18 @@ class TestCanonicalGeneratingSet:
         with pytest.raises(errors.FullRangeNotSupported):
             P.canonical_generating_set(P.RangeContext(3, (1, 2, 3)))
 
+    def test_too_large_refused_before_building(self):
+        # 10^5 tables of 10^5 slots
+        ctx = P.RangeContext(100000, [1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.TooLarge):
+                P.canonical_generating_set(ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_removing_any_generator_loses_elements(self):
         ctx = P.RangeContext(4, (1, 3))
         gens = P.canonical_generating_set(ctx)
@@ -498,6 +510,22 @@ class TestSemigroupRank:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+    @pytest.mark.parametrize("n, pts", [(100000, (1,)), (999, (1, 2)), (256, (1,))])
+    def test_proper_range_refused_before_counting(self, monkeypatch, n, pts):
+        def uncounted(ctx):
+            raise AssertionError("S counted")
+
+        monkeypatch.setattr("popi.rank.element_count", uncounted)
+        with pytest.raises(errors.TooLarge):
+            P.semigroup_rank(P.RangeContext(n, pts))
+
+    def test_deletion_test_past_the_search_bound(self):
+        ctx = P.RangeContext(3000, [1])
+        gens = [P.PartialInjection(3000, [(x, 1)]) for x in (1, 2, 3)]
+        with pytest.raises(errors.TooLarge):
+            P.deletion_test(ctx, gens)
 
 
 class TestChecked:

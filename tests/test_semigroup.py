@@ -265,6 +265,32 @@ class TestClosure:
             P.closure(ctx, [P.PartialInjection(3, [(1, 3)])])
 
 
+class TestSearchBound:
+    """The searches multiply `bytes` tables, so they take at most 255 points."""
+
+    def test_closure_at_the_bound(self):
+        ctx = P.RangeContext(255, [1])
+        assert semigroup_module.MAX_SEARCH_POINTS == 255
+        # the 255 rank-one generators and the empty map
+        assert len(P.closure(ctx, P.canonical_generating_set(ctx))) == 256
+
+    def test_closure_past_the_bound(self, element_sets):
+        with pytest.raises(errors.TooLarge, match="chain of 256 points"):
+            P.closure(P.RangeContext(256, [1]), [P.identity_on(256, [1])])
+        assert element_sets == []
+
+    def test_table_past_the_bound(self):
+        semigroup_module.check_table_size(255, 1)
+        with pytest.raises(errors.TooLarge, match="chain of 256 points"):
+            semigroup_module.check_table_size(256, 1)
+        # the table bound, unchanged, still decides first past 3,161 points
+        with pytest.raises(errors.TooLarge, match="table entries"):
+            semigroup_module.check_table_size(3162, 1)
+        assert P.ElementSet([P.empty_map(255)]).mult_table() == [[0]]
+        with pytest.raises(errors.TooLarge, match="chain of 256 points"):
+            P.ElementSet([P.empty_map(256)]).mult_table()
+
+
 class TestRankLayer:
     def test_layer_sizes(self):
         _, S = semigroup(3, (1, 2))
