@@ -311,8 +311,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    top = max(args.max_n, 1)
-    check_table_size(top, top)  # the full range's table is the largest
+    if args.max_n < 1:
+        raise errors.BadParameters("--max-n must be at least 1, got %d" % args.max_n)
+    check_table_size(args.max_n, args.max_n)  # the full range's table is the largest
     failures = []
     for n in range(1, args.max_n + 1):
         for size in range(1, n + 1):

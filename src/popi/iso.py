@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
-from .semigroup import ElementSet, RangeContext, check_table_size, enumerate_semigroup
+from .semigroup import RangeContext, check_table_size, enumerate_semigroup
 from .transform import PartialInjection
 
 
@@ -70,10 +70,11 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
     anything is built.  Past the table bound, TooLarge before anything is
     built.  Tries every bijection phi between the two range sets (forced by
     the images of the singleton identities).  An element's candidates are
-    the elements of T whose key (rank, image, graph on the range set) is its
-    own key mapped through phi.  The search then extends over elements by
-    backtracking with constraint propagation: assigning one element forces
-    every product with already-assigned elements.
+    the elements of T whose key (image, so rank, and graph on the range set,
+    read from the `bytes` tables) is its own key mapped through phi.  The
+    search then extends over elements by backtracking with constraint
+    propagation: assigning one element forces every product with
+    already-assigned elements.
     """
     cy = RangeContext(n, y)
     cz = RangeContext(n, z)
@@ -85,27 +86,25 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
     m_s = S.mult_table()
     m_t = T.mult_table()
 
-    def keys(E: ElementSet, inside: frozenset[int]) -> list[tuple]:
+    def keys(tables: tuple[bytes, ...], inside: frozenset[int]) -> list[tuple]:
+        # a slot table's nonzero values are the image, whose size is the rank
         return [
-            (a.rank, a.image, frozenset((x, a(x)) for x in a.domain if x in inside)) for a in E
+            (frozenset(filter(None, t)), frozenset((x, t[x - 1]) for x in inside if t[x - 1]))
+            for t in tables
         ]
 
     t_keys: dict = {}
-    for j, k in enumerate(keys(T, cz.point_set)):
+    for j, k in enumerate(keys(T.tables, cz.point_set)):
         t_keys.setdefault(k, []).append(j)
-    s_keys = keys(S, cy.point_set)
-    order = sorted(range(len(S)), key=lambda i: (-s_keys[i][0], i))
+    s_keys = keys(S.tables, cy.point_set)
+    order = sorted(range(len(S)), key=lambda i: (-len(s_keys[i][0]), i))
 
     for image_choice in permutations(cz.points):
         phi = dict(zip(cy.points, image_choice)).__getitem__
         cand: list = [None] * len(S)
         for i in order:
-            rank, image, graph = s_keys[i]
-            mapped = (
-                rank,
-                frozenset(map(phi, image)),
-                frozenset((phi(x), phi(v)) for x, v in graph),
-            )
+            image, graph = s_keys[i]
+            mapped = (frozenset(map(phi, image)), frozenset((phi(x), phi(v)) for x, v in graph))
             cand[i] = t_keys.get(mapped)
             if cand[i] is None:
                 break

@@ -6,17 +6,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import errors
-from .transform import (
-    PartialInjection,
-    _check_chain_size,
-    _is_int,
-    is_cyclic,
-    left_multiplier,
-    padded,
-)
+from .transform import PartialInjection, _check_chain_size, _is_int, is_cyclic
 
 
 # The largest semigroup `enumerate_semigroup` builds; n = 10 with the full
@@ -105,63 +99,74 @@ def _restrictions(image: Iterable[int], right: Sequence[bytes]) -> list[bytes]:
 
 
 class ElementSet:
-    """A deduplicated, deterministically indexed collection of elements.
-    Immutable after construction.
+    """A semigroup's elements as the search kernel's `bytes` slot tables,
+    all of one chain, in a fixed order and indexed by table.  Immutable.
+
+    The tables are checked once, here: one length of at most
+    MAX_SEARCH_POINTS, and no table twice.  An element is built only when
+    one is read, by `S[i]` or by iteration.
     """
 
-    def __init__(self, elements: Sequence[PartialInjection]):
-        self.elements = tuple(elements)
-        # by slot table, which is the element
-        self._index = {a.table: i for i, a in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+    def __init__(self, tables: Iterable[bytes]):
+        self.tables = tuple(tables)
+        chains = set(map(len, self.tables))
+        if len(chains) > 1:
+            # the kernel reads tables without their chain size
+            raise errors.MismatchedChainSize("tables of %s points" % sorted(chains))
+        check_search_size(max(chains, default=0))
+        self._index = dict(zip(self.tables, range(len(self.tables))))
+        if len(self._index) != len(self.tables):
             raise errors.BadParameters("duplicate elements")
         self._mult: list[list[int]] | None = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.tables)
 
     def __iter__(self) -> Iterator[PartialInjection]:
-        return iter(self.elements)
+        return map(PartialInjection.from_table, self.tables)
 
     def __getitem__(self, i: int) -> PartialInjection:
-        return self.elements[i]
+        return PartialInjection.from_table(self.tables[i])
 
     def __contains__(self, a: PartialInjection) -> bool:
-        return a.table in self._index
+        # past MAX_SEARCH_POINTS no byte holds a point, and no table is there
+        return a.n <= MAX_SEARCH_POINTS and bytes(a.table) in self._index
 
     def index_of(self, a: PartialInjection) -> int:
-        return self._index[a.table]
+        """The index of a member; KeyError for anything else, an element of
+        another chain included."""
+        if a.n > MAX_SEARCH_POINTS:
+            raise KeyError(a)
+        return self._index[bytes(a.table)]
 
     def mult_table(self) -> list[list[int]]:
         """Full multiplication table over element indices (cached).
 
         Requires closure under composition; raises KeyError otherwise.
-        Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES
-        or on a chain past MAX_SEARCH_POINTS.  Products are formed by the
-        search kernel of `_right_factor` on `bytes` tables.
+        Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES.
+        Products are formed by the search kernel of `_right_factor`, one per
+        restriction class on each image set (with 0 when not total), as
+        `closure` forms them.
         """
         if self._mult is None:
-            size = len(self.elements)
+            tables = self.tables
+            size = len(tables)
             if size * size > MAX_TABLE_ENTRIES:
                 raise errors.TooLarge("%d^2 table entries exceed %d" % (size, MAX_TABLE_ENTRIES))
-            chains = {a.n for a in self.elements}
-            if len(chains) > 1:
-                # the kernel reads tables without their chain size
-                raise errors.MismatchedChainSize("elements live on different chains")
-            check_search_size(max(chains, default=0))
-            tables = [bytes(a.table) for a in self.elements]
-            index_of_table = dict(zip(tables, range(size))).__getitem__
+            index_of_table = self._index.__getitem__
             right = list(map(_right_factor, tables))
             lefts_by_image: dict[frozenset[int], list[int]] = {}
-            for i, a in enumerate(self.elements):
-                lefts_by_image.setdefault(a.image, []).append(i)
+            for i, a in enumerate(tables):
+                lefts_by_image.setdefault(frozenset(a), []).append(i)
             mult: list = [None] * size
             for image, lefts in lefts_by_image.items():
                 restrictions = _restrictions(image, right)
                 representatives = dict(zip(restrictions, right))
                 class_of = dict(zip(representatives, range(len(representatives))))
-                # a plain gather: spread(p)[j] = p[class of j]
-                spread = left_multiplier(tuple(map(class_of.__getitem__, restrictions)))
+                # a plain gather, spread(p)[j] = p[class of j]; a one-index
+                # itemgetter returns the item, but one element has one class
+                classes = map(class_of.__getitem__, restrictions)
+                spread = itemgetter(*classes) if size > 1 else tuple
                 for i in lefts:
                     # a lookup per class still raises KeyError for an open set
                     products = map(tables[i].translate, representatives.values())
@@ -251,22 +256,23 @@ def element_count(ctx: RangeContext) -> int:
 
 def enumerate_semigroup(ctx: RangeContext) -> ElementSet:
     """All orientation-preserving partial injections with image inside Y,
-    built from `element_blocks`, in its order: by rank, then domain, then
-    image sequence.  Raises TooLarge, before building anything, past
-    MAX_ELEMENTS elements.
+    as the `bytes` tables of `element_blocks`, in its order: by rank, then
+    domain, then image sequence.  Raises TooLarge, before building anything,
+    on a chain past MAX_SEARCH_POINTS or past MAX_ELEMENTS elements.
     """
     n = ctx.n
-    out = []
+    check_search_size(n)
+    tables: list[bytes] = []
     for seqs, domains in element_blocks(ctx):
-        right = [padded(seq) for seq in seqs]
+        right = list(map(_right_factor, seqs))
         for dom in domains:
-            # the order isomorphism dom -> {1..k}; the kernel then reads each
-            # padded image sequence through it
+            # the order isomorphism dom -> {1..k}; the search kernel then
+            # reads each image sequence through it
             place = [0] * n
             for j, x in enumerate(dom, 1):
                 place[x - 1] = j
-            out.extend(map(PartialInjection.from_table, map(left_multiplier(place), right)))
-    return ElementSet(out)
+            tables.extend(map(bytes(place).translate, right))
+    return ElementSet(tables)
 
 
 class Closure(frozenset):

@@ -4,44 +4,23 @@ A partial injection is stored as a fixed-length table: slot x-1 holds the
 image of x, or 0 when x is undefined.  Points are 1-based throughout the
 package, including the CLI and the JSON wire format.
 
-The package has two products, one per table representation.  `compose`
-multiplies the tuple tables of elements through `left_multiplier` and
-`padded`.  The searches, `ElementSet.mult_table` and `closure`, multiply
-`bytes` tables with `bytes.translate` (`semigroup._right_factor`), and share
-the restriction classes of `semigroup._restrictions`: x(ab) = (xa)b reads b
-only on im(a), so they form one product per class of right factors that
-agree there.
+Each table format has one owner and one product.  This module owns the
+tuple table of a `PartialInjection`, and `compose` multiplies two of them.
+`semigroup` owns the `bytes` table of the searches, `ElementSet`, `closure`
+and `enumerate_semigroup`, which multiply with `bytes.translate`
+(`semigroup._right_factor`) and share the restriction classes of
+`semigroup._restrictions`: x(ab) = (xa)b reads b only on im(a), so they form
+one product per class of right factors that agree there.  Elements are built
+from `bytes` tables only where one is read.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import gt, itemgetter, lt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import errors
-
-Table = tuple[int, ...]
-
-
-def padded(table: Table) -> Table:
-    """A right factor's table in the form `left_multiplier` reads: slot v
-    holds the image of v, and slot 0 sends "undefined" to "undefined"."""
-    return (0,) + table
-
-
-def left_multiplier(table: Table) -> Callable[[Table], Table]:
-    """The element product: left multiplication by the map with this table.
-
-    The returned function takes `padded(b)` and returns the table of the
-    product, x(ab) = (xa)b, in one C-level `itemgetter` call.  Build it once
-    per left factor and apply it to many right factors.
-    """
-    if len(table) == 1:
-        # a one-argument itemgetter returns the item, not a 1-tuple
-        (v,) = table
-        return lambda right: (right[v],)
-    return itemgetter(*table)
 
 
 def is_cyclic(items: Sequence[int]) -> bool:
@@ -127,12 +106,18 @@ class PartialInjection:
     # -- algebra ------------------------------------------------------------
 
     def compose(self, other: "PartialInjection") -> "PartialInjection":
-        """self followed by other."""
+        """self followed by other: the element product, in one C-level
+        `itemgetter` call on tuple tables."""
         if self.n != other.n:
             raise errors.MismatchedChainSize(
                 "cannot compose maps on chains of size %d and %d" % (self.n, other.n)
             )
-        return PartialInjection.from_table(left_multiplier(self.table)(padded(other.table)))
+        # x(ab) = (xa)b: slot v of `right` holds the image of v, and slot 0
+        # sends "undefined" to "undefined"
+        right = (0, *other.table)
+        # a one-index itemgetter returns the item, not a 1-tuple
+        table = itemgetter(*self.table)(right) if self.n > 1 else (right[self.table[0]],)
+        return PartialInjection.from_table(table)
 
     __mul__ = compose
 

@@ -1,7 +1,7 @@
 """Shared helpers: cached enumerations and independent brute-force builders."""
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -22,11 +22,30 @@ def element_sets(monkeypatch):
     built = []
     real_init = P.ElementSet.__init__
 
-    def counting_init(self, elements):
+    def counting_init(self, tables):
         built.append(self)
-        real_init(self, elements)
+        real_init(self, tables)
 
     monkeypatch.setattr(P.ElementSet, "__init__", counting_init)
+    return built
+
+
+@pytest.fixture
+def elements_built(monkeypatch):
+    """The elements built while the test runs, by either constructor."""
+    built = []
+    real_init, real_from_table = P.PartialInjection.__init__, P.PartialInjection.from_table
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    def counting_from_table(cls, table):
+        built.append(table)
+        return real_from_table(table)
+
+    monkeypatch.setattr(P.PartialInjection, "__init__", counting_init)
+    monkeypatch.setattr(P.PartialInjection, "from_table", classmethod(counting_from_table))
     return built
 
 
@@ -71,16 +90,22 @@ def conjugation_isomorphism(n, y, z, sigma):
     return phi
 
 
-def sort_key(a):
+def table_key(table):
     """The reference element order of `enumerate_semigroup` and of
-    `ordered_closure`: by rank, then domain, then image sequence."""
-    return (a.rank, a.domain, a.image_seq)
+    `ordered_closure`, read from a slot table, a tuple or `bytes`: by rank,
+    then domain, then image sequence."""
+    domain = tuple(compress(range(1, len(table) + 1), table))
+    return (len(domain), domain, tuple(filter(None, table)))
+
+
+def sort_key(a):
+    """`table_key` of an element."""
+    return table_key(a.table)
 
 
 def ordered_closure(ctx, gens, min_rank: int = 0):
     """`closure`'s tables as an `ElementSet`, in `sort_key` order."""
-    tables = P.closure(ctx, gens, min_rank)
-    return P.ElementSet(sorted(map(P.PartialInjection.from_table, tables), key=sort_key))
+    return P.ElementSet(sorted(P.closure(ctx, gens, min_rank), key=table_key))
 
 
 def rank_layer(S, k: int) -> list[int]:

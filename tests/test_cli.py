@@ -432,6 +432,13 @@ class TestSelftest:
         code, doc = run_json(capsys, "selftest", "--max-n", "3")
         assert code == 0 and doc["ok"] is True and doc["failures"] == []
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_refused(self, capsys, max_n):
+        # a sweep that checks nothing must not report ok
+        code, out, err = run(capsys, "selftest", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert err == "error: BadParameters: --max-n must be at least 1, got %s\n" % max_n
+
     def test_csv_failures_split_back(self, capsys, monkeypatch):
         import popi.cli
 

@@ -51,7 +51,7 @@ class TestRegularity:
         for n in range(1, 5):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                for i, a in enumerate(S.elements):
+                for i, a in enumerate(S):
                     assert P.is_regular_oracle(S, i) == P.is_regular_characterized(ctx, a)
 
     def test_fully_regular_iff_full_range(self):

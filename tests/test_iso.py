@@ -158,7 +158,7 @@ class TestBruteforceOracle:
         _, T = semigroup(4, (2, 4))
         found = P.bruteforce_isomorphism(4, (1, 3), (2, 4))
         assert found is not None
-        for i, a in enumerate(S.elements):
+        for i, a in enumerate(S):
             b = T[found[i]]
             assert a.rank == b.rank
             assert a.is_idempotent() == b.is_idempotent()

@@ -65,7 +65,7 @@ class TestEnumerate:
     def test_matches_brute_force(self, n):
         for pts in all_range_sets(n):
             _, S = semigroup(n, pts)
-            assert set(S.elements) == brute_force_members(n, pts)
+            assert set(S) == brute_force_members(n, pts)
 
     def test_every_member_passes_contains(self):
         ctx, S = semigroup(4, (1, 3))
@@ -79,13 +79,13 @@ class TestEnumerate:
     def test_deterministic_order(self):
         ctx = P.RangeContext(4, (2, 4))
         again = P.enumerate_semigroup(ctx)
-        assert again.elements == semigroup(4, (2, 4))[1].elements
+        assert tuple(again) == tuple(semigroup(4, (2, 4))[1])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_built_in_sort_key_order(self, n):
         for pts in all_range_sets(n):
             S = P.enumerate_semigroup(P.RangeContext(n, pts))
-            assert S.elements == tuple(sorted(S.elements, key=sort_key))
+            assert tuple(S) == tuple(sorted(S, key=sort_key))
             # the domain handed to from_table is the one the table defines
             assert all(a.domain == P.PartialInjection.from_table(a.table).domain for a in S)
 
@@ -149,7 +149,7 @@ def test_blocks_give_the_enumeration_order(ctx):
         for domain in domains
         for image in images
     ]
-    assert tuple(built) == P.enumerate_semigroup(ctx).elements
+    assert tuple(built) == tuple(P.enumerate_semigroup(ctx))
     assert all(P.contains(ctx, a) for a in built)
 
 
@@ -177,7 +177,26 @@ def test_blocks_refuse_before_the_first_block():
 class TestElementSets:
     def test_duplicate_elements_rejected(self):
         with pytest.raises(errors.BadParameters):
-            P.ElementSet([P.empty_map(2), P.empty_map(2)])
+            P.ElementSet([bytes(2), bytes(2)])
+
+    def test_tables_checked_when_built(self):
+        with pytest.raises(errors.MismatchedChainSize):
+            P.ElementSet([bytes(2), bytes(3)])
+        with pytest.raises(errors.TooLarge, match="chain of 256 points"):
+            P.ElementSet([bytes(256)])
+
+    def test_another_chain_is_not_a_member(self):
+        S = semigroup(3, (1, 2))[1]
+        for a in (P.empty_map(4), P.empty_map(300), P.identity_on(300, range(1, 301))):
+            assert a not in S
+            with pytest.raises(KeyError):
+                S.index_of(a)
+
+    def test_elements_built_only_when_read(self, elements_built):
+        S = P.ElementSet([bytes((0, 0)), bytes((2, 0))])
+        assert elements_built == []
+        assert S[1] == P.PartialInjection(2, [(1, 2)]) and list(S)[0] == P.empty_map(2)
+        assert S.index_of(P.PartialInjection(2, [(1, 2)])) == 1
 
     def test_closure_needs_a_generator(self):
         with pytest.raises(errors.BadParameters):
@@ -247,17 +266,17 @@ class TestClosure:
     def test_zero_alone(self):
         ctx = P.RangeContext(3, (1, 2))
         C = ordered_closure(ctx, [P.empty_map(3)])
-        assert C.elements == (P.empty_map(3),)
+        assert tuple(C) == (P.empty_map(3),)
 
     def test_canonical_set_generates_everything(self):
         ctx, S = semigroup(3, (1, 2))
         C = ordered_closure(ctx, P.canonical_generating_set(ctx))
-        assert set(C.elements) == set(S.elements)
+        assert set(C) == set(S)
 
     def test_idempotent_on_full_set(self):
         ctx, S = semigroup(3, (1, 2))
-        C = ordered_closure(ctx, list(S.elements))
-        assert C.elements == S.elements
+        C = ordered_closure(ctx, list(S))
+        assert tuple(C) == tuple(S)
 
     def test_rejects_outside_generator(self):
         ctx = P.RangeContext(3, (1, 2))
@@ -279,6 +298,11 @@ class TestSearchBound:
             P.closure(P.RangeContext(256, [1]), [P.identity_on(256, [1])])
         assert element_sets == []
 
+    def test_enumeration_past_the_bound(self, element_sets):
+        with pytest.raises(errors.TooLarge, match="chain of 256 points"):
+            P.enumerate_semigroup(P.RangeContext(256, [1]))
+        assert element_sets == []
+
     def test_table_past_the_bound(self):
         semigroup_module.check_table_size(255, 1)
         with pytest.raises(errors.TooLarge, match="chain of 256 points"):
@@ -286,9 +310,9 @@ class TestSearchBound:
         # the table bound, unchanged, still decides first past 3,161 points
         with pytest.raises(errors.TooLarge, match="table entries"):
             semigroup_module.check_table_size(3162, 1)
-        assert P.ElementSet([P.empty_map(255)]).mult_table() == [[0]]
+        assert P.ElementSet([bytes(255)]).mult_table() == [[0]]
         with pytest.raises(errors.TooLarge, match="chain of 256 points"):
-            P.ElementSet([P.empty_map(256)]).mult_table()
+            P.ElementSet([bytes(256)])
 
 
 class TestRankLayer:
@@ -307,3 +331,20 @@ class TestRankLayer:
                 for k in range(1, r + 1):
                     expect = k * math.comb(n, k) * math.comb(r, k)
                     assert len(rank_layer(S, k)) == expect
+
+
+class TestOraclesBuildNoElement:
+    """The oracles read `bytes` tables; no `PartialInjection` is built."""
+
+    def test_enumeration(self, elements_built):
+        assert len(P.enumerate_semigroup(P.RangeContext(5, (1, 2, 4)))) == 106
+        assert elements_built == []
+
+    def test_mult_table(self, elements_built):
+        S = P.enumerate_semigroup(P.RangeContext(5, (1, 2, 4)))
+        assert len(S.mult_table()) == 106
+        assert elements_built == []
+
+    def test_isomorphism_oracle(self, elements_built):
+        assert P.bruteforce_isomorphism(6, (1, 2, 3, 5), (2, 3, 4, 6)) is not None
+        assert elements_built == []
