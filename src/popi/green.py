@@ -11,7 +11,6 @@ Tests assert the two partitions coincide.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import NamedTuple
 
 from . import errors
@@ -22,10 +21,13 @@ from .transform import PartialInjection
 Partition = tuple[tuple[int, ...], ...]
 
 
-def _normalize(groups) -> Partition:
-    classes = [tuple(sorted(g)) for g in groups]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+def _group_by_key(keys) -> Partition:
+    """The classes of indices whose keys are equal; read in index order, each
+    class is ascending and the classes are ordered by their least index."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return tuple(map(tuple, groups.values()))
 
 
 # -- regularity -------------------------------------------------------------
@@ -53,23 +55,23 @@ def green_characterized(ctx: RangeContext, relation: str) -> Partition:
     unbuilt pairs of `element_blocks`; a pair alone keys a class of one."""
     if relation not in ("L", "R", "H", "D"):
         raise errors.BadParameters("unknown relation %r" % relation)
-    groups: dict = {}
-    index = count()  # the blocks' order is the enumeration's
-    for seqs, domains in element_blocks(ctx):
-        images = list(map(frozenset, seqs))
-        for domain in domains:
-            regular = ctx.point_set.issuperset(domain)
-            for seq, image in zip(seqs, images):
-                if relation == "L":
-                    key = ("reg", image) if regular else ("one", domain, seq)
-                elif relation == "R":
-                    key = domain
-                elif relation == "H":
-                    key = ("reg", domain, image) if regular else ("one", domain, seq)
-                else:  # D: regular classes by rank, non-regular by shared domain
-                    key = ("reg", len(domain)) if regular else ("non", domain)
-                groups.setdefault(key, []).append(next(index))
-    return _normalize(groups.values())
+
+    def keys():  # the blocks' order is the enumeration's
+        for seqs, domains in element_blocks(ctx):
+            images = list(map(frozenset, seqs))
+            for domain in domains:
+                regular = ctx.point_set.issuperset(domain)
+                for seq, image in zip(seqs, images):
+                    if relation == "L":
+                        yield ("reg", image) if regular else ("one", domain, seq)
+                    elif relation == "R":
+                        yield domain
+                    elif relation == "H":
+                        yield ("reg", domain, image) if regular else ("one", domain, seq)
+                    else:  # D: regular classes by rank, non-regular by shared domain
+                        yield ("reg", len(domain)) if regular else ("non", domain)
+
+    return _group_by_key(keys())
 
 
 # -- oracle partitions ------------------------------------------------------
@@ -83,14 +85,6 @@ def _left_ideals(S: ElementSet) -> list[frozenset[int]]:
 def _right_ideals(S: ElementSet) -> list[frozenset[int]]:
     # row a of the table is a*S
     return [frozenset((a, *row)) for a, row in enumerate(S.mult_table())]
-
-
-def _group_by_key(keys) -> Partition:
-    """The classes of indices whose keys are equal."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return _normalize(groups.values())
 
 
 def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> frozenset[int]:
@@ -144,13 +138,12 @@ def _oracle_partitions(S: ElementSet, relations: str) -> dict[str, Partition]:
         for members in classes["L"] + classes["R"]:
             for i in members[1:]:
                 parent[find(i)] = find(members[0])
-        classes["D"] = _group_by_key(find(i) for i in range(len(S)))
+        roots = [find(i) for i in range(len(S))]
+        classes["D"] = _group_by_key(roots)
     if "J" in relations:
-        # D-classes whose representatives generate equal two-sided ideals
-        d_classes = classes["D"]
-        ideals = [_two_sided_ideal(S, left[c[0]]) for c in d_classes]
-        merged = (sum((d_classes[k] for k in ks), ()) for ks in _group_by_key(ideals))
-        classes["J"] = _normalize(merged)
+        # each element keyed by the two-sided ideal of its D-class's root
+        ideals = {r: _two_sided_ideal(S, left[r]) for r in set(roots)}
+        classes["J"] = _group_by_key(map(ideals.__getitem__, roots))
     return {rel: classes[rel] for rel in relations}
 
 

@@ -95,7 +95,7 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
 
     t_keys: dict = {}
     for j, k in enumerate(keys(T.tables, cz.point_set)):
-        t_keys.setdefault(k, []).append(j)
+        t_keys.setdefault(k, {})[j] = None
     s_keys = keys(S.tables, cy.point_set)
     order = sorted(range(len(S)), key=lambda i: (-len(s_keys[i][0]), i))
 
@@ -109,19 +109,24 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
             if cand[i] is None:
                 break
         else:
-            result = _extend(len(S), cand, m_s, m_t, order)
+            result = _extend(cand, m_s, m_t, order)
             if result is not None:
                 return result
     return None
 
 
-def _extend(size, cand, m_s, m_t, order):
-    assign = [-1] * size
-    used = [False] * size
-    cand_sets = [set(c) for c in cand]
+def _extend(cand, m_s, m_t, order):
+    """A bijection i -> j, each j a key of the dict `cand[i]`, carrying m_s
+    onto m_t, or None.  Depth-first: the open element with the fewest free
+    candidates (first in `order`) tries each in turn, and assigning one
+    forces its products with those assigned.  One log holds the assignments;
+    an open choice rewinds it to the length it had when the choice was made.
+    """
+    assign = [-1] * len(cand)
+    used = [False] * len(cand)
     assigned: list[int] = []
 
-    def try_assign(i0, j0, trail):
+    def propagate(i0, j0):
         queue = [(i0, j0)]
         while queue:
             i, j = queue.pop()
@@ -129,12 +134,11 @@ def _extend(size, cand, m_s, m_t, order):
                 if assign[i] != j:
                     return False
                 continue
-            if used[j] or j not in cand_sets[i]:
+            if used[j] or j not in cand[i]:
                 return False
             assign[i] = j
             used[j] = True
             assigned.append(i)
-            trail.append(i)
             for k in assigned:
                 p = m_s[i][k]
                 q = m_t[j][assign[k]]
@@ -150,34 +154,30 @@ def _extend(size, cand, m_s, m_t, order):
                     return False
         return True
 
-    def undo(trail):
-        for i in reversed(trail):
-            used[assign[i]] = False
-            assign[i] = -1
-            assigned.pop()
-
-    def solve():
+    stack = []  # open choices: (log length before it, element, untried candidates)
+    while True:
         best_i, best_opts = None, None
         for i in order:
-            if assign[i] != -1:
-                continue
-            opts = [j for j in cand[i] if not used[j]]
-            if not opts:
-                return None
-            if best_opts is None or len(opts) < len(best_opts):
-                best_i, best_opts = i, opts
-                if len(opts) == 1:
-                    break
+            if assign[i] == -1:
+                opts = [j for j in cand[i] if not used[j]]
+                if best_opts is None or len(opts) < len(best_opts):
+                    best_i, best_opts = i, opts
+                    if len(opts) <= 1:
+                        break
         if best_i is None:
             # complete: the propagation already checked every product pair
             return dict(enumerate(assign))
-        for j in best_opts:
-            trail: list[int] = []
-            if try_assign(best_i, j, trail):
-                found = solve()
-                if found is not None:
-                    return found
-            undo(trail)
-        return None
-
-    return solve()
+        stack.append((len(assigned), best_i, iter(best_opts)))
+        while True:
+            if not stack:
+                return None
+            mark, i, opts = stack[-1]
+            for k in assigned[mark:]:
+                used[assign[k]] = False
+                assign[k] = -1
+            del assigned[mark:]
+            j = next(opts, None)
+            if j is None:
+                stack.pop()
+            elif propagate(i, j):
+                break

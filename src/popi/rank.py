@@ -369,19 +369,20 @@ def top_rank_factorization(
 
     A rank-r element is its own single factor, a rank-(r-1) element gives
     at most three, and each rank-raising split doubles the factors, so a
-    rank-m element with m < r gives at most 3 * 2^(r-1-m) factors of r
-    pairs each.  Past MAX_ELEMENTS pairs, TooLarge is raised before the
-    first split.
+    rank-m element with m < r gives at most 3 * 2^(r-1-m) factors, each a
+    table of n slots.  Past MAX_ELEMENTS slots, TooLarge is raised before
+    the first split.
     """
     if ctx.is_full:
         raise errors.FullRangeNotSupported("pipeline is defined for proper range sets")
     if not contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
-    r, splits = ctx.r, ctx.r - 1 - a.rank
-    if splits >= 0 and 3 * 2**splits * r > MAX_ELEMENTS:
+    splits = ctx.r - 1 - a.rank
+    if splits >= 0 and 3 * 2**splits * ctx.n > MAX_ELEMENTS:
         raise errors.TooLarge(
-            "a rank-%d element with |Y|=%d gives up to 3*2^%d factors of %d pairs, more than %d"
-            % (a.rank, r, splits, r, MAX_ELEMENTS)
+            "a rank-%d element with |Y|=%d gives up to 3*2^%d factors of %d slots,"
+            " more than %d slots"
+            % (a.rank, ctx.r, splits, ctx.n, MAX_ELEMENTS)
         )
     factors = _factor(ctx, a, steps)
     prod = factors[0]

@@ -308,14 +308,11 @@ def closure(
     TooLarge before anything is checked or built.
     """
     check_search_size(ctx.n)
-    gens: list[PartialInjection] = []
-    seen: set[PartialInjection] = set()
+    gens: dict[PartialInjection, None] = {}  # first-seen order
     for a in generators:
         if not contains(ctx, a):
             raise errors.GeneratorOutsideSemigroup("generator %r is not a member" % (a,))
-        if a not in seen:
-            seen.add(a)
-            gens.append(a)
+        gens.setdefault(a)
     if not gens:
         raise errors.BadParameters("need at least one generator")
     seeds = [bytes(g.table) for g in gens if g.rank >= min_rank]

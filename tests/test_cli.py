@@ -154,6 +154,12 @@ class TestEnumerate:
             pytest.param(["rank", "--n", "999", "--y", "1,2"], id="rank-generators-two-points"),
             # the closure multiplies bytes tables, of at most 255 points
             pytest.param(["rank", "--n", "256", "--y", "1"], id="rank-search-points"),
+            # the empty map's factors: 3 * 2^11 tables of 20,000 slots each
+            pytest.param(
+                ["decompose", "--n", "20000", "--y", ",".join(map(str, range(1, 13))),
+                 "--element", '{"n":20000,"pairs":[]}'],
+                id="decompose-factor-slots",
+            ),
         ],
     )
     def test_too_large_refused_within_a_second(self, argv):
@@ -340,7 +346,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n, r", [(17, 16), (1100, 1050)])
     def test_factors_past_element_bound_refused(self, capsys, n, r):
-        # the empty map gives up to 3 * 2^(r-1) factors of r pairs; at
+        # the empty map gives up to 3 * 2^(r-1) factors of n slots; at
         # r = 1050 the splits once ran past the recursion limit
         elem = json.dumps({"n": n, "pairs": []})
         y = ",".join(map(str, range(1, r + 1)))

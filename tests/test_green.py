@@ -117,6 +117,19 @@ class TestOracleMatchesCharacterized:
             assert all(both[rel] == P.green_oracle(S, rel) for rel in "LRHDJ")
 
 
+    def test_classes_ascend_in_order_of_least_index(self):
+        # both paths read their keys in index order and never sort a class
+        for n in range(1, 5):
+            for pts in all_range_sets(n):
+                ctx, S = semigroup(n, pts)
+                parts = [P.green_characterized(ctx, rel) for rel in "LRHD"]
+                parts += _oracle_partitions(S, "LRHDJ").values()
+                for part in parts:
+                    assert all(list(c) == sorted(set(c)) for c in part), (n, pts)
+                    least = [c[0] for c in part]
+                    assert least == sorted(least), (n, pts)
+                    assert sorted(i for c in part for i in c) == list(range(len(S)))
+
     def test_d_equals_j(self):
         _, S = semigroup(4, (1, 3))
         assert P.green_oracle(S, "D") == P.green_oracle(S, "J")

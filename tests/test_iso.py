@@ -196,7 +196,7 @@ class TestExtend:
         # an image used twice, a clash on either side's product) is met here
         tables = associative_tables(3)
         assert len(tables) == 113
-        everything = [[0, 1, 2]] * 3
+        everything = [dict.fromkeys(range(3))] * 3
         for m_s in tables:
             for m_t in tables:
                 isos = [
@@ -204,8 +204,16 @@ class TestExtend:
                     for p in permutations(range(3))
                     if all(p[m_s[a][b]] == m_t[p[a]][p[b]] for a in range(3) for b in range(3))
                 ]
-                found = _extend(3, everything, m_s, m_t, [0, 1, 2])
+                found = _extend(everything, m_s, m_t, [0, 1, 2])
                 assert found in isos if isos else found is None, (m_s, m_t)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # left zeros (a*b = a) force nothing, so each element is its own
+        # choice: 1,200 open choices, past Python's default limit of 1,000
+        size = 1200
+        m = [(a,) * size for a in range(size)]
+        cand = [dict.fromkeys((i,)) for i in range(size)]
+        assert _extend(cand, m, m, list(range(size))) == dict(enumerate(range(size)))
 
 
 class TestDecideAgreesWithOracle:
