@@ -18,7 +18,6 @@ from itertools import combinations
 
 from . import __version__, errors
 from .green import (
-    _oracle_partitions,
     green_characterized,
     green_oracle,
     is_regular_characterized,
@@ -230,7 +229,8 @@ def cmd_green(args) -> int:
     report["class_count"] = len(part)
     report["class_sizes"] = [len(c) for c in part]
     if args.check:
-        report["oracle_agrees"] = part == green_oracle(enumerate_semigroup(ctx), args.rel)
+        oracle = green_oracle(enumerate_semigroup(ctx), args.rel)
+        report["oracle_agrees"] = part == oracle[args.rel]
     _emit(args, report)
     return 0
 
@@ -328,7 +328,7 @@ def cmd_selftest(args) -> int:
                     if is_regular_oracle(S, i) != is_regular_characterized(ctx, S[i]):
                         failures.append("regularity %s i=%d" % (where, i))
                         break
-                oracle = _oracle_partitions(S, "LRHD")
+                oracle = green_oracle(S, "LRHD")
                 for rel in ("L", "R", "H", "D"):
                     if green_characterized(ctx, rel) != oracle[rel]:
                         failures.append("green-%s %s" % (rel, where))

@@ -97,24 +97,19 @@ def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def green_oracle(S: ElementSet, relation: str) -> Partition:
-    """Partition computed from principal-ideal comparisons (see
-    `_oracle_partitions`)."""
-    if relation not in ("L", "R", "H", "D", "J"):
-        raise errors.BadParameters("unknown relation %r" % relation)
-    return _oracle_partitions(S, relation)[relation]
-
-
-def _oracle_partitions(S: ElementSet, relations: str) -> dict[str, Partition]:
-    """The oracle partition of each relation named, from one build of each
-    list of one-sided ideals they need: R alone needs no left ideals, and L
-    alone no right ideals.
+def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
+    """The oracle partition of each relation named in `relations` (a
+    nonempty string of letters from "LRHDJ"), from one build of each list
+    of one-sided ideals they need: R alone needs no left ideals, and L alone
+    no right ideals.
 
     L and R compare one-sided ideals directly; H compares the pairs of
     them; D is the transitive closure of L union R; J groups D-classes
     whose representatives generate the same two-sided ideal (D refines J
     in any semigroup).
     """
+    if not (isinstance(relations, str) and relations and set(relations) <= set("LRHDJ")):
+        raise errors.BadParameters("unknown relations %r" % (relations,))
     left = _left_ideals(S) if relations != "R" else None
     right = _right_ideals(S) if relations != "L" else None
     joined = "D" in relations or "J" in relations

@@ -69,12 +69,12 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
     Range sets of unequal size give semigroups of unequal size: None, before
     anything is built.  Past the table bound, TooLarge before anything is
     built.  Tries every bijection phi between the two range sets (forced by
-    the images of the singleton identities).  An element's candidates are
-    the elements of T whose key (image, so rank, and graph on the range set,
-    read from the `bytes` tables) is its own key mapped through phi.  The
-    search then extends over elements by backtracking with constraint
-    propagation: assigning one element forces every product with
-    already-assigned elements.
+    the images of the singleton identities).  S and T are grouped once into
+    classes by key (image, so rank, and graph on the range set, read from
+    the `bytes` tables); under phi each class of S takes the T class of its
+    mapped key as its members' candidates.  Backtracking with constraint
+    propagation then extends over elements: assigning one element forces
+    every product with already-assigned elements.
     """
     cy = RangeContext(n, y)
     cz = RangeContext(n, z)
@@ -86,28 +86,26 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
     m_s = S.mult_table()
     m_t = T.mult_table()
 
-    def keys(tables: tuple[bytes, ...], inside: frozenset[int]) -> list[tuple]:
-        # a slot table's nonzero values are the image, whose size is the rank
-        return [
-            (frozenset(filter(None, t)), frozenset((x, t[x - 1]) for x in inside if t[x - 1]))
-            for t in tables
-        ]
+    def classes(tables: tuple[bytes, ...], pts: frozenset[int]) -> dict:
+        out: dict = {}  # key -> its indices; a slot table's nonzero values are the image
+        for i, t in enumerate(tables):
+            key = (frozenset(filter(None, t)), frozenset((x, t[x - 1]) for x in pts if t[x - 1]))
+            out.setdefault(key, {})[i] = None
+        return out
 
-    t_keys: dict = {}
-    for j, k in enumerate(keys(T.tables, cz.point_set)):
-        t_keys.setdefault(k, {})[j] = None
-    s_keys = keys(S.tables, cy.point_set)
-    order = sorted(range(len(S)), key=lambda i: (-len(s_keys[i][0]), i))
+    t_classes = classes(T.tables, cz.point_set)
+    s_classes = classes(S.tables, cy.point_set)
+    order = sorted(range(len(S)), key=lambda i: S.tables[i].count(0))  # rank down, then index
 
     for image_choice in permutations(cz.points):
         phi = dict(zip(cy.points, image_choice)).__getitem__
         cand: list = [None] * len(S)
-        for i in order:
-            image, graph = s_keys[i]
+        for (image, graph), members in s_classes.items():
             mapped = (frozenset(map(phi, image)), frozenset((phi(x), phi(v)) for x, v in graph))
-            cand[i] = t_keys.get(mapped)
-            if cand[i] is None:
+            if mapped not in t_classes:
                 break
+            for i in members:
+                cand[i] = t_classes[mapped]
         else:
             result = _extend(cand, m_s, m_t, order)
             if result is not None:
@@ -117,14 +115,18 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
 
 def _extend(cand, m_s, m_t, order):
     """A bijection i -> j, each j a key of the dict `cand[i]`, carrying m_s
-    onto m_t, or None.  Depth-first: the open element with the fewest free
-    candidates (first in `order`) tries each in turn, and assigning one
-    forces its products with those assigned.  One log holds the assignments;
-    an open choice rewinds it to the length it had when the choice was made.
+    onto m_t, or None.  Distinct dicts must be disjoint, as the caller's key
+    classes of T are, so one count of free candidates per dict is exact and
+    only the element picked lists its own.  Depth-first: the open element
+    with the fewest free candidates (first in `order`) tries each in turn,
+    and assigning one forces its products with those assigned.  One log
+    holds the assignments; an open choice rewinds it to the length it had
+    when the choice was made.
     """
     assign = [-1] * len(cand)
     used = [False] * len(cand)
     assigned: list[int] = []
+    free = {id(c): len(c) for c in cand}
 
     def propagate(i0, j0):
         queue = [(i0, j0)]
@@ -138,6 +140,7 @@ def _extend(cand, m_s, m_t, order):
                 return False
             assign[i] = j
             used[j] = True
+            free[id(cand[i])] -= 1
             assigned.append(i)
             for k in assigned:
                 p = m_s[i][k]
@@ -156,24 +159,23 @@ def _extend(cand, m_s, m_t, order):
 
     stack = []  # open choices: (log length before it, element, untried candidates)
     while True:
-        best_i, best_opts = None, None
+        best_i, best_free = None, None
         for i in order:
-            if assign[i] == -1:
-                opts = [j for j in cand[i] if not used[j]]
-                if best_opts is None or len(opts) < len(best_opts):
-                    best_i, best_opts = i, opts
-                    if len(opts) <= 1:
-                        break
+            if assign[i] == -1 and (best_free is None or free[id(cand[i])] < best_free):
+                best_i, best_free = i, free[id(cand[i])]
+                if best_free <= 1:
+                    break
         if best_i is None:
             # complete: the propagation already checked every product pair
             return dict(enumerate(assign))
-        stack.append((len(assigned), best_i, iter(best_opts)))
+        stack.append((len(assigned), best_i, iter([j for j in cand[best_i] if not used[j]])))
         while True:
             if not stack:
                 return None
             mark, i, opts = stack[-1]
             for k in assigned[mark:]:
                 used[assign[k]] = False
+                free[id(cand[k])] += 1
                 assign[k] = -1
             del assigned[mark:]
             j = next(opts, None)

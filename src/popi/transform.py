@@ -180,6 +180,8 @@ class PartialInjection:
         """
         try:
             n, pairs = data["n"], [(x, y) for x, y in data["pairs"]]
+            if len(data) != 2:  # a key besides n and pairs
+                raise ValueError(data)
         except (TypeError, KeyError, ValueError) as exc:
             raise errors.BadParameters("not a partial injection: %r" % (data,)) from exc
         _check_chain_size(n)

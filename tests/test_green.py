@@ -3,7 +3,6 @@ import pytest
 import popi as P
 from popi import errors, green
 from popi.cli import main
-from popi.green import _oracle_partitions
 from popi.semigroup import element_blocks
 
 from conftest import all_range_sets, class_map, ordered_closure, pi, rank_layer, semigroup
@@ -11,8 +10,9 @@ from conftest import all_range_sets, class_map, ordered_closure, pi, rank_layer,
 
 def d_from_composition(S):
     """D-classes computed as L∘R instead of the oracle's transitive closure."""
-    lmap = class_map(P.green_oracle(S, "L"))
-    rparts = P.green_oracle(S, "R")
+    oracle = P.green_oracle(S, "LR")
+    lmap = class_map(oracle["L"])
+    rparts = oracle["R"]
     rmap = class_map(rparts)
     by_l = {}
     for i in range(len(S)):
@@ -96,25 +96,26 @@ class TestOracleMatchesCharacterized:
         for n in range(1, 5):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                assert P.green_characterized(ctx, rel) == P.green_oracle(S, rel)
+                assert P.green_characterized(ctx, rel) == P.green_oracle(S, rel)[rel]
 
     def test_unknown_relation_rejected(self):
         ctx, S = semigroup(3, (1, 2))
         with pytest.raises(errors.BadParameters):
             P.green_characterized(ctx, "J")  # the oracle's alone
-        with pytest.raises(errors.BadParameters):
-            P.green_oracle(S, "Q")
+        for relations in ("Q", "", "LX"):
+            with pytest.raises(errors.BadParameters):
+                P.green_oracle(S, relations)
 
     def test_singleton_set(self):
         ctx = P.RangeContext(3, (1, 2))
         single = ordered_closure(ctx, [P.empty_map(3)])
-        assert P.green_oracle(single, "L") == ((0,),)
+        assert P.green_oracle(single, "L") == {"L": ((0,),)}
 
     def test_partitions_of_one_build_match_single_relations(self):
         for pts in [(1, 3), (1, 2, 3, 4)]:
             _, S = semigroup(4, pts)
-            both = _oracle_partitions(S, "LRHDJ")
-            assert all(both[rel] == P.green_oracle(S, rel) for rel in "LRHDJ")
+            both = P.green_oracle(S, "LRHDJ")
+            assert all(both[rel] == P.green_oracle(S, rel)[rel] for rel in "LRHDJ")
 
 
     def test_classes_ascend_in_order_of_least_index(self):
@@ -123,7 +124,7 @@ class TestOracleMatchesCharacterized:
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
                 parts = [P.green_characterized(ctx, rel) for rel in "LRHD"]
-                parts += _oracle_partitions(S, "LRHDJ").values()
+                parts += P.green_oracle(S, "LRHDJ").values()
                 for part in parts:
                     assert all(list(c) == sorted(set(c)) for c in part), (n, pts)
                     least = [c[0] for c in part]
@@ -132,12 +133,13 @@ class TestOracleMatchesCharacterized:
 
     def test_d_equals_j(self):
         _, S = semigroup(4, (1, 3))
-        assert P.green_oracle(S, "D") == P.green_oracle(S, "J")
+        oracle = P.green_oracle(S, "DJ")
+        assert oracle["D"] == oracle["J"]
 
     def test_d_equals_l_compose_r(self):
         for pts in [(1, 2), (1, 2, 3)]:
             _, S = semigroup(3, pts)
-            assert d_from_composition(S) == P.green_oracle(S, "D")
+            assert d_from_composition(S) == P.green_oracle(S, "D")["D"]
 
     def test_r_class_count_at_top_rank(self):
         import math

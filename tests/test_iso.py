@@ -231,7 +231,9 @@ class TestDecideAgreesWithOracle:
 # sha256 of `iso ... --oracle --json` stdout, captured before the decision
 # and the oracle were rewritten around point images: every pair of equal
 # size at n <= 4, and the benchmark's two iso shapes, {1,2,3,5} against its
-# dihedral orbit at n = 6 and {1,2,3} against the 3-sets holding 1 at n = 7.
+# dihedral orbit at n = 6 and {1,2,3} against the 3-sets holding 1 at n = 7;
+# and {1,2} against {3,9} at n = 30, captured before the search counted its
+# free candidates per key class.
 GOLDEN_ISO = os.path.join(os.path.dirname(__file__), "golden", "iso_oracle.json")
 
 
@@ -246,6 +248,7 @@ def iso_oracle_argvs():
     orbit = sorted({tuple(sorted(d(p) for p in (1, 2, 3, 5))) for d in full_dihedral_group(6)})
     triples += [(6, (1, 2, 3, 5), z) for z in orbit]
     triples += [(7, (1, 2, 3), z) for z in combinations(range(1, 8), 3) if z[0] == 1]
+    triples.append((30, (1, 2), (3, 9)))  # key classes of dozens of elements
     pts = lambda s: ",".join(map(str, s))  # noqa: E731
     return [
         ["iso", "--n", str(n), "--y", pts(y), "--z", pts(z), "--oracle", "--json"]

@@ -61,7 +61,8 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "data",
         [[1], None, {"pairs": []}, {"n": 3}, {"n": "3", "pairs": []},
-         {"n": 3, "pairs": 5}, {"n": 3, "pairs": [1]}, {"n": 3, "pairs": [[1, None]]}],
+         {"n": 3, "pairs": 5}, {"n": 3, "pairs": [1]}, {"n": 3, "pairs": [[1, None]]},
+         {"n": 3, "pairs": [], "x": 1}],
     )
     def test_json_shape_rejected(self, data):
         with pytest.raises(errors.BadParameters):
