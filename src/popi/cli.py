@@ -10,7 +10,6 @@ large to build (a chain of more than MAX_ELEMENTS points included) or an
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -129,6 +128,8 @@ def _emit(args, report: dict, records: list[dict] | None = None, listing=None) -
     elif args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
+        import csv
+
         rows = records if records is not None else [_flatten(report)]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))

@@ -11,7 +11,7 @@ Tests assert the two partitions coincide.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import errors
 from .semigroup import ElementSet, RangeContext, _rotations, contains, element_blocks
@@ -145,10 +145,8 @@ def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
 # -- H-class structure ------------------------------------------------------
 
 
-class HClassProfile(NamedTuple):
-    size: int
-    is_group: bool
-    is_cyclic_group: bool
+class HClassProfile(namedtuple("HClassProfile", "size is_group is_cyclic_group")):
+    __slots__ = ()
 
 
 def _powers(x) -> set:

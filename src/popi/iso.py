@@ -10,19 +10,19 @@ the induced point bijection, keeping ranks and mapping images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from itertools import permutations
-from typing import Callable
 
 from .semigroup import RangeContext, check_table_size, enumerate_semigroup
 from .transform import PartialInjection
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    verdict: bool
-    reason: str  # "small-rank" | "dihedral" | "none"
-    delta: PartialInjection | None = None
+class IsoWitness(namedtuple("IsoWitness", "verdict reason delta", defaults=(None,))):
+    """`reason` is "small-rank", "dihedral" or "none"; `delta` is the point
+    map that carries one range set onto the other, for "dihedral" alone."""
+
+    __slots__ = ()
 
 
 def _dihedral_map(n: int, k: int, reflected: bool) -> Callable[[int], int]:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import combinations, compress
-from typing import Iterable
 
 from . import errors
 from .semigroup import (
@@ -32,31 +32,27 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(
+    namedtuple("Decomposition", "beta gamma shift_exponent case", defaults=(0, None))
+):
     """A two-factor product with optional case bookkeeping.
 
     `shift_exponent` records the power of the chain rotation split off
     before factoring; `case` labels which construction produced the pair.
     """
 
-    beta: PartialInjection
-    gamma: PartialInjection
-    shift_exponent: int = 0
-    case: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(
+    namedtuple("RankCertificate", "claimed_rank generating_set order lower_bound_witness")
+):
     """`order` is |S| as counted by `semigroup_rank`, which raises unless
     `generating_set` closes to all of S.  `lower_bound_witness` holds the
     domains that bound the rank from below: one per top-rank R-class for a
     proper range set, and those of the two idempotents for the full one."""
 
-    claimed_rank: int
-    generating_set: tuple[PartialInjection, ...]
-    order: int
-    lower_bound_witness: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 # -- range-set rotation -----------------------------------------------------

@@ -5,9 +5,9 @@ with range restricted to a fixed subset of the chain.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
 
 from . import errors
 from .transform import PartialInjection, _check_chain_size, _is_int, is_cyclic

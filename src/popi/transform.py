@@ -16,9 +16,9 @@ from `bytes` tables only where one is read.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import gt, itemgetter, lt
-from typing import Iterable, Sequence
 
 from . import errors
 

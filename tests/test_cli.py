@@ -711,3 +711,32 @@ class TestParser:
         if plain is not None:
             del full.command
             assert plain == full
+
+
+class TestStartUp:
+    """What a `popi` process imports: a clean interpreter (`-S`, so that no
+    `.pth` file preloads anything) with the package's directory on its path."""
+
+    UNUSED = ("dataclasses", "inspect", "typing", "csv")
+
+    def child(self, code: str) -> subprocess.CompletedProcess:
+        root = os.path.dirname(os.path.dirname(P.__file__))
+        prelude = "import sys; sys.path.insert(0, %r); " % root
+        return subprocess.run(
+            [sys.executable, "-S", "-c", prelude + code], capture_output=True, check=True
+        )
+
+    def test_import_loads_no_unused_stdlib(self):
+        code = "import popi.cli; print(sorted(sys.modules.keys() & set(%r)))" % (self.UNUSED,)
+        assert self.child(code).stdout == b"[]\n"
+
+    def test_csv_loaded_by_csv_output_alone(self, capsys):
+        argv = ["card", "--n", "3", "--y", "1,2"]
+        code = (
+            "from popi.cli import main; main(%r); sys.stdout.flush(); "
+            "sys.stderr.write(repr('csv' in sys.modules))"
+        )
+        for fmt, loaded in (("--json", b"False"), ("--csv", b"True")):
+            done = self.child(code % (argv + [fmt],))
+            assert done.stderr == loaded
+            assert done.stdout == run(capsys, *argv, fmt)[1].encode()

@@ -554,6 +554,51 @@ class TestChecked:
             _checked(self.ctx, pi(3, (3, 2)), d, (2, 1))
 
 
+class TestRecords:
+    """The records are immutable tuples of named fields that compare by value."""
+
+    b = pi(3, (1, 2))
+    g = pi(3, (2, 1), (3, 3))
+
+    @pytest.mark.parametrize(
+        "record, fields",
+        [
+            (P.Decomposition, ("beta", "gamma", "shift_exponent", "case")),
+            (P.RankCertificate, ("claimed_rank", "generating_set", "order", "lower_bound_witness")),
+            (P.IsoWitness, ("verdict", "reason", "delta")),
+            (P.HClassProfile, ("size", "is_group", "is_cyclic_group")),
+        ],
+    )
+    def test_fields(self, record, fields):
+        assert record._fields == fields
+
+    def test_defaults(self):
+        d = P.Decomposition(self.b, self.g)
+        assert d.shift_exponent == 0 and d.case is None
+        assert P.IsoWitness(True, "small-rank").delta is None
+
+    def test_immutable(self):
+        d = P.Decomposition(self.b, self.g)
+        with pytest.raises(AttributeError):
+            d.case = "low"
+        with pytest.raises(AttributeError):
+            d.extra = 1
+
+    def test_equal_records_hash_equal(self):
+        d, e = P.Decomposition(self.b, self.g, 1, "low"), P.Decomposition(self.b, self.g, 1, "low")
+        assert d == e and hash(d) == hash(e) and d != P.Decomposition(self.b, self.g)
+
+    def test_repr(self):
+        assert repr(P.Decomposition(self.b, self.g, shift_exponent=2, case="corank_one")) == (
+            "Decomposition(beta=PartialInjection(n=3, {1->2}), "
+            "gamma=PartialInjection(n=3, {2->1, 3->3}), shift_exponent=2, case='corank_one')"
+        )
+        assert repr(P.RankCertificate(2, (self.b, self.g), 7, ((1,), (2, 3)))) == (
+            "RankCertificate(claimed_rank=2, generating_set=(PartialInjection(n=3, {1->2}), "
+            "PartialInjection(n=3, {2->1, 3->3})), order=7, lower_bound_witness=((1,), (2, 3)))"
+        )
+
+
 class TestTopRankFactorization:
     def test_examples_and_steps(self):
         ctx = P.RangeContext(3, (1, 2))
