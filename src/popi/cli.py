@@ -9,11 +9,11 @@ large to build (a chain of more than MAX_ELEMENTS points included) or an
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 from . import __version__, errors
 from .green import (
@@ -343,110 +343,90 @@ def cmd_selftest(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
-def _chain_args(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--y", type=str, required=True, help="comma-separated points")
-    _format_args(p)
+# One row per option, in usage order: (name, dest, type, const, default,
+# required, choices, help).  A flag takes no value: its type is None and it
+# sets its dest to const.  The two format flags share one dest, so they
+# share its default too.
+_N = ("--n", "n", int, None, None, True, None, None)
+_FORMAT = (
+    ("--json", "format", None, "json", "text", False, None, None),
+    ("--csv", "format", None, "csv", "text", False, None, None),
+    ("--out", "out", str, None, None, False, None, None),
+)
+_CHAIN = (_N, ("--y", "y", str, None, None, True, None, "comma-separated points"), *_FORMAT)
 
-
-def _format_args(p) -> None:
-    p.add_argument("--json", dest="format", action="store_const", const="json", default="text")
-    p.add_argument("--csv", dest="format", action="store_const", const="csv")
-    p.add_argument("--out", type=str, default=None)
-
-
-def _card_args(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    _format_args(p)
-    p.add_argument("--y", type=str, default=None)
-    p.add_argument("--r", type=int, default=None)
-
-
-def _green_args(p) -> None:
-    _chain_args(p)
-    p.add_argument("--rel", choices=["L", "R", "H", "D"], required=True)
-    p.add_argument("--check", action="store_true", help="compare against the oracle")
-
-
-def _iso_args(p) -> None:
-    _chain_args(p)
-    p.add_argument("--z", type=str, required=True)
-    p.add_argument("--oracle", action="store_true", help="also run the brute-force search")
-
-
-def _decompose_args(p) -> None:
-    _chain_args(p)
-    p.add_argument("--element", type=str, required=True, help='e.g. {"n":3,"pairs":[[3,1]]}')
-
-
-def _selftest_args(p) -> None:
-    p.add_argument("--max-n", type=int, default=4)
-    _format_args(p)
-
-
-# name -> (help, handler, function adding the command's arguments); usage
-# lines list arguments in the order they are added
+# name -> (help, handler, option rows)
 COMMANDS = {
-    "enumerate": ("list every element", cmd_enumerate, _chain_args),
-    "card": ("formula vs enumerated count", cmd_card, _card_args),
-    "green": ("Green's relation classes", cmd_green, _green_args),
-    "rank": ("rank certificate", cmd_rank, _chain_args),
-    "iso": ("isomorphism decision", cmd_iso, _iso_args),
-    "decompose": ("factor an element into top-rank products", cmd_decompose, _decompose_args),
-    "selftest": ("oracle-vs-characterization sweep", cmd_selftest, _selftest_args),
+    "enumerate": ("list every element", cmd_enumerate, _CHAIN),
+    "card": ("formula vs enumerated count", cmd_card, (
+        _N,
+        *_FORMAT,
+        ("--y", "y", str, None, None, False, None, None),
+        ("--r", "r", int, None, None, False, None, None),
+    )),
+    "green": ("Green's relation classes", cmd_green, (
+        *_CHAIN,
+        ("--rel", "rel", str, None, None, True, ("L", "R", "H", "D"), None),
+        ("--check", "check", None, True, False, False, None, "compare against the oracle"),
+    )),
+    "rank": ("rank certificate", cmd_rank, _CHAIN),
+    "iso": ("isomorphism decision", cmd_iso, (
+        *_CHAIN,
+        ("--z", "z", str, None, None, True, None, None),
+        ("--oracle", "oracle", None, True, False, False, None, "also run the brute-force search"),
+    )),
+    "decompose": ("factor an element into top-rank products", cmd_decompose, (
+        *_CHAIN,
+        ("--element", "element", str, None, None, True, None, 'e.g. {"n":3,"pairs":[[3,1]]}'),
+    )),
+    "selftest": ("oracle-vs-characterization sweep", cmd_selftest, (
+        ("--max-n", "max_n", int, None, 4, False, None, None),
+        *_FORMAT,
+    )),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, for every argv that is not plain."""
+def build_parser():
+    """The argparse parser of every command, for every argv that is not
+    plain.  argparse is imported here alone, so a plain argv never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="popi",
         description="Orientation-preserving partial injections with restricted range.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, add_args) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_args(p)
-        p.set_defaults(func=handler)
+    for command, (help_text, _, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, dest, type_, const, default, required, choices, help_ in options:
+            kind = (
+                {"action": "store_const", "const": const}
+                if type_ is None
+                else {"type": type_, "choices": choices}
+            )
+            p.add_argument(
+                name, dest=dest, default=default, required=required, help=help_, **kind
+            )
     return parser
 
 
-class _OptionTable(dict):
-    """A command's options as its argument function adds them: option name
-    -> (dest, type, const, default, required, choices), where a flag, which
-    takes no value, has type None.  The defaults are argparse's."""
-
-    def add_argument(self, name, action="store", dest=None, type=str, const=None,
-                     default=None, required=False, choices=None, help=None):
-        if action == "store_true":
-            const, default = True, False
-        dest = dest or name.lstrip("-").replace("-", "_")
-        type = type if action == "store" else None
-        self[name] = (dest, type, const, default, required, choices)
-
-
-def _read_plain(argv: list[str]) -> argparse.Namespace | None:
-    """What the full parser gives for a plain argv, less `command`, read
-    without building a parser; None for any other argv.  A plain argv is a
-    command's name, then exact option names of that command, each option
-    that takes a value followed by one that does not start with "-", every
-    value valid and every required option given."""
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What the full parser gives for a plain argv, read from the command's
+    option rows without building a parser; None for any other argv.  A
+    plain argv is a command's name, then exact option names of that
+    command, each option that takes a value followed by one that does not
+    start with "-", every value valid and every required option given."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, handler, add_args = COMMANDS[argv[0]]
-    options = _OptionTable()
-    add_args(options)
-    values, missing = {}, set()
-    for name, (dest, _, _, default, required, _) in options.items():
-        values.setdefault(dest, default)  # as argparse: a dest's first default
-        if required:
-            missing.add(name)
+    rows = {row[0]: row for row in COMMANDS[argv[0]][2]}
+    values = {row[1]: row[4] for row in rows.values()}
+    missing = {name for name, row in rows.items() if row[5]}
     tokens = iter(argv[1:])
     for name in tokens:
-        if name not in options:
+        if name not in rows:
             return None
-        dest, type_, const, _, _, choices = options[name]
+        _, dest, type_, const, _, _, choices, _ = rows[name]
         missing.discard(name)
         if type_ is None:
             values[dest] = const
@@ -463,26 +443,15 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
         values[dest] = value
     if missing:
         return None
-    return argparse.Namespace(**values, func=handler)
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """What the full parser gives for argv, less `command`: a plain argv is
-    read from its command's option table, and the full parser takes every
-    other argv, with its help, usage and error texts."""
-    args = _read_plain(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
-        del args.command
-    return args
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # parsed in its own frame, so that no parser is alive while the command runs
-    args = _parse_args(argv)
+    # a parser, if one is built, is freed before the command runs
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (errors.PopiError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 2

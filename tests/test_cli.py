@@ -17,8 +17,6 @@ import popi as P
 from popi.cli import (
     COMMANDS,
     _base_report,
-    _OptionTable,
-    _parse_args,
     _read_plain,
     build_parser,
     main,
@@ -585,6 +583,10 @@ PARSER_CASES = {
     "csv-then-json": ["rank", "--n", "3", "--y", "1,2", "--csv", "--json"],
     "json-then-csv": ["rank", "--n", "3", "--y", "1,2", "--json", "--csv"],
     "selftest-bare": ["selftest"],
+    # a flag given a value; captured from the parser that built all seven
+    # subparsers, each flag a `store_true` or `store_const` argument
+    "check-with-value": ["green", "--n", "3", "--y", "1,2", "--rel", "D", "--check=yes"],
+    "json-with-value": ["rank", "--n", "3", "--y", "1,2", "--json=1"],
 }
 
 
@@ -640,9 +642,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", COMMAND_ARGVS)
     def test_one_command_parser_parses_as_the_full_one(self, argv):
-        full = build_parser().parse_args(argv)
-        del full.command  # what _parse_args leaves out
-        assert _parse_args(argv) == full
+        assert vars(_read_plain(argv)) == vars(build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("argv", COMMAND_ARGVS)
     def test_plain_argv_builds_no_parser(self, argv, monkeypatch, capsys, tmp_path):
@@ -658,14 +658,17 @@ class TestParser:
         assert main(list(argv)) == 0
         assert built == []
 
+    @pytest.fixture(scope="class")
+    def full_parser(self):
+        return build_parser()
+
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_plain_reader_agrees_with_argparse(self, data):
+    def test_plain_reader_agrees_with_argparse(self, data, full_parser):
         # a plain reader may decline any argv, but what it reads is what
         # argparse parses, and it declines every argv argparse exits on
         command = data.draw(st.sampled_from(COMMAND_NAMES))
-        options = _OptionTable()
-        COMMANDS[command][2](options)
+        options = {row[0]: row for row in COMMANDS[command][2]}
         names = sorted(options)
         values = st.one_of(
             st.integers(-20, 20).map(str),
@@ -682,7 +685,7 @@ class TestParser:
         )
 
         def valid(name):
-            _, type_, _, _, _, choices = options[name]
+            _, _, type_, _, _, _, choices, _ = options[name]
             if choices is not None:
                 return st.sampled_from(choices)
             return st.integers(1, 4).map(str) if type_ is int else st.just("1,2")
@@ -695,7 +698,7 @@ class TestParser:
             kind = data.draw(st.sampled_from(["absent", "bare", "any", "valid", "valid", "valid"]))
             if kind != "absent":
                 argv.append(name)
-            if kind in ("any", "valid") and options[name][1] is not None:
+            if kind in ("any", "valid") and options[name][2] is not None:
                 argv.append(data.draw(values if kind == "any" else valid(name)))
         for _ in range(data.draw(st.integers(0, 3))):
             argv.insert(data.draw(st.integers(1, len(argv))), data.draw(tokens))
@@ -704,20 +707,19 @@ class TestParser:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
                 io.StringIO()
             ):
-                full = build_parser().parse_args(argv)
+                full = full_parser.parse_args(argv)
         except SystemExit:
             assert plain is None
             return
         if plain is not None:
-            del full.command
-            assert plain == full
+            assert vars(plain) == vars(full)
 
 
 class TestStartUp:
     """What a `popi` process imports: a clean interpreter (`-S`, so that no
     `.pth` file preloads anything) with the package's directory on its path."""
 
-    UNUSED = ("dataclasses", "inspect", "typing", "csv")
+    UNUSED = ("dataclasses", "inspect", "typing", "csv", "argparse", "gettext")
 
     def child(self, code: str) -> subprocess.CompletedProcess:
         root = os.path.dirname(os.path.dirname(P.__file__))
@@ -740,3 +742,13 @@ class TestStartUp:
             done = self.child(code % (argv + [fmt],))
             assert done.stderr == loaded
             assert done.stdout == run(capsys, *argv, fmt)[1].encode()
+
+    def test_plain_command_loads_no_argparse(self, capsys):
+        argv = ["rank", "--n", "5", "--y", "2,4,5", "--json"]
+        code = (
+            "from popi.cli import main; main(%r); sys.stdout.flush(); "
+            "sys.stderr.write(repr(sorted(sys.modules.keys() & {'argparse', 'gettext'})))"
+        )
+        done = self.child(code % (argv,))
+        assert done.stderr == b"[]"
+        assert done.stdout == run(capsys, *argv)[1].encode()

@@ -17,6 +17,7 @@ import popi as P
 from popi import errors
 from popi.cli import main
 
+from popi import rank
 from popi.rank import _checked, _gap_point, _missing_index, full_range_pair
 
 from conftest import all_range_sets, member_of, pi, proper_range_sets, rank_layer, semigroup
@@ -552,6 +553,59 @@ class TestChecked:
         _checked(self.ctx, a, d, (2, 1))
         with pytest.raises(errors.DecompositionFailed):
             _checked(self.ctx, pi(3, (3, 2)), d, (2, 1))
+
+
+# Each certificate guard, reached by breaking the one collaborator it
+# checks: the guard's message, the owner and name of the collaborator, its
+# replacement made from the original, and the call that reaches the guard.
+GUARDS = [
+    pytest.param(
+        "no rotation shift found",
+        P.PartialInjection, "is_order_preserving", lambda real: lambda self: False,
+        lambda: P.shift_decompose(pi(3, (1, 2), (3, 1))),
+        id="shift",
+    ),
+    pytest.param(
+        "no one-higher-rank factorization",
+        rank, "_gap_point", lambda real: lambda *args: None,
+        lambda: P.decompose_low_rank(P.RangeContext(3, (1, 2)), P.empty_map(3)),
+        id="low-rank",
+    ),
+    pytest.param(
+        "corank-one factor .* is not restricted",
+        rank, "is_restricted_corank_one", lambda real: lambda ctx, a: False,
+        lambda: P.decompose_corank_one(P.RangeContext(3, (1, 2)), pi(3, (3, 1))),
+        id="corank-one",
+    ),
+    pytest.param(
+        "lower-bound witness is not two idempotents of S",
+        P.PartialInjection, "is_idempotent", lambda real: lambda self: False,
+        lambda: P.semigroup_rank(P.RangeContext(3, (1, 2, 3))),
+        id="idempotents",
+    ),
+    pytest.param(
+        "generating set failed to generate",
+        rank, "closure", lambda real: lambda *args: range(len(real(*args)) - 1),
+        lambda: P.semigroup_rank(P.RangeContext(3, (1, 2))),
+        id="closure",
+    ),
+    pytest.param(
+        # every split drops its last factor; the one split of a restricted
+        # corank-one element gives [beta] for [beta, gamma]
+        "pipeline product check failed",
+        rank, "_factor",
+        lambda real: lambda ctx, a, steps: real(ctx, a, steps)[: -1 if a.rank < ctx.r else None],
+        lambda: P.top_rank_factorization(P.RangeContext(3, (1, 2)), pi(3, (1, 2))),
+        id="pipeline",
+    ),
+]
+
+
+@pytest.mark.parametrize("message, owner, attr, replace, call", GUARDS)
+def test_certificate_guards_raise(monkeypatch, message, owner, attr, replace, call):
+    monkeypatch.setattr(owner, attr, replace(getattr(owner, attr)))
+    with pytest.raises(errors.DecompositionFailed, match=message):
+        call()
 
 
 class TestRecords:
