@@ -223,15 +223,14 @@ def cmd_green(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
     if args.check:
         check_table_size(ctx.n, ctx.r)  # before anything is counted or built
-    part = green_characterized(ctx, args.rel)
+    classes = green_characterized(ctx, args.rel)
     report = _base_report(
         "green", {"n": ctx.n, "y": list(ctx.points), "rel": args.rel, "check": args.check}
     )
-    report["class_count"] = len(part)
-    report["class_sizes"] = [len(c) for c in part]
+    report["class_count"] = len(classes[args.rel])
+    report["class_sizes"] = [len(c) for c in classes[args.rel]]
     if args.check:
-        oracle = green_oracle(enumerate_semigroup(ctx), args.rel)
-        report["oracle_agrees"] = part == oracle[args.rel]
+        report["oracle_agrees"] = classes == green_oracle(enumerate_semigroup(ctx), args.rel)
     _emit(args, report)
     return 0
 
@@ -329,9 +328,10 @@ def cmd_selftest(args) -> int:
                     if is_regular_oracle(S, i) != is_regular_characterized(ctx, S[i]):
                         failures.append("regularity %s i=%d" % (where, i))
                         break
+                characterized = green_characterized(ctx, "LRHD")
                 oracle = green_oracle(S, "LRHD")
-                for rel in ("L", "R", "H", "D"):
-                    if green_characterized(ctx, rel) != oracle[rel]:
+                for rel in "LRHD":
+                    if characterized[rel] != oracle[rel]:
                         failures.append("green-%s %s" % (rel, where))
     report = _base_report("selftest", {"max_n": args.max_n})
     report["failures"] = failures

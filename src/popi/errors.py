@@ -25,19 +25,7 @@ class BadParameters(PopiError):
     pass
 
 
-class GeneratorOutsideSemigroup(PopiError):
-    pass
-
-
 class NotAMember(PopiError):
-    pass
-
-
-class NotOrientationPreserving(PopiError):
-    pass
-
-
-class RankTooHigh(PopiError):
     pass
 
 

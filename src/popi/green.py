@@ -6,12 +6,14 @@ closed-form descriptions (regularity by domain containment; L/R/H/D by
 image, domain and rank).  A partition is its classes: a tuple of tuples of
 `enumerate_semigroup` indices, each sorted and ordered by its least index,
 so two partitions of one semigroup are equal exactly when their tuples are.
-Tests assert the two partitions coincide.
+Both paths take a string of relation letters and return {letter: partition},
+and tests assert the two dicts coincide.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, repeat, starmap
 
 from . import errors
 from .semigroup import ElementSet, RangeContext, _rotations, contains, element_blocks
@@ -50,28 +52,38 @@ def is_regular_oracle(S: ElementSet, a_index: int) -> bool:
 # -- characterized partitions ----------------------------------------------
 
 
-def green_characterized(ctx: RangeContext, relation: str) -> Partition:
-    """Partition from the closed-form descriptions of L, R, H and D over the
-    unbuilt pairs of `element_blocks`; a pair alone keys a class of one."""
-    if relation not in ("L", "R", "H", "D"):
-        raise errors.BadParameters("unknown relation %r" % relation)
+def _check_relations(relations, letters: str) -> None:
+    if not (isinstance(relations, str) and relations and set(relations) <= set(letters)):
+        raise errors.BadParameters("unknown relations %r" % (relations,))
 
-    def keys():  # the blocks' order is the enumeration's
-        for seqs, domains in element_blocks(ctx):
-            images = list(map(frozenset, seqs))
-            for domain in domains:
-                regular = ctx.point_set.issuperset(domain)
-                for seq, image in zip(seqs, images):
-                    if relation == "L":
-                        yield ("reg", image) if regular else ("one", domain, seq)
-                    elif relation == "R":
-                        yield domain
-                    elif relation == "H":
-                        yield ("reg", domain, image) if regular else ("one", domain, seq)
-                    else:  # D: regular classes by rank, non-regular by shared domain
-                        yield ("reg", len(domain)) if regular else ("non", domain)
 
-    return _group_by_key(keys())
+# letter -> the keys of one domain's elements, from the domain, whether it
+# is regular, their image sets and their indices: D keys regular elements by
+# rank and the rest by domain, and an index keys a class of one
+_KEYS = {
+    "L": lambda dom, reg, images, block: images if reg else block,
+    "R": lambda dom, reg, images, block: repeat(dom, len(block)),
+    "H": lambda dom, reg, images, block: zip(repeat(dom), images) if reg else block,
+    "D": lambda dom, reg, images, block: repeat(len(dom) if reg else dom, len(block)),
+}
+
+
+def green_characterized(ctx: RangeContext, relations: str) -> dict[str, Partition]:
+    """The partition of each relation named in `relations` (a nonempty
+    string of letters from "LRHD"; J is the oracle's alone), from the
+    closed-form descriptions of L, R, H and D over one walk of the unbuilt
+    pairs of `element_blocks`, whose order is the enumeration's."""
+    _check_relations(relations, "LRHD")
+    walk = []  # (domain, regular, image sets, indices) per domain, in index order
+    i = 0
+    for seqs, domains in element_blocks(ctx):
+        images = list(map(frozenset, seqs))
+        for domain in domains:
+            block = range(i, i + len(seqs))
+            i = block.stop
+            walk.append((domain, ctx.point_set.issuperset(domain), images, block))
+    keys = {rel: chain.from_iterable(starmap(_KEYS[rel], walk)) for rel in relations}
+    return {rel: _group_by_key(rel_keys) for rel, rel_keys in keys.items()}
 
 
 # -- oracle partitions ------------------------------------------------------
@@ -108,8 +120,7 @@ def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
     whose representatives generate the same two-sided ideal (D refines J
     in any semigroup).
     """
-    if not (isinstance(relations, str) and relations and set(relations) <= set("LRHDJ")):
-        raise errors.BadParameters("unknown relations %r" % (relations,))
+    _check_relations(relations, "LRHDJ")
     left = _left_ideals(S) if relations != "R" else None
     right = _right_ideals(S) if relations != "L" else None
     joined = "D" in relations or "J" in relations

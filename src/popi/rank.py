@@ -82,7 +82,7 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
     x a1 = (x - l) a, so a1's table is a's rotated l slots to the right.
     """
     if not a.is_orientation_preserving():
-        raise errors.NotOrientationPreserving("%r" % (a,))
+        raise errors.NotAMember("%r" % (a,))
     n, seq, table = a.n, a.image_seq, a.table
     k = next((k for k in range(1, len(seq)) if seq[k - 1] > seq[k]), None)
     l = 0 if k is None else n + 1 - a.domain[k]
@@ -126,7 +126,7 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     m = a.rank
     r = ctx.r
     if m > r - 2:
-        raise errors.RankTooHigh("rank %d exceeds %d" % (m, r - 2))
+        raise errors.BadRank("rank %d exceeds %d" % (m, r - 2))
     n, table = ctx.n, a.table
     c = table.index(0) + 1
     ext = sorted(a.domain + (c,))

@@ -311,7 +311,7 @@ def closure(
     gens: dict[PartialInjection, None] = {}  # first-seen order
     for a in generators:
         if not contains(ctx, a):
-            raise errors.GeneratorOutsideSemigroup("generator %r is not a member" % (a,))
+            raise errors.NotAMember("generator %r is not a member" % (a,))
         gens.setdefault(a)
     if not gens:
         raise errors.BadParameters("need at least one generator")

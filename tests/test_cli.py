@@ -469,13 +469,30 @@ class TestSelftest:
     def test_green_failure_per_relation(self, capsys, monkeypatch):
         import popi.cli
 
-        monkeypatch.setattr(popi.cli, "green_characterized", lambda ctx, rel: ())
+        no_classes = lambda ctx, relations: dict.fromkeys(relations, ())
+        monkeypatch.setattr(popi.cli, "green_characterized", no_classes)
         code, doc = run_json(capsys, "selftest", "--max-n", "1")
         assert code == 1 and doc["ok"] is False
         assert doc["failures"] == ["green-%s n=1 y={1}" % rel for rel in "LRHD"]
 
 
 class TestErrors:
+    def test_every_error_class_is_raised(self):
+        # read from the sources, so a class that nothing raises any more is caught
+        import pathlib
+
+        from popi import errors
+
+        package = pathlib.Path(errors.__file__).parent
+        source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+        classes = [
+            name
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.PopiError)
+        ]
+        assert classes[0] == "PopiError"  # the base class, caught and never raised
+        assert [c for c in classes[1:] if "raise errors.%s(" % c not in source] == []
+
     def test_bad_points(self, capsys):
         code, out, err = run(capsys, "enumerate", "--n", "3", "--y", "1,x")
         assert code == 2 and "BadParameters" in err

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popi as P
 from popi import errors, green
@@ -67,9 +69,7 @@ class TestCharacterizedExamples:
         ctx, S = semigroup(3, (1, 2))
         a = S.index_of(pi(3, (3, 1)))
         b = S.index_of(pi(3, (3, 2)))
-        rmap = class_map(P.green_characterized(ctx, "R"))
-        dmap = class_map(P.green_characterized(ctx, "D"))
-        lmap = class_map(P.green_characterized(ctx, "L"))
+        rmap, dmap, lmap = map(class_map, P.green_characterized(ctx, "RDL").values())
         assert rmap[a] == rmap[b]
         assert dmap[a] == dmap[b]
         assert lmap[a] != lmap[b]
@@ -78,12 +78,12 @@ class TestCharacterizedExamples:
         ctx, S = semigroup(3, (1, 2))
         e = S.index_of(P.identity_on(3, {1, 2}))
         c = S.index_of(pi(3, (1, 2), (2, 1)))
-        hmap = class_map(P.green_characterized(ctx, "H"))
+        hmap = class_map(P.green_characterized(ctx, "H")["H"])
         assert hmap[e] == hmap[c]
 
     def test_top_regular_d_class_content(self):
         ctx, S = semigroup(3, (1, 2))
-        dmap = class_map(P.green_characterized(ctx, "D"))
+        dmap = class_map(P.green_characterized(ctx, "D")["D"])
         e = S.index_of(P.identity_on(3, {1, 2}))
         members = [i for i, c in dmap.items() if c == dmap[e]]
         expected = {e, S.index_of(pi(3, (1, 2), (2, 1)))}
@@ -91,20 +91,32 @@ class TestCharacterizedExamples:
 
 
 class TestOracleMatchesCharacterized:
-    @pytest.mark.parametrize("rel", ["L", "R", "H", "D"])
-    def test_small_grid(self, rel):
-        for n in range(1, 5):
+    @pytest.mark.parametrize("relations", ["L", "R", "H", "D", "LRHD"])
+    def test_small_grid(self, relations):
+        # one call shape on both sides: a letter string in, {letter: partition} out
+        for n in range(1, 6):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                assert P.green_characterized(ctx, rel) == P.green_oracle(S, rel)[rel]
+                assert P.green_characterized(ctx, relations) == P.green_oracle(S, relations)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sets(st.integers(1, 6), min_size=1, max_size=5))
+    def test_proper_range_sets_at_six(self, points):
+        # built here, not through the cached `semigroup`, so no table outlives its example
+        ctx = P.RangeContext(6, sorted(points))
+        S = P.enumerate_semigroup(ctx)
+        assert P.green_characterized(ctx, "LRHD") == P.green_oracle(S, "LRHD")
 
     def test_unknown_relation_rejected(self):
         ctx, S = semigroup(3, (1, 2))
+        # both sides share one letter check
+        for relations in ("", "Q", "LX", ["L"], None):
+            for side, arg in ((P.green_characterized, ctx), (P.green_oracle, S)):
+                with pytest.raises(errors.BadParameters, match="unknown relations"):
+                    side(arg, relations)
         with pytest.raises(errors.BadParameters):
             P.green_characterized(ctx, "J")  # the oracle's alone
-        for relations in ("Q", "", "LX"):
-            with pytest.raises(errors.BadParameters):
-                P.green_oracle(S, relations)
+        assert P.green_oracle(S, "J")["J"] == P.green_oracle(S, "D")["D"]
 
     def test_singleton_set(self):
         ctx = P.RangeContext(3, (1, 2))
@@ -123,7 +135,7 @@ class TestOracleMatchesCharacterized:
         for n in range(1, 5):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                parts = [P.green_characterized(ctx, rel) for rel in "LRHD"]
+                parts = [*P.green_characterized(ctx, "LRHD").values()]
                 parts += P.green_oracle(S, "LRHDJ").values()
                 for part in parts:
                     assert all(list(c) == sorted(set(c)) for c in part), (n, pts)
@@ -148,7 +160,7 @@ class TestOracleMatchesCharacterized:
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
                 r = len(pts)
-                rmap = class_map(P.green_characterized(ctx, "R"))
+                rmap = class_map(P.green_characterized(ctx, "R")["R"])
                 top_classes = {rmap[i] for i in rank_layer(S, r)}
                 assert len(top_classes) == math.comb(n, r)
 
@@ -230,3 +242,19 @@ class TestOracleBuilds:
         assert main(["selftest", "--max-n", "3", "--json"]) == 0
         # one of each per range set: 1 + 3 + 7 of them at n <= 3
         assert builds == {"left": 11, "right": 11}
+
+    def test_selftest_calls_each_side_once_per_range_set(self, monkeypatch, capsys):
+        import popi.cli
+
+        calls = {"green_characterized": 0, "green_oracle": 0}
+        for name in calls:
+            original = getattr(popi.cli, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(popi.cli, name, counted)
+        assert main(["selftest", "--max-n", "3", "--json"]) == 0
+        # 1 + 3 + 7 range sets at n <= 3
+        assert calls == {"green_characterized": 11, "green_oracle": 11}

@@ -283,7 +283,7 @@ class TestClosure:
 
     def test_rejects_outside_generator(self):
         ctx = P.RangeContext(3, (1, 2))
-        with pytest.raises(errors.GeneratorOutsideSemigroup):
+        with pytest.raises(errors.NotAMember):
             P.closure(ctx, [P.PartialInjection(3, [(1, 3)])])
 
 
