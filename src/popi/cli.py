@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import __version__, errors
@@ -49,9 +50,32 @@ def _parse_points(text: str) -> tuple[int, ...]:
 
 
 def _fmt_elem(a: PartialInjection) -> str:
-    if a.is_empty():
-        return "empty"
-    return " ".join(map("%d>%d".__mod__, zip(a.domain, a.image_seq)))
+    """The defined pairs as "x>y" words, in one pass over the table, or
+    "empty"."""
+    return " ".join(["%d>%d" % xy for xy in enumerate(a.table, 1) if xy[1]]) or "empty"
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, written directly, for what a report
+    holds: str, int, bool, None, and lists and str-keyed dicts of them;
+    TypeError for anything else.  `pad` starts the value's closing line."""
+    cls = type(obj)
+    if cls is str:
+        return _quote(obj)
+    if cls is int:
+        return repr(obj)
+    inner = pad + "  "
+    if cls is list:
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if cls is dict:
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if cls is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise TypeError("a report holds no %s" % cls.__name__)
 
 
 def _int_list(seq: tuple[int, ...]) -> str:
@@ -106,7 +130,7 @@ def _listing(fmt: str, report: dict, blocks) -> str:
     # the head and the tail ride on the first and last rows, so the
     # document is copied once, by the join
     if fmt == "json":
-        head = json.dumps(report, indent=2)  # ends with "\n}"
+        head = _json(report)  # ends with "\n}"
         rows[0] = head[:-2] + ',\n  "elements": [\n' + rows[0]
         rows[-1] += "\n  ]\n}\n"
         return ",\n".join(rows)
@@ -126,7 +150,7 @@ def _emit(args, report: dict, records: list[dict] | None = None, listing=None) -
     if listing is not None:
         text = _listing(args.format, report, listing)
     elif args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json(report) + "\n"
     elif args.format == "csv":
         import csv
 

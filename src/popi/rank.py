@@ -100,11 +100,12 @@ def _checked(
 ) -> Decomposition:
     """`d`, once both factors are members of ranks `ranks` whose product is
     `a`; DecompositionFailed otherwise."""
+    beta, gamma = d.beta, d.gamma
     if not (
-        (d.beta.rank, d.gamma.rank) == ranks
-        and contains(ctx, d.beta)
-        and contains(ctx, d.gamma)
-        and d.beta * d.gamma == a
+        (beta.rank, gamma.rank) == ranks
+        and contains(ctx, beta)
+        and contains(ctx, gamma)
+        and beta * gamma == a
     ):
         raise errors.DecompositionFailed("%s factorization failed for %r" % (d.case, a))
     return d
@@ -193,10 +194,12 @@ def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decompositio
 
 def is_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> bool:
     """Order-preserving, rank r-1, with domain inside the range set."""
+    table = a.table
+    n = len(table)
     return (
-        a.n == ctx.n
-        and a.rank == ctx.r - 1
-        and set(a.domain) <= ctx.point_set
+        n == ctx.n
+        and n - table.count(0) == len(ctx.points) - 1
+        and ctx.point_set.issuperset(compress(range(1, n + 1), table))
         and a.is_order_preserving()
     )
 
@@ -390,15 +393,23 @@ def top_rank_factorization(
 
 
 def _factor(ctx, a, steps) -> list[PartialInjection]:
+    """The top-rank factors of `a` in order, each β's split before its γ's."""
     r = ctx.r
-    if a.rank == r:
-        return [a]
-    if a.rank <= r - 2:
-        op, d = "raise_rank", decompose_low_rank(ctx, a)
-    elif is_restricted_corank_one(ctx, a):
-        op, d = "restricted_split", decompose_restricted_corank_one(ctx, a)
-    else:
-        op, d = "corank_one_split", decompose_corank_one(ctx, a)
-    if steps is not None:
-        steps.append((op, a, d))
-    return _factor(ctx, d.beta, steps) + _factor(ctx, d.gamma, steps)
+    factors = []
+    stack = [a]
+    while stack:
+        a = stack.pop()
+        m = a.rank
+        if m == r:
+            factors.append(a)
+            continue
+        if m <= r - 2:
+            op, d = "raise_rank", decompose_low_rank(ctx, a)
+        elif is_restricted_corank_one(ctx, a):
+            op, d = "restricted_split", decompose_restricted_corank_one(ctx, a)
+        else:
+            op, d = "corank_one_split", decompose_corank_one(ctx, a)
+        if steps is not None:
+            steps.append((op, a, d))
+        stack += d.gamma, d.beta
+    return factors

@@ -184,15 +184,15 @@ def cardinality_formula(n: int, r: int) -> int:
 
 def contains(ctx: RangeContext, a: PartialInjection) -> bool:
     """Membership test: injective and orientation-preserving, with image
-    inside the range set.  Injectivity is tested because `from_table`
-    trusts its table."""
-    if a.n != ctx.n:
+    inside the range set.  Injectivity, an image of as many points as the
+    image sequence, is tested because `from_table` trusts its table."""
+    if len(a.table) != ctx.n:
         raise errors.MismatchedChainSize(
             "element lives on a chain of size %d, context has %d" % (a.n, ctx.n)
         )
     seq = a.image_seq
     image = frozenset(seq)
-    return len(image) == a.rank and image <= ctx.point_set and is_cyclic(seq)
+    return len(image) == len(seq) and image <= ctx.point_set and is_cyclic(seq)
 
 
 def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

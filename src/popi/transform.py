@@ -108,7 +108,7 @@ class PartialInjection:
     def compose(self, other: "PartialInjection") -> "PartialInjection":
         """self followed by other: the element product, in one C-level
         `itemgetter` call on tuple tables."""
-        if self.n != other.n:
+        if len(self.table) != len(other.table):
             raise errors.MismatchedChainSize(
                 "cannot compose maps on chains of size %d and %d" % (self.n, other.n)
             )
@@ -116,7 +116,7 @@ class PartialInjection:
         # sends "undefined" to "undefined"
         right = (0, *other.table)
         # a one-index itemgetter returns the item, not a 1-tuple
-        table = itemgetter(*self.table)(right) if self.n > 1 else (right[self.table[0]],)
+        table = itemgetter(*self.table)(right) if len(self.table) > 1 else (right[self.table[0]],)
         return PartialInjection.from_table(table)
 
     __mul__ = compose

@@ -10,13 +10,14 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import popi as P
 from popi.cli import (
     COMMANDS,
     _base_report,
+    _json,
     _read_plain,
     build_parser,
     main,
@@ -474,6 +475,32 @@ class TestSelftest:
         code, doc = run_json(capsys, "selftest", "--max-n", "1")
         assert code == 1 and doc["ok"] is False
         assert doc["failures"] == ["green-%s n=1 y={1}" % rel for rel in "LRHD"]
+
+
+# Report-shaped values: str, int, bool and None, in lists and str-keyed
+# dicts.  The texts lean on what JSON escapes: quotes, backslashes, control
+# characters and non-ASCII.
+REPORT_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\r é€\u2028𝔖ab') | st.characters(), max_size=8
+)
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**100), 10**100) | REPORT_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(REPORT_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @given(REPORT_VALUES)
+    @example({"q\"uo\\te": ["\x00\x1f\n", "é€𝔖", [], {}, -7, 10**99, -(10**100) + 1]})
+    @example([True, False, None, 0, "", {"": {"": []}}])
+    def test_equals_json_dumps_indent_2(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [0.0]}])
+    def test_other_values_refused(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 class TestErrors:

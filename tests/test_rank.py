@@ -590,8 +590,8 @@ GUARDS = [
         id="closure",
     ),
     pytest.param(
-        # every split drops its last factor; the one split of a restricted
-        # corank-one element gives [beta] for [beta, gamma]
+        # the walk's factor list loses its last factor; the one split of a
+        # restricted corank-one element gives [beta] for [beta, gamma]
         "pipeline product check failed",
         rank, "_factor",
         lambda real: lambda ctx, a, steps: real(ctx, a, steps)[: -1 if a.rank < ctx.r else None],
@@ -710,6 +710,32 @@ class TestTopRankFactorization:
                 assert count <= bound
                 reached |= a.rank < r and count == bound
         assert reached == (n > 2)
+
+
+def reference_factor(ctx, a, steps):
+    """The pipeline's split walk as a recursion: each split's β factors
+    before its γ, and each split's step is recorded before its children's."""
+    r = ctx.r
+    if a.rank == r:
+        return [a]
+    if a.rank <= r - 2:
+        op, d = "raise_rank", P.decompose_low_rank(ctx, a)
+    elif P.is_restricted_corank_one(ctx, a):
+        op, d = "restricted_split", P.decompose_restricted_corank_one(ctx, a)
+    else:
+        op, d = "corank_one_split", P.decompose_corank_one(ctx, a)
+    steps.append((op, a, d))
+    return reference_factor(ctx, d.beta, steps) + reference_factor(ctx, d.gamma, steps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_factor_walk_matches_recursive_reference(n):
+    for pts in proper_range_sets(n):
+        ctx, S = semigroup(n, pts)
+        for a in S:
+            steps, expected_steps = [], []
+            assert rank._factor(ctx, a, steps) == reference_factor(ctx, a, expected_steps)
+            assert steps == expected_steps
 
 
 @st.composite
