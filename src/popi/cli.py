@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -97,50 +97,59 @@ def _text_list(seq: tuple[int, ...]) -> str:
 
 # One element of a listing in each format, as json.dumps(indent=2) (two
 # levels deep), the CSV writer and `_text_report` write its record, the dict
-# {"index", "rank", "domain", "image"}, with the writer of its int lists.  A
-# domain fills in its rank and its list; what is left to fill per element is
-# the index and the image list.
+# {"index", "rank", "domain", "image"}, split around its index: the head
+# before the index, the middle after it (a template for the domain's rank
+# and list), and the close after the image list, separator included; then
+# the document's close, which replaces the last record's close; then the
+# writer of the int lists.
 _LISTING = {
     "json": (
-        '    {\n      "index": %%d,\n      "rank": %d,\n      "domain": %s,\n'
-        '      "image": %%s\n    }',
+        '    {\n      "index": ',
+        ',\n      "rank": %d,\n      "domain": %s,\n      "image": ',
+        "\n    },\n",
+        "\n    }\n  ]\n}\n",
         _int_list,
     ),
-    "csv": ("%%d,%d,%s,%%s", _csv_list),
-    "text": ("  index=%%d  rank=%d  domain=%s  image=%%s", _text_list),
+    "csv": ("", ",%d,%s,", "\r\n", "\r\n", _csv_list),
+    "text": ("  index=", "  rank=%d  domain=%s  image=", "\n", "\n", _text_list),
 }
 
 
 def _listing(fmt: str, report: dict, blocks) -> str:
     """The report with "count" and, as its last key, "elements": one record
     per element of the listing's blocks, in format `fmt`, written without
-    building the records.  Each image sequence's list is written once per
-    block, that is once per rank, and each domain's list once.  JSON and
-    text write the report itself around the records; CSV writes the records
-    alone."""
-    record, int_list = _LISTING[fmt]
-    rows: list[str] = []
+    building or formatting a record.  A block's image sequences each get
+    one tail, their list and the record's close; a domain gets one middle,
+    its rank and list; and each element is four pieces, the shared head,
+    its index, its domain's middle and its sequence's tail, joined once
+    over the whole document.  JSON and text write the report itself around
+    the records; CSV writes the records alone."""
+    head, middle, close, end, int_list = _LISTING[fmt]
+    parts: list[str] = []
+    count = 0
     for seqs, domains in blocks:
-        texts = [int_list(seq) for seq in seqs]
+        tails = [int_list(seq) + close for seq in seqs]
+        m = len(tails)
         for domain in domains:
-            row = record % (len(domain), int_list(domain))
-            start = len(rows)
-            rows.extend(map(row.__mod__, zip(range(start, start + len(texts)), texts)))
-    report["count"] = len(rows)
-    # the head and the tail ride on the first and last rows, so the
-    # document is copied once, by the join
+            mid = middle % (len(domain), int_list(domain))
+            parts.extend(
+                chain.from_iterable(
+                    zip(repeat(head, m), map(str, range(count, count + m)), repeat(mid, m), tails)
+                )
+            )
+            count += m
+    report["count"] = count
+    # the document's head and close ride on the first and last pieces, so
+    # the document is copied once, by the join
     if fmt == "json":
-        head = _json(report)  # ends with "\n}"
-        rows[0] = head[:-2] + ',\n  "elements": [\n' + rows[0]
-        rows[-1] += "\n  ]\n}\n"
-        return ",\n".join(rows)
-    if fmt == "csv":
-        rows[0] = "index,rank,domain,image\r\n" + rows[0]
-        rows[-1] += "\r\n"
-        return "\r\n".join(rows)
-    rows[0] = _text_report(report) + "elements:\n" + rows[0]
-    rows[-1] += "\n"
-    return "\n".join(rows)
+        top = _json(report)[:-2] + ',\n  "elements": [\n'  # _json ends with "\n}"
+    elif fmt == "csv":
+        top = "index,rank,domain,image\r\n"
+    else:
+        top = _text_report(report) + "elements:\n"
+    parts[0] = top + head
+    parts[-1] = parts[-1][: -len(close)] + end
+    return "".join(parts)
 
 
 def _emit(args, report: dict, records: list[dict] | None = None, listing=None) -> None:

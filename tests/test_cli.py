@@ -19,6 +19,7 @@ from popi.cli import (
     _base_report,
     _json,
     _read_plain,
+    _text_report,
     build_parser,
     main,
 )
@@ -77,6 +78,37 @@ class TestCard:
         assert peak < 2**20
 
 
+def _y(pts) -> str:
+    return ",".join(map(str, pts))
+
+
+def listed_report(n: int, pts: tuple[int, ...]) -> dict:
+    """The enumerate report built from element objects: "count", then one
+    {"index", "rank", "domain", "image"} record per element, in order."""
+    S = P.enumerate_semigroup(P.RangeContext(n, pts))
+    report = _base_report("enumerate", {"n": n, "y": list(pts)})
+    report["count"] = len(S)
+    report["elements"] = [
+        {"index": i, "rank": a.rank, "domain": list(a.domain), "image": list(a.image_seq)}
+        for i, a in enumerate(S)
+    ]
+    return report
+
+
+def first_difference(got: str, want: str):
+    """None when equal; else the first differing line's number and both
+    versions of it, which pytest prints at once where a diff of two whole
+    listings takes minutes."""
+    if got == want:
+        return None
+    pairs = zip(got.splitlines(True) + [""], want.splitlines(True) + [""])
+    return next((i, g, w) for i, (g, w) in enumerate(pairs) if g != w)
+
+
+# listings past the n <= 6 goldens, and the one-point ranges
+LISTING_CASES = [(8, tuple(range(1, 9))), (9, (1, 3, 5, 7, 9)), (7, (2,)), (1, (1,))]
+
+
 class TestEnumerate:
     def test_count_and_schema(self, capsys):
         code, doc = run_json(capsys, "enumerate", "--n", "3", "--y", "1,2")
@@ -113,20 +145,33 @@ class TestEnumerate:
 
     @pytest.mark.parametrize(
         "n, pts",
-        [(n, pts) for n in range(1, 6) for pts in all_range_sets(n)] + [(8, tuple(range(1, 9)))],
+        [(n, pts) for n in range(1, 6) for pts in all_range_sets(n)]
+        + [(8, tuple(range(1, 9))), (9, (1, 3, 5, 7, 9)), (7, (2,))],
     )
     def test_json_equals_dumped_records(self, capsys, n, pts):
-        S = P.enumerate_semigroup(P.RangeContext(n, pts))
-        report = _base_report("enumerate", {"n": n, "y": list(pts)})
-        report["count"] = len(S)
-        report["elements"] = [
-            {"index": i, "rank": a.rank, "domain": list(a.domain), "image": list(a.image_seq)}
-            for i, a in enumerate(S)
-        ]
-        y = ",".join(map(str, pts))
-        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", y, "--json")
+        report = listed_report(n, pts)
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", _y(pts), "--json")
         assert code == 0
-        assert out == json.dumps(report, indent=2) + "\n"
+        assert first_difference(out, json.dumps(report, indent=2) + "\n") is None
+
+    @pytest.mark.parametrize("n, pts", LISTING_CASES)
+    def test_text_equals_report_of_records(self, capsys, n, pts):
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", _y(pts))
+        assert code == 0
+        assert first_difference(out, _text_report(listed_report(n, pts))) is None
+
+    @pytest.mark.parametrize("n, pts", LISTING_CASES)
+    def test_csv_equals_written_records(self, capsys, n, pts):
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=["index", "rank", "domain", "image"])
+        writer.writeheader()
+        for record in listed_report(n, pts)["elements"]:
+            writer.writerow(
+                {k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in record.items()}
+            )
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", _y(pts), "--csv")
+        assert code == 0
+        assert first_difference(out, buf.getvalue()) is None
 
     def test_too_large_refused_before_building(self, capsys):
         tracemalloc.start()
