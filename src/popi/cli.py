@@ -12,8 +12,9 @@ from __future__ import annotations
 import io
 import json
 import sys
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, repeat, takewhile
 from json.encoder import encode_basestring_ascii as _quote
+from operator import eq
 from types import SimpleNamespace
 
 from . import __version__, errors
@@ -357,10 +358,11 @@ def cmd_selftest(args) -> int:
                 where = "n=%d y={%s}" % (n, " ".join(map(str, pts)))
                 if len(S) != cardinality_formula(n, ctx.r):
                     failures.append("cardinality " + where)
-                for i in range(len(S)):
-                    if is_regular_oracle(S, i) != is_regular_characterized(ctx, S[i]):
-                        failures.append("regularity %s i=%d" % (where, i))
-                        break
+                characterized, oracle = is_regular_characterized(ctx), is_regular_oracle(S)
+                if characterized != oracle:
+                    # their common prefix's length: where they first differ, or where one ends
+                    i = sum(takewhile(bool, map(eq, characterized, oracle)))
+                    failures.append("regularity %s i=%d" % (where, i))
                 characterized = green_characterized(ctx, "LRHD")
                 oracle = green_oracle(S, "LRHD")
                 for rel in "LRHD":

@@ -7,7 +7,8 @@ image, domain and rank).  A partition is its classes: a tuple of tuples of
 `enumerate_semigroup` indices, each sorted and ordered by its least index,
 so two partitions of one semigroup are equal exactly when their tuples are.
 Both paths take a string of relation letters and return {letter: partition},
-and tests assert the two dicts coincide.
+and both regularity paths return one bool per element in index order; tests
+assert each pair coincides.
 """
 
 from __future__ import annotations
@@ -35,18 +36,31 @@ def _group_by_key(keys) -> Partition:
 # -- regularity -------------------------------------------------------------
 
 
-def is_regular_characterized(ctx: RangeContext, a) -> bool:
-    """Closed form: regular exactly when the domain lies inside the range set."""
-    if not contains(ctx, a):
-        raise errors.NotAMember("%r is not in the semigroup" % (a,))
-    return ctx.point_set.issuperset(a.domain)
+def _domain_walk(ctx: RangeContext) -> list:
+    """(domain, regular, image sets, indices) per domain of `element_blocks`, in
+    index order; regular exactly when the domain lies inside the range set."""
+    walk = []
+    i = 0
+    for seqs, domains in element_blocks(ctx):
+        images = list(map(frozenset, seqs))
+        for domain in domains:
+            block = range(i, i + len(seqs))
+            i = block.stop
+            walk.append((domain, ctx.point_set.issuperset(domain), images, block))
+    return walk
 
 
-def is_regular_oracle(S: ElementSet, a_index: int) -> bool:
-    """Definition-level check: some b in S satisfies aba = a, tried once
-    for each distinct product ab."""
+def is_regular_characterized(ctx: RangeContext) -> tuple[bool, ...]:
+    """Closed form: whether each element is regular, in index order."""
+    walk = _domain_walk(ctx)
+    return tuple(chain.from_iterable(repeat(reg, len(block)) for _, reg, _, block in walk))
+
+
+def is_regular_oracle(S: ElementSet) -> tuple[bool, ...]:
+    """Definition level: whether each a in S has some b in S with aba = a,
+    in index order, tried once for each distinct product ab in row a."""
     m = S.mult_table()
-    return any(m[x][a_index] == a_index for x in set(m[a_index]))
+    return tuple(any(m[x][a] == a for x in set(row)) for a, row in enumerate(m))
 
 
 # -- characterized partitions ----------------------------------------------
@@ -71,17 +85,9 @@ _KEYS = {
 def green_characterized(ctx: RangeContext, relations: str) -> dict[str, Partition]:
     """The partition of each relation named in `relations` (a nonempty
     string of letters from "LRHD"; J is the oracle's alone), from the
-    closed-form descriptions of L, R, H and D over one walk of the unbuilt
-    pairs of `element_blocks`, whose order is the enumeration's."""
+    closed-form descriptions of L, R, H and D over the domain walk."""
     _check_relations(relations, "LRHD")
-    walk = []  # (domain, regular, image sets, indices) per domain, in index order
-    i = 0
-    for seqs, domains in element_blocks(ctx):
-        images = list(map(frozenset, seqs))
-        for domain in domains:
-            block = range(i, i + len(seqs))
-            i = block.stop
-            walk.append((domain, ctx.point_set.issuperset(domain), images, block))
+    walk = _domain_walk(ctx)
     keys = {rel: chain.from_iterable(starmap(_KEYS[rel], walk)) for rel in relations}
     return {rel: _group_by_key(rel_keys) for rel, rel_keys in keys.items()}
 
@@ -177,8 +183,10 @@ def h_class_profile(ctx: RangeContext, a: PartialInjection) -> HClassProfile:
     and image: the rotations of the image sequence on the domain, one per
     point (the empty map is its own class).  Non-regular elements sit alone.
     """
+    if not contains(ctx, a):
+        raise errors.NotAMember("%r is not in the semigroup" % (a,))
     members = [a]
-    if is_regular_characterized(ctx, a):
+    if ctx.point_set.issuperset(a.domain):
         members = [PartialInjection(a.n, zip(a.domain, seq)) for seq in _rotations(a.image_seq)]
     member_set = set(members)
     is_group = all(x * y in member_set for x in members for y in members) and any(

@@ -43,13 +43,9 @@ class TestAcceptance:
             for pts in all_range_sets(n):
                 # not the cached sets: the n = 6 tables hold about 170 MiB together
                 ctx = P.RangeContext(n, pts)
-                S = P.enumerate_semigroup(ctx)
-                agree = all(
-                    P.is_regular_oracle(S, i) == P.is_regular_characterized(ctx, S[i])
-                    for i in range(len(S))
-                )
-                fully = all(P.is_regular_characterized(ctx, a) for a in S)
-                if not agree or fully != (len(pts) == n):
+                regular = P.is_regular_characterized(ctx)
+                agree = P.is_regular_oracle(P.enumerate_semigroup(ctx)) == regular
+                if not agree or all(regular) != (len(pts) == n):
                     ok = False
         report("regularity", ok)
 
@@ -71,9 +67,9 @@ class TestAcceptance:
         for n in range(1, 6):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                for a in S:
+                for a, regular in zip(S, P.is_regular_characterized(ctx)):
                     prof = P.h_class_profile(ctx, a)
-                    if P.is_regular_characterized(ctx, a):
+                    if regular:
                         if prof.size != max(a.rank, 1):
                             ok = False
                         if a.is_idempotent() and not (prof.is_group and prof.is_cyclic_group):

@@ -499,18 +499,36 @@ class TestSelftest:
         assert code == 1 and doc["failures"][0] == "cardinality n=1 y={1}"
         assert row["failures"].split(",") == doc["failures"]
 
-    def test_regularity_failure_once_per_range_set(self, capsys, monkeypatch):
+    @staticmethod
+    def regularity_failures(capsys, monkeypatch, wrong):
+        """The failure lines of `selftest --max-n 2` whose characterized
+        regularity is `wrong` of the true flags; it must exit 1, not raise."""
         import popi.cli
 
-        monkeypatch.setattr(popi.cli, "is_regular_characterized", lambda ctx, a: None)
-        code, doc = run_json(capsys, "selftest", "--max-n", "2")
-        assert code == 1 and doc["ok"] is False
-        assert doc["failures"] == [
-            "regularity n=1 y={1} i=0",
-            "regularity n=2 y={1} i=0",
-            "regularity n=2 y={2} i=0",
-            "regularity n=2 y={1 2} i=0",
-        ]
+        real = popi.cli.is_regular_characterized
+        monkeypatch.setattr(popi.cli, "is_regular_characterized", lambda ctx: wrong(real(ctx)))
+        code, out, err = run(capsys, "selftest", "--max-n", "2", "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["ok"] is False and err == ""
+        return doc["failures"]
+
+    # the range sets of n <= 2, whose semigroups have 2, 3, 3 and 7 elements
+    WHERE = ("n=1 y={1}", "n=2 y={1}", "n=2 y={2}", "n=2 y={1 2}")
+
+    def test_regularity_failure_once_per_range_set(self, capsys, monkeypatch):
+        failures = self.regularity_failures(capsys, monkeypatch, lambda flags: (None,) * len(flags))
+        assert failures == ["regularity %s i=0" % where for where in self.WHERE]
+
+    def test_regularity_failure_names_first_differing_index(self, capsys, monkeypatch):
+        # the last flag flipped: the first index where the two sides differ
+        flip_last = lambda flags: flags[:-1] + (not flags[-1],)
+        failures = self.regularity_failures(capsys, monkeypatch, flip_last)
+        assert failures == ["regularity %s i=%d" % p for p in zip(self.WHERE, (1, 2, 2, 6))]
+
+    def test_regularity_failure_short_characterized(self, capsys, monkeypatch):
+        # a prefix of the oracle's tuple differs where it ends
+        failures = self.regularity_failures(capsys, monkeypatch, lambda flags: flags[:1])
+        assert failures == ["regularity %s i=1" % where for where in self.WHERE]
 
     def test_green_failure_per_relation(self, capsys, monkeypatch):
         import popi.cli

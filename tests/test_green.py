@@ -31,37 +31,37 @@ def d_from_composition(S):
 
 class TestRegularity:
     def test_characterized_examples(self):
-        ctx, _ = semigroup(3, (1, 2))
-        assert P.is_regular_characterized(ctx, pi(3, (1, 2)))
-        assert not P.is_regular_characterized(ctx, pi(3, (3, 1)))
-        assert P.is_regular_characterized(ctx, P.empty_map(3))
-
-    def test_non_member_rejected(self):
-        ctx, _ = semigroup(3, (1, 2))
-        with pytest.raises(errors.NotAMember):
-            P.is_regular_characterized(ctx, pi(3, (1, 3)))
+        ctx, S = semigroup(3, (1, 2))
+        regular = P.is_regular_characterized(ctx)
+        assert len(regular) == len(S)
+        assert regular[S.index_of(pi(3, (1, 2)))]
+        assert not regular[S.index_of(pi(3, (3, 1)))]
+        assert regular[S.index_of(P.empty_map(3))]
 
     def test_oracle_examples(self):
-        ctx, S = semigroup(3, (1, 2, 3))
-        assert all(P.is_regular_oracle(S, i) for i in range(len(S)))
-        ctx2, S2 = semigroup(3, (1, 2))
-        bad = S2.index_of(pi(3, (3, 1)))
-        assert not P.is_regular_oracle(S2, bad)
-        assert P.is_regular_oracle(S2, S2.index_of(P.empty_map(3)))
+        _, S = semigroup(3, (1, 2, 3))
+        regular = P.is_regular_oracle(S)
+        assert len(regular) == len(S) and all(regular)
+        _, S2 = semigroup(3, (1, 2))
+        regular = P.is_regular_oracle(S2)
+        assert len(regular) == len(S2)
+        # on Y = {1, 2} the non-regular elements are those defined at 3
+        irregular = [i for i, flag in enumerate(regular) if not flag]
+        assert irregular == [i for i, a in enumerate(S2) if 3 in a.domain]
+        assert S2.index_of(pi(3, (3, 1))) in irregular
+        assert regular[S2.index_of(P.empty_map(3))]
 
     def test_oracle_agrees_with_characterization(self):
         for n in range(1, 5):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                for i, a in enumerate(S):
-                    assert P.is_regular_oracle(S, i) == P.is_regular_characterized(ctx, a)
+                assert P.is_regular_oracle(S) == P.is_regular_characterized(ctx)
 
     def test_fully_regular_iff_full_range(self):
         for n in range(1, 5):
             for pts in all_range_sets(n):
-                ctx, S = semigroup(n, pts)
-                fully = all(P.is_regular_characterized(ctx, a) for a in S)
-                assert fully == (len(pts) == n)
+                ctx = P.RangeContext(n, pts)
+                assert all(P.is_regular_characterized(ctx)) == (len(pts) == n)
 
 
 class TestCharacterizedExamples:
@@ -204,9 +204,9 @@ class TestHClassProfile:
         for n in range(1, 5):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                for a in S:
+                for a, regular in zip(S, P.is_regular_characterized(ctx)):
                     prof = P.h_class_profile(ctx, a)
-                    if P.is_regular_characterized(ctx, a):
+                    if regular:
                         assert prof.size == max(a.rank, 1)
                     else:
                         assert prof.size == 1
@@ -246,7 +246,9 @@ class TestOracleBuilds:
     def test_selftest_calls_each_side_once_per_range_set(self, monkeypatch, capsys):
         import popi.cli
 
-        calls = {"green_characterized": 0, "green_oracle": 0}
+        calls = dict.fromkeys(
+            ("green_characterized", "green_oracle", "is_regular_characterized", "is_regular_oracle"), 0
+        )
         for name in calls:
             original = getattr(popi.cli, name)
 
@@ -257,4 +259,4 @@ class TestOracleBuilds:
             monkeypatch.setattr(popi.cli, name, counted)
         assert main(["selftest", "--max-n", "3", "--json"]) == 0
         # 1 + 3 + 7 range sets at n <= 3
-        assert calls == {"green_characterized": 11, "green_oracle": 11}
+        assert calls == dict.fromkeys(calls, 11)

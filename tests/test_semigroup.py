@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import popi as P
 from popi import errors
 from popi import semigroup as semigroup_module
+from popi.cli import main
 
 from conftest import (
     all_partial_injections,
@@ -350,4 +351,8 @@ class TestOraclesBuildNoElement:
 
     def test_isomorphism_oracle(self, elements_built):
         assert P.bruteforce_isomorphism(6, (1, 2, 3, 5), (2, 3, 4, 6)) is not None
+        assert elements_built == []
+
+    def test_selftest(self, elements_built, capsys):
+        assert main(["selftest", "--max-n", "3", "--json"]) == 0
         assert elements_built == []
