@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, repeat, starmap
+from operator import itemgetter
 
 from . import errors
 from .semigroup import ElementSet, RangeContext, _rotations, contains, element_blocks
@@ -56,11 +57,35 @@ def is_regular_characterized(ctx: RangeContext) -> tuple[bool, ...]:
     return tuple(chain.from_iterable(repeat(reg, len(block)) for _, reg, _, block in walk))
 
 
+def _row_products(tables: tuple[bytes, ...], m: list[list[int]]) -> list[tuple[int, ...]]:
+    """The distinct products a*b in each row a of the table m of the
+    elements with slot tables `tables`, in index order.
+
+    a*b reads b only on im a, so in every row of one image the columns of
+    one restriction class (the b of equal restriction to the image) hold a
+    single product.  The first row of each image sorts the columns into
+    classes by product, and every row of that image is read at one column
+    per class.
+    """
+    gathers: dict = {}
+    out = []
+    for table, row in zip(tables, m):
+        gather = gathers.get(image := frozenset(table))
+        if gather is None:
+            columns = dict(zip(row, range(len(row)))).values()
+            # a one-index itemgetter returns the item; one class is every column
+            gather = itemgetter(*columns) if len(columns) > 1 else lambda r: (r[0],)
+            gathers[image] = gather
+        out.append(gather(row))
+    return out
+
+
 def is_regular_oracle(S: ElementSet) -> tuple[bool, ...]:
     """Definition level: whether each a in S has some b in S with aba = a,
     in index order, tried once for each distinct product ab in row a."""
     m = S.mult_table()
-    return tuple(any(m[x][a] == a for x in set(row)) for a, row in enumerate(m))
+    rows = _row_products(S.tables, m)
+    return tuple(any(m[x][a] == a for x in row) for a, row in enumerate(rows))
 
 
 # -- characterized partitions ----------------------------------------------
@@ -102,17 +127,14 @@ def _left_ideals(S: ElementSet) -> list[frozenset[int]]:
 
 def _right_ideals(S: ElementSet) -> list[frozenset[int]]:
     # row a of the table is a*S
-    return [frozenset((a, *row)) for a, row in enumerate(S.mult_table())]
+    rows = _row_products(S.tables, S.mult_table())
+    return [frozenset((a, *row)) for a, row in enumerate(rows)]
 
 
-def _two_sided_ideal(S: ElementSet, left: frozenset[int]) -> frozenset[int]:
-    """The two-sided ideal of an element, given its left ideal (both with
-    the identity adjoined)."""
-    m = S.mult_table()
-    out = set(left)
-    for u in left:
-        out.update(m[u])
-    return frozenset(out)
+def _two_sided_ideal(right: list[frozenset[int]], left: frozenset[int]) -> frozenset[int]:
+    """The two-sided ideal of an element, the union of the right ideals of
+    the members of its left ideal (all with the identity adjoined)."""
+    return frozenset().union(*map(right.__getitem__, left))
 
 
 def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
@@ -154,7 +176,7 @@ def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
         classes["D"] = _group_by_key(roots)
     if "J" in relations:
         # each element keyed by the two-sided ideal of its D-class's root
-        ideals = {r: _two_sided_ideal(S, left[r]) for r in set(roots)}
+        ideals = {r: _two_sided_ideal(right, left[r]) for r in set(roots)}
         classes["J"] = _group_by_key(map(ideals.__getitem__, roots))
     return {rel: classes[rel] for rel in relations}
 

@@ -73,8 +73,9 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
     classes by key (image, so rank, and graph on the range set, read from
     the `bytes` tables); under phi each class of S takes the T class of its
     mapped key as its members' candidates.  Backtracking with constraint
-    propagation then extends over elements: assigning one element forces
-    every product with already-assigned elements.
+    propagation then extends over elements: a choice forces its products
+    with every assigned element, and each element forced its products with
+    the choices (see `_extend`).
     """
     cy = RangeContext(n, y)
     cz = RangeContext(n, z)
@@ -114,21 +115,35 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
 
 
 def _extend(cand, m_s, m_t, order):
-    """A bijection i -> j, each j a key of the dict `cand[i]`, carrying m_s
-    onto m_t, or None.  Distinct dicts must be disjoint, as the caller's key
-    classes of T are, so one count of free candidates per dict is exact and
-    only the element picked lists its own.  Depth-first: the open element
-    with the fewest free candidates (first in `order`) tries each in turn,
-    and assigning one forces its products with those assigned.  One log
-    holds the assignments; an open choice rewinds it to the length it had
-    when the choice was made.
+    """A bijection i -> j, each j a key of the dict `cand[i]`, carrying the
+    associative table m_s onto the associative table m_t, or None.  Distinct
+    dicts must be disjoint, as the caller's key classes of T are, so one
+    count of free candidates per dict is exact and only the element picked
+    lists its own.  Depth-first: the open element with the fewest free
+    candidates (first in `order`) tries each in turn.  One log holds the
+    assignments, and a second the choices; an open choice rewinds both to
+    the lengths they had when it was made.
+
+    A choice c is checked both ways against every assigned element, and
+    each element its propagation forces is checked both ways against the
+    choices alone; each product checked forces its image.  That is enough.
+    Every assigned element x is a word in the choices, and the assigned set
+    is closed under products with them, so it is the subsemigroup they
+    generate.  If phi(x*c) = phi(x)*phi(c) and phi(c*x) = phi(c)*phi(x) for
+    every assigned x and chosen c, then by associativity and induction on
+    the length of the word v, phi(x*v) = phi(x)*phi(v) for every assigned
+    x: phi is a homomorphism on the assigned set.  An all-pairs check
+    forces the same images and no more, so a propagation succeeds exactly
+    when it would: the search tree and the map returned are the same.
     """
     assign = [-1] * len(cand)
     used = [False] * len(cand)
     assigned: list[int] = []
+    chosen: list[int] = []
     free = {id(c): len(c) for c in cand}
 
     def propagate(i0, j0):
+        chosen.append(i0)
         queue = [(i0, j0)]
         while queue:
             i, j = queue.pop()
@@ -142,7 +157,7 @@ def _extend(cand, m_s, m_t, order):
             used[j] = True
             free[id(cand[i])] -= 1
             assigned.append(i)
-            for k in assigned:
+            for k in assigned if i == i0 else chosen:
                 p = m_s[i][k]
                 q = m_t[j][assign[k]]
                 if assign[p] == -1:
@@ -166,7 +181,7 @@ def _extend(cand, m_s, m_t, order):
                 if best_free <= 1:
                     break
         if best_i is None:
-            # complete: the propagation already checked every product pair
+            # complete: a homomorphism on the whole of S, as shown above
             return dict(enumerate(assign))
         stack.append((len(assigned), best_i, iter([j for j in cand[best_i] if not used[j]])))
         while True:
@@ -178,6 +193,7 @@ def _extend(cand, m_s, m_t, order):
                 free[id(cand[k])] += 1
                 assign[k] = -1
             del assigned[mark:]
+            del chosen[len(stack) - 1 :]  # chosen[d] is the choice of stack[d]
             j = next(opts, None)
             if j is None:
                 stack.pop()

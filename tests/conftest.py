@@ -90,6 +90,64 @@ def conjugation_isomorphism(n, y, z, sigma):
     return phi
 
 
+def all_pairs_extend(cand, m_s, m_t, order):
+    """The definition-level reference for `popi.iso._extend`, with its
+    signature and search order: assigning one element forces and checks its
+    products, both ways, with every assigned element."""
+    assign = [-1] * len(cand)
+    used = [False] * len(cand)
+    assigned: list[int] = []
+    free = {id(c): len(c) for c in cand}
+
+    def propagate(i0, j0):
+        queue = [(i0, j0)]
+        while queue:
+            i, j = queue.pop()
+            if assign[i] != -1:
+                if assign[i] != j:
+                    return False
+                continue
+            if used[j] or j not in cand[i]:
+                return False
+            assign[i] = j
+            used[j] = True
+            free[id(cand[i])] -= 1
+            assigned.append(i)
+            for k in assigned:
+                for p, q in ((m_s[i][k], m_t[j][assign[k]]), (m_s[k][i], m_t[assign[k]][j])):
+                    if assign[p] == -1:
+                        queue.append((p, q))
+                    elif assign[p] != q:
+                        return False
+        return True
+
+    stack = []  # open choices: (log length before it, element, untried candidates)
+    while True:
+        best_i, best_free = None, None
+        for i in order:
+            if assign[i] == -1 and (best_free is None or free[id(cand[i])] < best_free):
+                best_i, best_free = i, free[id(cand[i])]
+                if best_free <= 1:
+                    break
+        if best_i is None:
+            return dict(enumerate(assign))
+        stack.append((len(assigned), best_i, iter([j for j in cand[best_i] if not used[j]])))
+        while True:
+            if not stack:
+                return None
+            mark, i, opts = stack[-1]
+            for k in assigned[mark:]:
+                used[assign[k]] = False
+                free[id(cand[k])] += 1
+                assign[k] = -1
+            del assigned[mark:]
+            j = next(opts, None)
+            if j is None:
+                stack.pop()
+            elif propagate(i, j):
+                break
+
+
 def table_key(table):
     """The reference element order of `enumerate_semigroup` and of
     `ordered_closure`, read from a slot table, a tuple or `bytes`: by rank,

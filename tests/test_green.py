@@ -90,6 +90,28 @@ class TestCharacterizedExamples:
         assert set(members) == expected
 
 
+class TestRowProducts:
+    """One column per restriction class reads every distinct product of a row."""
+
+    @staticmethod
+    def check(S):
+        m = S.mult_table()
+        rows = green._row_products(S.tables, m)
+        assert len(rows) == len(S)
+        for products, row in zip(rows, m):
+            assert sorted(products) == sorted(set(row))
+        assert green._right_ideals(S) == [frozenset((a, *row)) for a, row in enumerate(m)]
+
+    def test_every_range_set_to_five(self):
+        for n in range(1, 6):
+            for pts in all_range_sets(n):
+                self.check(semigroup(n, pts)[1])
+
+    def test_full_range_at_six(self):
+        # built here, not through the cached `semigroup`, so its table is freed
+        self.check(P.enumerate_semigroup(P.RangeContext(6, range(1, 7))))
+
+
 class TestOracleMatchesCharacterized:
     @pytest.mark.parametrize("relations", ["L", "R", "H", "D", "LRHD"])
     def test_small_grid(self, relations):

@@ -10,11 +10,13 @@ from itertools import combinations, permutations, product
 import pytest
 
 import popi as P
+import popi.iso
 from popi import errors
 from popi.cli import main
 from popi.iso import _extend
 
 from conftest import (
+    all_pairs_extend,
     all_range_sets,
     conjugation_isomorphism,
     full_dihedral_group,
@@ -216,6 +218,39 @@ class TestExtend:
         assert _extend(cand, m, m, list(range(size))) == dict(enumerate(range(size)))
 
 
+def benchmark_iso_triples():
+    """The benchmark's two iso shapes: {1,2,3,5} against its dihedral orbit
+    at n = 6, and {1,2,3} against the 3-sets holding 1 at n = 7."""
+    orbit = sorted({tuple(sorted(d(p) for p in (1, 2, 3, 5))) for d in full_dihedral_group(6)})
+    return [(6, (1, 2, 3, 5), z) for z in orbit] + [
+        (7, (1, 2, 3), z) for z in combinations(range(1, 8), 3) if z[0] == 1
+    ]
+
+
+class TestChoicePropagation:
+    """Forced elements are checked against the search's choices alone; a
+    search through the all-pairs reference returns the same map."""
+
+    @pytest.mark.parametrize(
+        "n, y, z",
+        [(5, y, z) for y in all_range_sets(5) for z in all_range_sets(5) if len(y) == len(z)]
+        + benchmark_iso_triples(),
+    )
+    def test_same_map_as_all_pairs_reference(self, monkeypatch, n, y, z):
+        found = P.bruteforce_isomorphism(n, y, z)
+        monkeypatch.setattr(popi.iso, "_extend", all_pairs_extend)
+        assert found == P.bruteforce_isomorphism(n, y, z)
+
+    def test_same_map_as_all_pairs_reference_on_three_element_semigroups(self):
+        # every candidate open, so the propagation alone prunes
+        everything = [dict.fromkeys(range(3))] * 3
+        tables = associative_tables(3)
+        for m_s in tables:
+            for m_t in tables:
+                found = _extend(everything, m_s, m_t, [0, 1, 2])
+                assert found == all_pairs_extend(everything, m_s, m_t, [0, 1, 2]), (m_s, m_t)
+
+
 class TestDecideAgreesWithOracle:
     def test_n4_grid(self):
         from itertools import combinations
@@ -245,9 +280,7 @@ def iso_oracle_argvs():
         for z in all_range_sets(n)
         if len(y) == len(z)
     ]
-    orbit = sorted({tuple(sorted(d(p) for p in (1, 2, 3, 5))) for d in full_dihedral_group(6)})
-    triples += [(6, (1, 2, 3, 5), z) for z in orbit]
-    triples += [(7, (1, 2, 3), z) for z in combinations(range(1, 8), 3) if z[0] == 1]
+    triples += benchmark_iso_triples()
     triples.append((30, (1, 2), (3, 9)))  # key classes of dozens of elements
     pts = lambda s: ",".join(map(str, s))  # noqa: E731
     return [
