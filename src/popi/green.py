@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, repeat, starmap
-from operator import itemgetter
 
 from . import errors
 from .semigroup import ElementSet, RangeContext, _rotations, contains, element_blocks
@@ -57,35 +56,11 @@ def is_regular_characterized(ctx: RangeContext) -> tuple[bool, ...]:
     return tuple(chain.from_iterable(repeat(reg, len(block)) for _, reg, _, block in walk))
 
 
-def _row_products(tables: tuple[bytes, ...], m: list[list[int]]) -> list[tuple[int, ...]]:
-    """The distinct products a*b in each row a of the table m of the
-    elements with slot tables `tables`, in index order.
-
-    a*b reads b only on im a, so in every row of one image the columns of
-    one restriction class (the b of equal restriction to the image) hold a
-    single product.  The first row of each image sorts the columns into
-    classes by product, and every row of that image is read at one column
-    per class.
-    """
-    gathers: dict = {}
-    out = []
-    for table, row in zip(tables, m):
-        gather = gathers.get(image := frozenset(table))
-        if gather is None:
-            columns = dict(zip(row, range(len(row)))).values()
-            # a one-index itemgetter returns the item; one class is every column
-            gather = itemgetter(*columns) if len(columns) > 1 else lambda r: (r[0],)
-            gathers[image] = gather
-        out.append(gather(row))
-    return out
-
-
 def is_regular_oracle(S: ElementSet) -> tuple[bool, ...]:
     """Definition level: whether each a in S has some b in S with aba = a,
     in index order, tried once for each distinct product ab in row a."""
     m = S.mult_table()
-    rows = _row_products(S.tables, m)
-    return tuple(any(m[x][a] == a for x in row) for a, row in enumerate(rows))
+    return tuple(any(m[x][a] == a for x in row) for a, row in enumerate(S.row_products()))
 
 
 # -- characterized partitions ----------------------------------------------
@@ -126,9 +101,8 @@ def _left_ideals(S: ElementSet) -> list[frozenset[int]]:
 
 
 def _right_ideals(S: ElementSet) -> list[frozenset[int]]:
-    # row a of the table is a*S
-    rows = _row_products(S.tables, S.mult_table())
-    return [frozenset((a, *row)) for a, row in enumerate(rows)]
+    # row a of the table is a*S, whose distinct products S keeps
+    return [frozenset((a, *row)) for a, row in enumerate(S.row_products())]
 
 
 def _two_sided_ideal(right: list[frozenset[int]], left: frozenset[int]) -> frozenset[int]:

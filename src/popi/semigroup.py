@@ -118,6 +118,7 @@ class ElementSet:
         if len(self._index) != len(self.tables):
             raise errors.BadParameters("duplicate elements")
         self._mult: list[list[int]] | None = None
+        self._rows: list[tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -146,7 +147,7 @@ class ElementSet:
         Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES.
         Products are formed by the search kernel of `_right_factor`, one per
         restriction class on each image set (with 0 when not total), as
-        `closure` forms them.
+        `closure` forms them; `row_products` keeps them.
         """
         if self._mult is None:
             tables = self.tables
@@ -159,6 +160,7 @@ class ElementSet:
             for i, a in enumerate(tables):
                 lefts_by_image.setdefault(frozenset(a), []).append(i)
             mult: list = [None] * size
+            rows: list = [None] * size
             for image, lefts in lefts_by_image.items():
                 restrictions = _restrictions(image, right)
                 representatives = dict(zip(restrictions, right))
@@ -170,9 +172,23 @@ class ElementSet:
                 for i in lefts:
                     # a lookup per class still raises KeyError for an open set
                     products = map(tables[i].translate, representatives.values())
-                    mult[i] = list(spread(tuple(map(index_of_table, products))))
-            self._mult = mult
+                    rows[i] = row = tuple(map(index_of_table, products))
+                    mult[i] = list(spread(row))
+            self._mult, self._rows = mult, rows
         return self._mult
+
+    def row_products(self) -> list[tuple[int, ...]]:
+        """The distinct products a*b of each row a of `mult_table`, in the
+        order of their first columns, formed with it (cached); raises as it
+        does.
+
+        a*b reads b only on im a, and a maps onto its image, so the classes
+        of b with equal restriction to im a give distinct products, one per
+        class.
+        """
+        if self._rows is None:
+            self.mult_table()
+        return self._rows
 
 
 def cardinality_formula(n: int, r: int) -> int:

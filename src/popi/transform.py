@@ -127,15 +127,6 @@ class PartialInjection:
             table[self.table[x - 1] - 1] = x
         return PartialInjection.from_table(table)
 
-    def power(self, k: int) -> "PartialInjection":
-        """k-fold composition with itself; k=0 gives the identity on the chain."""
-        if k < 0:
-            raise errors.BadParameters("negative powers are not defined")
-        result = identity_on(self.n, range(1, self.n + 1))
-        for _ in range(k):
-            result = result * self
-        return result
-
     # -- predicates ---------------------------------------------------------
 
     def is_order_preserving(self) -> bool:
@@ -147,9 +138,6 @@ class PartialInjection:
 
     def is_idempotent(self) -> bool:
         return self * self == self
-
-    def is_permutation(self) -> bool:
-        return self.rank == self.n
 
     # -- value semantics ----------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import popi as P
+from popi.rank import full_range_pair
 
 
 @lru_cache(maxsize=None)
@@ -77,15 +78,27 @@ def is_dihedral_restriction(a):
 
 
 def conjugation_isomorphism(n, y, z, sigma):
-    """The map a -> sigma^-1 * a * sigma on the semigroup for y, if it is a
+    """The map a -> sigma^-1 * a * sigma on the semigroup S for y, if it is a
     bijection onto the semigroup for z that preserves every product; None
-    otherwise."""
-    S, T = semigroup(n, y)[1], semigroup(n, z)[1]
+    otherwise.
+
+    Products are checked against a generating set A of S alone,
+    phi(a*g) = phi(a)*phi(g) for every a in S and g in A, which is enough:
+    every b in S is a word g1...gk over A, and by induction on k,
+    phi(a*b) = phi(a*g1...g(k-1))*phi(gk) = phi(a)*phi(g1...g(k-1))*phi(gk)
+    = phi(a)*phi(b).  The first and last steps are the checked identity for
+    the members a*g1...g(k-1) and g1...g(k-1) of S, the middle one the
+    induction hypothesis.  So 2*|S|*|A| products are formed, not |S|^2.
+    """
+    ctx, S = semigroup(n, y)
+    T = semigroup(n, z)[1]
+    gens = full_range_pair(n) if ctx.is_full else P.canonical_generating_set(ctx)
+    assert len(P.closure(ctx, gens)) == len(S)
     inv = sigma.inverse()
     phi = {a: inv * a * sigma for a in S}
     if set(phi.values()) != set(T) or len(S) != len(T):
         return None
-    if any(phi[a * b] != phi[a] * phi[b] for a in S for b in S):
+    if any(phi[a * g] != phi[a] * phi[g] for a in S for g in gens):
         return None
     return phi
 

@@ -132,11 +132,8 @@ class TestAcceptance:
 
     def test_07_isomorphism(self):
         ok = True
-        # every range set against every other, and the largest |Y| whose
-        # dihedral witness is checked: that check multiplies every pair of
-        # elements, 2.4 M pairs at n = 5 with |Y| >= 4
-        grids = [(4, 4), (5, 3)]
-        for n, witness_max in grids:
+        # every range set against every other, each dihedral witness checked
+        for n in (4, 5):
             sets = list(all_range_sets(n))
             for y in sets:
                 for z in sets:
@@ -144,7 +141,7 @@ class TestAcceptance:
                     found = P.bruteforce_isomorphism(n, y, z)
                     if w.verdict != (found is not None):
                         ok = False
-                    if w.verdict and w.reason == "dihedral" and len(y) <= witness_max:
+                    if w.verdict and w.reason == "dihedral":
                         if conjugation_isomorphism(n, y, z, w.delta) is None:
                             ok = False
         report("isomorphism", ok)

@@ -91,15 +91,16 @@ class TestCharacterizedExamples:
 
 
 class TestRowProducts:
-    """One column per restriction class reads every distinct product of a row."""
+    """Each row's distinct products, kept as the table is formed, in the
+    order of their first columns."""
 
     @staticmethod
     def check(S):
         m = S.mult_table()
-        rows = green._row_products(S.tables, m)
+        rows = S.row_products()
         assert len(rows) == len(S)
         for products, row in zip(rows, m):
-            assert sorted(products) == sorted(set(row))
+            assert products == tuple(dict.fromkeys(row))
         assert green._right_ideals(S) == [frozenset((a, *row)) for a, row in enumerate(m)]
 
     def test_every_range_set_to_five(self):
@@ -110,6 +111,14 @@ class TestRowProducts:
     def test_full_range_at_six(self):
         # built here, not through the cached `semigroup`, so its table is freed
         self.check(P.enumerate_semigroup(P.RangeContext(6, range(1, 7))))
+
+    def test_open_set_raises_as_the_table_does(self):
+        # the square of the rotation on {1, 2, 3} is not in the set
+        S = P.ElementSet([bytes(P.rotation_perm(3).table)])
+        with pytest.raises(KeyError):
+            S.row_products()
+        with pytest.raises(KeyError):
+            S.mult_table()
 
 
 class TestOracleMatchesCharacterized:

@@ -31,7 +31,7 @@ class TestDihedralElements:
     def test_n3_is_full_symmetric_group(self):
         elems = set(full_dihedral_group(3))
         assert len(elems) == 6
-        assert all(a.is_permutation() for a in elems)
+        assert all(a.rank == a.n for a in elems)
 
     def test_n4_excludes_transposition(self):
         elems = set(full_dihedral_group(4))
@@ -43,7 +43,7 @@ class TestDihedralElements:
         for n in (3, 4, 5, 6):
             g = P.rotation_perm(n)
             h = reflection(n)
-            assert g * h == h * g.power(n - 1)
+            assert g * h == h * P.rotation_perm(n, n - 1)
 
 
 class TestDihedralRestriction:
@@ -55,7 +55,7 @@ class TestDihedralRestriction:
     def test_restriction_of_member(self):
         g = P.rotation_perm(5)
         e = P.identity_on(5, {1, 3})
-        assert is_dihedral_restriction(e * g.power(2))
+        assert is_dihedral_restriction(e * g * g)
 
     def test_counterexample(self):
         assert not is_dihedral_restriction(pi(4, (1, 1), (2, 3)))
@@ -130,6 +130,10 @@ class TestConjugation:
         sigma = pi(5, (1, 2), (2, 1), (3, 3), (4, 5), (5, 4))
         phi = conjugation_isomorphism(5, (1, 3), (2, 3), sigma)
         assert len(phi) == P.cardinality_formula(5, 2)
+
+    def test_sigma_off_the_range_set(self):
+        # the rotation carries {1, 2, 3} onto {2, 3, 4}, not onto {1, 2, 4}
+        assert conjugation_isomorphism(4, (1, 2, 3), (1, 2, 4), P.rotation_perm(4)) is None
 
 
 class TestBruteforceOracle:

@@ -202,7 +202,7 @@ class TestShiftDecompose:
     def test_rotation_input(self):
         a = pi(3, (1, 2), (2, 3), (3, 1))
         l, a1 = P.shift_decompose(a)
-        assert P.rotation_perm(3).power(l) * a1 == a
+        assert P.rotation_perm(3, l) * a1 == a
         assert a1.is_order_preserving() and a1.image == a.image
 
     def test_rejects_non_orientation_preserving(self):
@@ -217,7 +217,7 @@ class TestShiftDecompose:
                 assert 0 <= l < n
                 assert a1.is_order_preserving()
                 assert a1.image == a.image
-                assert P.rotation_perm(n).power(l) * a1 == a
+                assert P.rotation_perm(n, l) * a1 == a
 
 
 class TestDecomposeLowRank:
