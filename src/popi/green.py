@@ -59,8 +59,8 @@ def is_regular_characterized(ctx: RangeContext) -> tuple[bool, ...]:
 def is_regular_oracle(S: ElementSet) -> tuple[bool, ...]:
     """Definition level: whether each a in S has some b in S with aba = a,
     in index order, tried once for each distinct product ab in row a."""
-    m = S.mult_table()
-    return tuple(any(m[x][a] == a for x in row) for a, row in enumerate(S.row_products()))
+    rows, classes = S.mult_table()
+    return tuple(any(rows[x][classes[x][a]] == a for x in row) for a, row in enumerate(rows))
 
 
 # -- characterized partitions ----------------------------------------------
@@ -95,14 +95,23 @@ def green_characterized(ctx: RangeContext, relations: str) -> dict[str, Partitio
 # -- oracle partitions ------------------------------------------------------
 
 
-def _left_ideals(S: ElementSet) -> list[frozenset[int]]:
-    # column a of the table is S*a
-    return [frozenset((a, *column)) for a, column in enumerate(zip(*S.mult_table()))]
+def _left_ideals(table) -> list[frozenset[int]]:
+    # S¹a from `mult_table`'s (rows, classes): the lefts x of one image share
+    # one class map c, so their products x*a are entry c[a] of their rows
+    rows, classes = table
+    lefts_by_image: dict = {}  # id of a shared class map -> (it, its lefts)
+    for x, c in enumerate(classes):
+        lefts_by_image.setdefault(id(c), (c, []))[1].append(x)
+    columns = [
+        (c, list(map(frozenset, zip(*map(rows.__getitem__, xs)))))
+        for c, xs in lefts_by_image.values()
+    ]
+    return [frozenset((a,)).union(*[col[c[a]] for c, col in columns]) for a in range(len(rows))]
 
 
-def _right_ideals(S: ElementSet) -> list[frozenset[int]]:
-    # row a of the table is a*S, whose distinct products S keeps
-    return [frozenset((a, *row)) for a, row in enumerate(S.row_products())]
+def _right_ideals(table) -> list[frozenset[int]]:
+    # row a of `mult_table`'s rows is a*S, one product per restriction class
+    return [frozenset((a, *row)) for a, row in enumerate(table[0])]
 
 
 def _two_sided_ideal(right: list[frozenset[int]], left: frozenset[int]) -> frozenset[int]:
@@ -123,8 +132,9 @@ def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
     in any semigroup).
     """
     _check_relations(relations, "LRHDJ")
-    left = _left_ideals(S) if relations != "R" else None
-    right = _right_ideals(S) if relations != "L" else None
+    table = S.mult_table()
+    left = _left_ideals(table) if relations != "R" else None
+    right = _right_ideals(table) if relations != "L" else None
     joined = "D" in relations or "J" in relations
     classes = {}
     if "L" in relations or joined:

@@ -84,8 +84,7 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
     check_table_size(n, cy.r)
     S = enumerate_semigroup(cy)
     T = enumerate_semigroup(cz)
-    m_s = S.mult_table()
-    m_t = T.mult_table()
+    table_s, table_t = S.mult_table(), T.mult_table()
 
     def classes(tables: tuple[bytes, ...], pts: frozenset[int]) -> dict:
         out: dict = {}  # key -> its indices; a slot table's nonzero values are the image
@@ -108,21 +107,22 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
             for i in members:
                 cand[i] = t_classes[mapped]
         else:
-            result = _extend(cand, m_s, m_t, order)
+            result = _extend(cand, table_s, table_t, order)
             if result is not None:
                 return result
     return None
 
 
-def _extend(cand, m_s, m_t, order):
+def _extend(cand, table_s, table_t, order):
     """A bijection i -> j, each j a key of the dict `cand[i]`, carrying the
-    associative table m_s onto the associative table m_t, or None.  Distinct
-    dicts must be disjoint, as the caller's key classes of T are, so one
-    count of free candidates per dict is exact and only the element picked
-    lists its own.  Depth-first: the open element with the fewest free
-    candidates (first in `order`) tries each in turn.  One log holds the
-    assignments, and a second the choices; an open choice rewinds both to
-    the lengths they had when it was made.
+    associative table table_s onto the associative table table_t, each
+    factored as `ElementSet.mult_table` returns it, or None.  Distinct dicts
+    must be disjoint, as the caller's key classes of T are, so one count of
+    free candidates per dict is exact and only the element picked lists its
+    own.  Depth-first: the open element with the fewest free candidates
+    (first in `order`) tries each in turn.  One log holds the assignments,
+    and a second the choices; an open choice rewinds both to the lengths
+    they had when it was made.
 
     A choice c is checked both ways against every assigned element, and
     each element its propagation forces is checked both ways against the
@@ -136,6 +136,7 @@ def _extend(cand, m_s, m_t, order):
     forces the same images and no more, so a propagation succeeds exactly
     when it would: the search tree and the map returned are the same.
     """
+    (rows_s, classes_s), (rows_t, classes_t) = table_s, table_t
     assign = [-1] * len(cand)
     used = [False] * len(cand)
     assigned: list[int] = []
@@ -157,15 +158,17 @@ def _extend(cand, m_s, m_t, order):
             used[j] = True
             free[id(cand[i])] -= 1
             assigned.append(i)
+            row_i, class_i, row_j, class_j = rows_s[i], classes_s[i], rows_t[j], classes_t[j]
             for k in assigned if i == i0 else chosen:
-                p = m_s[i][k]
-                q = m_t[j][assign[k]]
+                ak = assign[k]
+                p = row_i[class_i[k]]
+                q = row_j[class_j[ak]]
                 if assign[p] == -1:
                     queue.append((p, q))
                 elif assign[p] != q:
                     return False
-                p = m_s[k][i]
-                q = m_t[assign[k]][j]
+                p = rows_s[k][classes_s[k][i]]
+                q = rows_t[ak][classes_t[ak][j]]
                 if assign[p] == -1:
                     queue.append((p, q))
                 elif assign[p] != q:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
-from operator import itemgetter
 
 from . import errors
 from .transform import PartialInjection, _check_chain_size, _is_int, is_cyclic
@@ -20,8 +19,10 @@ MAX_ELEMENTS = 10**6
 # The longest chain the searches take, `closure` and `ElementSet.mult_table`:
 # they multiply `bytes` tables, and a byte holds at most 255.
 MAX_SEARCH_POINTS = 255
-# The largest `ElementSet.mult_table`, at 8 bytes of list slot per entry
-# about 80 MiB; n = 6 with the full range (2,773^2 entries) fits.
+# The largest `ElementSet.mult_table`, counted as |S|^2 entries.  It caps the
+# Green oracle's ideals (|S| frozensets of up to |S| indices) and the
+# isomorphism search; n = 6 with the full range (2,773^2 entries) fits, and
+# `green --check` there peaks at 126 MiB (Python 3.11, 64-bit).
 MAX_TABLE_ENTRIES = 10**7
 
 
@@ -117,8 +118,7 @@ class ElementSet:
         self._index = dict(zip(self.tables, range(len(self.tables))))
         if len(self._index) != len(self.tables):
             raise errors.BadParameters("duplicate elements")
-        self._mult: list[list[int]] | None = None
-        self._rows: list[tuple[int, ...]] | None = None
+        self._table: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -140,16 +140,19 @@ class ElementSet:
             raise KeyError(a)
         return self._index[bytes(a.table)]
 
-    def mult_table(self) -> list[list[int]]:
-        """Full multiplication table over element indices (cached).
+    def mult_table(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The multiplication table over element indices (cached), factored
+        as `(rows, classes)` with a*b = rows[a][classes[a][b]].
 
-        Requires closure under composition; raises KeyError otherwise.
-        Raises TooLarge, before building anything, past MAX_TABLE_ENTRIES.
-        Products are formed by the search kernel of `_right_factor`, one per
-        restriction class on each image set (with 0 when not total), as
-        `closure` forms them; `row_products` keeps them.
+        a*b reads b only on im a, onto which a maps, so the b of one
+        restriction to im a (with 0 when not total) share one product.
+        `rows[a]` holds the distinct ones in the order of their first columns,
+        formed by `_right_factor` as `closure` forms them; `classes[a]` maps
+        each b to its class, one tuple for every a of one image set.  Raises
+        KeyError on a set not closed under products, and TooLarge, before
+        building anything, past MAX_TABLE_ENTRIES.
         """
-        if self._mult is None:
+        if self._table is None:
             tables = self.tables
             size = len(tables)
             if size * size > MAX_TABLE_ENTRIES:
@@ -159,36 +162,20 @@ class ElementSet:
             lefts_by_image: dict[frozenset[int], list[int]] = {}
             for i, a in enumerate(tables):
                 lefts_by_image.setdefault(frozenset(a), []).append(i)
-            mult: list = [None] * size
             rows: list = [None] * size
+            classes: list = [None] * size
             for image, lefts in lefts_by_image.items():
                 restrictions = _restrictions(image, right)
                 representatives = dict(zip(restrictions, right))
                 class_of = dict(zip(representatives, range(len(representatives))))
-                # a plain gather, spread(p)[j] = p[class of j]; a one-index
-                # itemgetter returns the item, but one element has one class
-                classes = map(class_of.__getitem__, restrictions)
-                spread = itemgetter(*classes) if size > 1 else tuple
+                image_classes = tuple(map(class_of.__getitem__, restrictions))
                 for i in lefts:
                     # a lookup per class still raises KeyError for an open set
                     products = map(tables[i].translate, representatives.values())
-                    rows[i] = row = tuple(map(index_of_table, products))
-                    mult[i] = list(spread(row))
-            self._mult, self._rows = mult, rows
-        return self._mult
-
-    def row_products(self) -> list[tuple[int, ...]]:
-        """The distinct products a*b of each row a of `mult_table`, in the
-        order of their first columns, formed with it (cached); raises as it
-        does.
-
-        a*b reads b only on im a, and a maps onto its image, so the classes
-        of b with equal restriction to im a give distinct products, one per
-        class.
-        """
-        if self._rows is None:
-            self.mult_table()
-        return self._rows
+                    rows[i] = tuple(map(index_of_table, products))
+                    classes[i] = image_classes
+            self._table = rows, classes
+        return self._table
 
 
 def cardinality_formula(n: int, r: int) -> int:

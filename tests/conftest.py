@@ -103,10 +103,25 @@ def conjugation_isomorphism(n, y, z, sigma):
     return phi
 
 
-def all_pairs_extend(cand, m_s, m_t, order):
+def full_table(S):
+    """The |S| x |S| list of lists that `S.mult_table()`'s factored
+    `(rows, classes)` stands for: entry [a][b] is rows[a][classes[a][b]]."""
+    rows, classes = S.mult_table()
+    return [[row[c] for c in cls] for row, cls in zip(rows, classes)]
+
+
+def all_pairs_extend(cand, table_s, table_t, order):
     """The definition-level reference for `popi.iso._extend`, with its
     signature and search order: assigning one element forces and checks its
     products, both ways, with every assigned element."""
+    (rows_s, classes_s), (rows_t, classes_t) = table_s, table_t
+
+    def m_s(a, b):
+        return rows_s[a][classes_s[a][b]]
+
+    def m_t(a, b):
+        return rows_t[a][classes_t[a][b]]
+
     assign = [-1] * len(cand)
     used = [False] * len(cand)
     assigned: list[int] = []
@@ -127,7 +142,7 @@ def all_pairs_extend(cand, m_s, m_t, order):
             free[id(cand[i])] -= 1
             assigned.append(i)
             for k in assigned:
-                for p, q in ((m_s[i][k], m_t[j][assign[k]]), (m_s[k][i], m_t[assign[k]][j])):
+                for p, q in ((m_s(i, k), m_t(j, assign[k])), (m_s(k, i), m_t(assign[k], j))):
                     if assign[p] == -1:
                         queue.append((p, q))
                     elif assign[p] != q:

@@ -7,7 +7,15 @@ from popi import errors, green
 from popi.cli import main
 from popi.semigroup import element_blocks
 
-from conftest import all_range_sets, class_map, ordered_closure, pi, rank_layer, semigroup
+from conftest import (
+    all_range_sets,
+    class_map,
+    full_table,
+    ordered_closure,
+    pi,
+    rank_layer,
+    semigroup,
+)
 
 
 def d_from_composition(S):
@@ -91,17 +99,28 @@ class TestCharacterizedExamples:
 
 
 class TestRowProducts:
-    """Each row's distinct products, kept as the table is formed, in the
-    order of their first columns."""
+    """`mult_table`'s factored (rows, classes): each row's distinct products
+    in the order of their first columns, and one class map per image set,
+    shared; the one-sided ideals read from it match the whole table's."""
 
     @staticmethod
     def check(S):
-        m = S.mult_table()
-        rows = S.row_products()
-        assert len(rows) == len(S)
-        for products, row in zip(rows, m):
+        table = rows, classes = S.mult_table()
+        full = full_table(S)
+        assert len(rows) == len(classes) == len(S)
+        for products, row in zip(rows, full):
             assert products == tuple(dict.fromkeys(row))
-        assert green._right_ideals(S) == [frozenset((a, *row)) for a, row in enumerate(m)]
+        # classes[a] is classes[b] exactly when a and b have one image set:
+        # each is its image's first member's, and no two images share one
+        images = list(map(frozenset, S.tables))
+        first = {}
+        for a, image in enumerate(images):
+            first.setdefault(image, a)
+        assert all(classes[a] is classes[first[image]] for a, image in enumerate(images))
+        assert len(set(map(id, classes))) == len(first)
+        columns = zip(*full)
+        assert green._left_ideals(table) == [frozenset((a, *col)) for a, col in enumerate(columns)]
+        assert green._right_ideals(table) == [frozenset((a, *row)) for a, row in enumerate(full)]
 
     def test_every_range_set_to_five(self):
         for n in range(1, 6):
@@ -115,8 +134,6 @@ class TestRowProducts:
     def test_open_set_raises_as_the_table_does(self):
         # the square of the rotation on {1, 2, 3} is not in the set
         S = P.ElementSet([bytes(P.rotation_perm(3).table)])
-        with pytest.raises(KeyError):
-            S.row_products()
         with pytest.raises(KeyError):
             S.mult_table()
 
