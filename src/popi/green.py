@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import chain, repeat, starmap
 
 from . import errors
-from .semigroup import ElementSet, RangeContext, _rotations, contains, element_blocks
+from .semigroup import ElementSet, RangeContext, contains, element_blocks
 from .transform import PartialInjection
 
 
@@ -66,8 +66,8 @@ def is_regular_oracle(S: ElementSet) -> tuple[bool, ...]:
 # -- characterized partitions ----------------------------------------------
 
 
-def _check_relations(relations, letters: str) -> None:
-    if not (isinstance(relations, str) and relations and set(relations) <= set(letters)):
+def _check_relations(relations) -> None:
+    if not (isinstance(relations, str) and relations and set(relations) <= set("LRHD")):
         raise errors.BadParameters("unknown relations %r" % (relations,))
 
 
@@ -84,9 +84,9 @@ _KEYS = {
 
 def green_characterized(ctx: RangeContext, relations: str) -> dict[str, Partition]:
     """The partition of each relation named in `relations` (a nonempty
-    string of letters from "LRHD"; J is the oracle's alone), from the
-    closed-form descriptions of L, R, H and D over the domain walk."""
-    _check_relations(relations, "LRHD")
+    string of letters from "LRHD"), from the closed-form descriptions of L,
+    R, H and D over the domain walk."""
+    _check_relations(relations)
     walk = _domain_walk(ctx)
     keys = {rel: chain.from_iterable(starmap(_KEYS[rel], walk)) for rel in relations}
     return {rel: _group_by_key(rel_keys) for rel, rel_keys in keys.items()}
@@ -114,36 +114,27 @@ def _right_ideals(table) -> list[frozenset[int]]:
     return [frozenset((a, *row)) for a, row in enumerate(table[0])]
 
 
-def _two_sided_ideal(right: list[frozenset[int]], left: frozenset[int]) -> frozenset[int]:
-    """The two-sided ideal of an element, the union of the right ideals of
-    the members of its left ideal (all with the identity adjoined)."""
-    return frozenset().union(*map(right.__getitem__, left))
-
-
 def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
     """The oracle partition of each relation named in `relations` (a
-    nonempty string of letters from "LRHDJ"), from one build of each list
+    nonempty string of letters from "LRHD"), from one build of each list
     of one-sided ideals they need: R alone needs no left ideals, and L alone
     no right ideals.
 
     L and R compare one-sided ideals directly; H compares the pairs of
-    them; D is the transitive closure of L union R; J groups D-classes
-    whose representatives generate the same two-sided ideal (D refines J
-    in any semigroup).
+    them; D is the transitive closure of L union R.
     """
-    _check_relations(relations, "LRHDJ")
+    _check_relations(relations)
     table = S.mult_table()
     left = _left_ideals(table) if relations != "R" else None
     right = _right_ideals(table) if relations != "L" else None
-    joined = "D" in relations or "J" in relations
     classes = {}
-    if "L" in relations or joined:
+    if "L" in relations or "D" in relations:
         classes["L"] = _group_by_key(left)
-    if "R" in relations or joined:
+    if "R" in relations or "D" in relations:
         classes["R"] = _group_by_key(right)
     if "H" in relations:
         classes["H"] = _group_by_key(zip(left, right))
-    if joined:
+    if "D" in relations:
         # union-find over the L- and R-classes
         parent = list(range(len(S)))
 
@@ -158,10 +149,6 @@ def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
                 parent[find(i)] = find(members[0])
         roots = [find(i) for i in range(len(S))]
         classes["D"] = _group_by_key(roots)
-    if "J" in relations:
-        # each element keyed by the two-sided ideal of its D-class's root
-        ideals = {r: _two_sided_ideal(right, left[r]) for r in set(roots)}
-        classes["J"] = _group_by_key(map(ideals.__getitem__, roots))
     return {rel: classes[rel] for rel in relations}
 
 
@@ -172,31 +159,19 @@ class HClassProfile(namedtuple("HClassProfile", "size is_group is_cyclic_group")
     __slots__ = ()
 
 
-def _powers(x) -> set:
-    """The distinct powers x, x^2, ... of one element."""
-    powers = {x}
-    p = x * x
-    while p not in powers:
-        powers.add(p)
-        p = p * x
-    return powers
-
-
 def h_class_profile(ctx: RangeContext, a: PartialInjection) -> HClassProfile:
-    """Size and group structure of the H-class of one member.
+    """Size and group structure of the H-class of one member, in closed form.
 
     Regular elements share their H-class with everything of equal domain
     and image: the rotations of the image sequence on the domain, one per
-    point (the empty map is its own class).  Non-regular elements sit alone.
+    point (the empty map is its own class).  Non-regular elements sit alone,
+    and their class is no group.  A regular class is a group exactly when it
+    holds an idempotent, that is when the image equals the domain, and the
+    group is then cyclic, generated by the rotation of the domain.
     """
     if not contains(ctx, a):
         raise errors.NotAMember("%r is not in the semigroup" % (a,))
-    members = [a]
-    if ctx.point_set.issuperset(a.domain):
-        members = [PartialInjection(a.n, zip(a.domain, seq)) for seq in _rotations(a.image_seq)]
-    member_set = set(members)
-    is_group = all(x * y in member_set for x in members for y in members) and any(
-        all(e * x == x == x * e for x in members) for e in members
-    )
-    is_cyclic = is_group and any(len(_powers(x)) == len(members) for x in members)
-    return HClassProfile(len(members), is_group, is_cyclic)
+    if not ctx.point_set.issuperset(a.domain):
+        return HClassProfile(1, False, False)
+    group = a.image == frozenset(a.domain)
+    return HClassProfile(max(a.rank, 1), group, group)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import popi as P
+from popi.green import _group_by_key
 from popi.rank import full_range_pair
 
 
@@ -108,6 +109,48 @@ def full_table(S):
     `(rows, classes)` stands for: entry [a][b] is rows[a][classes[a][b]]."""
     rows, classes = S.mult_table()
     return [[row[c] for c in cls] for row, cls in zip(rows, classes)]
+
+
+def j_partition(S):
+    """The J-classes of S by definition: a and b are J-related when their
+    two-sided ideals S¹aS¹ and S¹bS¹ are equal.  Each ideal is read from the
+    whole multiplication table as the union of the right ideals bS¹ over the
+    members b of the left ideal S¹a; L-related elements share it."""
+    table = full_table(S)
+    right = [frozenset((a, *row)) for a, row in enumerate(table)]
+    left = [frozenset((a, *col)) for a, col in enumerate(zip(*table))]
+    ideals = {ideal: frozenset().union(*map(right.__getitem__, ideal)) for ideal in set(left)}
+    return _group_by_key(map(ideals.__getitem__, left))
+
+
+def h_class_oracle(S):
+    """`HClassProfile`s by definition, one per element in index order, from
+    the H-classes of `green_oracle`: a class is a group when its products
+    stay in it and one member is an identity for all of them, and a cyclic
+    group when the powers of one member fill it.  Products are read from
+    `S.mult_table()`; no element is built."""
+    rows, classes = S.mult_table()
+
+    def m(a, b):
+        return rows[a][classes[a][b]]
+
+    def powers(x):
+        seen, p = {x}, m(x, x)
+        while p not in seen:
+            seen.add(p)
+            p = m(p, x)
+        return seen
+
+    profiles = [None] * len(S)
+    for members in P.green_oracle(S, "H")["H"]:
+        member_set = set(members)
+        is_group = all(m(x, y) in member_set for x in members for y in members) and any(
+            all(m(e, x) == x == m(x, e) for x in members) for e in members
+        )
+        is_cyclic = is_group and any(len(powers(x)) == len(members) for x in members)
+        for i in members:
+            profiles[i] = P.HClassProfile(len(members), is_group, is_cyclic)
+    return tuple(profiles)
 
 
 def all_pairs_extend(cand, table_s, table_t, order):

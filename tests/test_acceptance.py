@@ -15,7 +15,9 @@ from conftest import (
     all_range_sets,
     conjugation_isomorphism,
     full_dihedral_group,
+    h_class_oracle,
     is_dihedral_restriction,
+    j_partition,
     proper_range_sets,
     semigroup,
 )
@@ -53,11 +55,10 @@ class TestAcceptance:
         for n in range(1, 6):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                oracle = P.green_oracle(S, "LRHDJ")
-                characterized = P.green_characterized(ctx, "LRHD")
-                if any(characterized[rel] != oracle[rel] for rel in "LRHD"):
+                oracle = P.green_oracle(S, "LRHD")
+                if P.green_characterized(ctx, "LRHD") != oracle:
                     ok = False
-                if oracle["D"] != oracle["J"]:
+                if oracle["D"] != j_partition(S):  # D = J, J by two-sided ideals
                     ok = False
         report("green-relations", ok)
 
@@ -66,8 +67,11 @@ class TestAcceptance:
         for n in range(1, 6):
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
-                for a, regular in zip(S, P.is_regular_characterized(ctx)):
+                oracle = h_class_oracle(S)
+                for a, regular, expected in zip(S, P.is_regular_characterized(ctx), oracle):
                     prof = P.h_class_profile(ctx, a)
+                    if prof != expected:
+                        ok = False
                     if regular:
                         if prof.size != max(a.rank, 1):
                             ok = False

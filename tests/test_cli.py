@@ -650,8 +650,15 @@ class TestErrors:
 # holds each argv's stdout, stderr and exit code from `python -m popi.cli`
 # at COLUMNS=80. The cases down to "missing-required" were captured from the
 # parser that built all seven subparsers for every command; the edge argvs
-# from the parser that built only the named command's subparser.
-GOLDEN_PARSER = os.path.join(os.path.dirname(__file__), "golden", "cli_parser.json")
+# from the parser that built only the named command's subparser. Python
+# 3.10 to 3.12 share that file. 3.13 reads its own, captured under 3.13.13,
+# the release its CI cell pins: its argparse prints choices unquoted, wraps
+# some usage lines differently and reads a leading "--" as the end of options.
+GOLDEN_PARSER = os.path.join(
+    os.path.dirname(__file__),
+    "golden",
+    "cli_parser_3.13.json" if sys.version_info[:2] == (3, 13) else "cli_parser.json",
+)
 COMMAND_NAMES = ("enumerate", "card", "green", "rank", "iso", "decompose", "selftest")
 PARSER_CASES = {
     "help": ["--help"],

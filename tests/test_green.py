@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,9 @@ from conftest import (
     all_range_sets,
     class_map,
     full_table,
+    h_class_oracle,
+    j_partition,
+    member_of,
     ordered_closure,
     pi,
     rank_layer,
@@ -157,14 +162,12 @@ class TestOracleMatchesCharacterized:
 
     def test_unknown_relation_rejected(self):
         ctx, S = semigroup(3, (1, 2))
-        # both sides share one letter check
-        for relations in ("", "Q", "LX", ["L"], None):
+        # both sides share one letter check and one alphabet, "LRHD": J is
+        # the tests' own reference (`conftest.j_partition`)
+        for relations in ("", "Q", "LX", "J", "DJ", ["L"], None):
             for side, arg in ((P.green_characterized, ctx), (P.green_oracle, S)):
                 with pytest.raises(errors.BadParameters, match="unknown relations"):
                     side(arg, relations)
-        with pytest.raises(errors.BadParameters):
-            P.green_characterized(ctx, "J")  # the oracle's alone
-        assert P.green_oracle(S, "J")["J"] == P.green_oracle(S, "D")["D"]
 
     def test_singleton_set(self):
         ctx = P.RangeContext(3, (1, 2))
@@ -174,8 +177,8 @@ class TestOracleMatchesCharacterized:
     def test_partitions_of_one_build_match_single_relations(self):
         for pts in [(1, 3), (1, 2, 3, 4)]:
             _, S = semigroup(4, pts)
-            both = P.green_oracle(S, "LRHDJ")
-            assert all(both[rel] == P.green_oracle(S, rel)[rel] for rel in "LRHDJ")
+            both = P.green_oracle(S, "LRHD")
+            assert all(both[rel] == P.green_oracle(S, rel)[rel] for rel in "LRHD")
 
 
     def test_classes_ascend_in_order_of_least_index(self):
@@ -184,7 +187,7 @@ class TestOracleMatchesCharacterized:
             for pts in all_range_sets(n):
                 ctx, S = semigroup(n, pts)
                 parts = [*P.green_characterized(ctx, "LRHD").values()]
-                parts += P.green_oracle(S, "LRHDJ").values()
+                parts += P.green_oracle(S, "LRHD").values()
                 for part in parts:
                     assert all(list(c) == sorted(set(c)) for c in part), (n, pts)
                     least = [c[0] for c in part]
@@ -192,9 +195,10 @@ class TestOracleMatchesCharacterized:
                     assert sorted(i for c in part for i in c) == list(range(len(S)))
 
     def test_d_equals_j(self):
-        _, S = semigroup(4, (1, 3))
-        oracle = P.green_oracle(S, "DJ")
-        assert oracle["D"] == oracle["J"]
+        # D = J in every finite semigroup; J from the two-sided ideals
+        for pts in [(1, 3), (1, 2, 3, 4)]:
+            _, S = semigroup(4, pts)
+            assert P.green_oracle(S, "D")["D"] == j_partition(S)
 
     def test_d_equals_l_compose_r(self):
         for pts in [(1, 2), (1, 2, 3)]:
@@ -211,6 +215,14 @@ class TestOracleMatchesCharacterized:
                 rmap = class_map(P.green_characterized(ctx, "R")["R"])
                 top_classes = {rmap[i] for i in rank_layer(S, r)}
                 assert len(top_classes) == math.comb(n, r)
+
+
+@lru_cache(maxsize=None)
+def h_class_oracle_at_six(pts):
+    """{member: `h_class_oracle` profile} at n = 6; the members and their
+    profiles are kept, not the element set, so no table outlives its example."""
+    S = P.enumerate_semigroup(P.RangeContext(6, pts))
+    return dict(zip(S, h_class_oracle(S)))
 
 
 class TestHClassProfile:
@@ -236,17 +248,53 @@ class TestHClassProfile:
         with pytest.raises(errors.MismatchedChainSize):
             P.h_class_profile(ctx, P.empty_map(4))
 
-    def test_full_range_identity_at_seven(self, monkeypatch):
-        # |S| = 12,013 is past the multiplication table's bound; the profile
-        # needs only the seven rotations in the identity's class, the last
-        # of which ends the element order, and builds no element set
+    @staticmethod
+    def closed_form(monkeypatch, elements_built, ctx, members):
+        """The profiles of `members`, read with no element set built, no
+        element built and no product formed."""
+
+        def refuse(*args):
+            raise AssertionError("a product was formed")
+
         monkeypatch.setattr(P.ElementSet, "__init__", None)
+        monkeypatch.setattr(P.PartialInjection, "compose", refuse)
+        monkeypatch.setattr(P.PartialInjection, "__mul__", refuse)
+        del elements_built[:]  # the members themselves
+        profiles = [P.h_class_profile(ctx, a) for a in members]
+        assert elements_built == []
+        return profiles
+
+    def test_full_range_identity_at_seven(self, monkeypatch, elements_built):
+        # |S| = 12,013 is past the multiplication table's bound; the identity
+        # and the last element, the last rotation of the identity's image
         ctx = P.RangeContext(7, range(1, 8))
         *_, (images, [domain]) = element_blocks(ctx)  # the top rank has one domain
-        last = pi(7, *zip(domain, images[-1]))
-        for a in (P.identity_on(7, ctx.points), last):
-            prof = P.h_class_profile(ctx, a)
-            assert prof.size == 7 and prof.is_group and prof.is_cyclic_group
+        members = [P.identity_on(7, ctx.points), pi(7, *zip(domain, images[-1]))]
+        profiles = self.closed_form(monkeypatch, elements_built, ctx, members)
+        assert profiles == [(7, True, True)] * 2
+
+    def test_past_the_table_bound(self, monkeypatch, elements_built):
+        # n = 40, |Y| = 20: far past every bound, each profile is closed form
+        ctx = P.RangeContext(40, range(1, 40, 2))
+        odd, even = ctx.points, tuple(range(2, 41, 2))
+        members = [
+            P.identity_on(40, odd),  # an idempotent: a group of 20
+            pi(40, *zip(odd, odd[5:] + odd[:5])),  # the same class
+            pi(40, *zip(odd[:19], odd[1:])),  # image is not the domain: no group
+            pi(40, *zip(even[:3], odd[:3])),  # not regular: alone
+            P.empty_map(40),
+        ]
+        profiles = self.closed_form(monkeypatch, elements_built, ctx, members)
+        assert profiles == [
+            (20, True, True), (20, True, True), (19, False, False), (1, False, False), (1, True, True)
+        ]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_at_six(self, data):
+        pts = tuple(sorted(data.draw(st.sets(st.integers(1, 6), min_size=1))))
+        a = data.draw(member_of(6, pts))
+        assert P.h_class_profile(P.RangeContext(6, pts), a) == h_class_oracle_at_six(pts)[a]
 
     def test_regular_class_sizes(self):
         for n in range(1, 5):
@@ -279,7 +327,7 @@ class TestOracleBuilds:
 
     @pytest.mark.parametrize(
         "rel, expected",
-        [("L", (1, 0)), ("R", (0, 1)), ("H", (1, 1)), ("D", (1, 1)), ("J", (1, 1))],
+        [("L", (1, 0)), ("R", (0, 1)), ("H", (1, 1)), ("D", (1, 1))],
     )
     def test_one_relation(self, builds, rel, expected):
         _, S = semigroup(3, (1, 2))
