@@ -95,9 +95,9 @@ def green_characterized(ctx: RangeContext, relations: str) -> dict[str, Partitio
 # -- oracle partitions ------------------------------------------------------
 
 
-def _left_ideals(table) -> list[frozenset[int]]:
-    # S¹a from `mult_table`'s (rows, classes): the lefts x of one image share
-    # one class map c, so their products x*a are entry c[a] of their rows
+def _left_ideals(table):
+    # S¹a in index order, from `mult_table`'s (rows, classes): the lefts x of
+    # one image share one class map c, so their products x*a are entry c[a]
     rows, classes = table
     lefts_by_image: dict = {}  # id of a shared class map -> (it, its lefts)
     for x, c in enumerate(classes):
@@ -106,49 +106,47 @@ def _left_ideals(table) -> list[frozenset[int]]:
         (c, list(map(frozenset, zip(*map(rows.__getitem__, xs)))))
         for c, xs in lefts_by_image.values()
     ]
-    return [frozenset((a,)).union(*[col[c[a]] for c, col in columns]) for a in range(len(rows))]
+    return (frozenset((a,)).union(*[col[c[a]] for c, col in columns]) for a in range(len(rows)))
 
 
-def _right_ideals(table) -> list[frozenset[int]]:
-    # row a of `mult_table`'s rows is a*S, one product per restriction class
-    return [frozenset((a, *row)) for a, row in enumerate(table[0])]
+def _right_ideals(table):
+    # aS¹ in index order: row a of `mult_table`'s rows, one product per class
+    return (frozenset((a, *row)) for a, row in enumerate(table[0]))
+
+
+def _labels(keys) -> list[int]:
+    """One int per key, in order, numbered by first occurrence and equal
+    exactly for equal keys; only the first key of each class is kept."""
+    first: dict = {}
+    return [first.setdefault(key, len(first)) for key in keys]
 
 
 def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
     """The oracle partition of each relation named in `relations` (a
-    nonempty string of letters from "LRHD"), from one build of each list
-    of one-sided ideals they need: R alone needs no left ideals, and L alone
-    no right ideals.
-
-    L and R compare one-sided ideals directly; H compares the pairs of
-    them; D is the transitive closure of L union R.
+    nonempty string of letters from "LRHD"), from one pass over each side's
+    one-sided ideals they need: R alone builds no left ideals, and L alone
+    no right ideals.  Each element is labelled by its ideals as they are
+    built, so one ideal per class is held.  L and R compare those labels,
+    and H the pairs of them.  D = L∘R = R∘L, so a D b exactly when R_a and
+    R_b meet the same L-classes: then L_a meets R_b, and a L c R b for some c.
     """
     _check_relations(relations)
     table = S.mult_table()
-    left = _left_ideals(table) if relations != "R" else None
-    right = _right_ideals(table) if relations != "L" else None
+    left = _labels(_left_ideals(table)) if relations != "R" else None
+    right = _labels(_right_ideals(table)) if relations != "L" else None
     classes = {}
-    if "L" in relations or "D" in relations:
+    if "L" in relations:
         classes["L"] = _group_by_key(left)
-    if "R" in relations or "D" in relations:
+    if "R" in relations:
         classes["R"] = _group_by_key(right)
     if "H" in relations:
         classes["H"] = _group_by_key(zip(left, right))
     if "D" in relations:
-        # union-find over the L- and R-classes
-        parent = list(range(len(S)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for members in classes["L"] + classes["R"]:
-            for i in members[1:]:
-                parent[find(i)] = find(members[0])
-        roots = [find(i) for i in range(len(S))]
-        classes["D"] = _group_by_key(roots)
+        met: dict = {}  # R-label -> the L-labels its class meets
+        for l, r in zip(left, right):
+            met.setdefault(r, set()).add(l)
+        eggbox = {r: frozenset(ls) for r, ls in met.items()}
+        classes["D"] = _group_by_key(map(eggbox.__getitem__, right))
     return {rel: classes[rel] for rel in relations}
 
 

@@ -20,9 +20,9 @@ MAX_ELEMENTS = 10**6
 # they multiply `bytes` tables, and a byte holds at most 255.
 MAX_SEARCH_POINTS = 255
 # The largest `ElementSet.mult_table`, counted as |S|^2 entries.  It caps the
-# Green oracle's ideals (|S| frozensets of up to |S| indices) and the
-# isomorphism search; n = 6 with the full range (2,773^2 entries) fits, and
-# `green --check` there peaks at 126 MiB (Python 3.11, 64-bit).
+# table, the Green oracle's left-ideal column sets (about three indices per
+# product held) and the isomorphism search; n = 6 with the full range (2,773^2
+# entries) fits, and `green --check` there peaks at 56 MiB (Python 3.11).
 MAX_TABLE_ENTRIES = 10**7
 
 

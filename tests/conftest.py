@@ -123,6 +123,24 @@ def j_partition(S):
     return _group_by_key(map(ideals.__getitem__, left))
 
 
+def join_partition(L, R):
+    """The D-classes by definition: the join of the partitions L and R, the
+    transitive closure of L union R, by union-find over their classes."""
+    parent = list(range(sum(map(len, L))))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for members in L + R:
+        for i in members[1:]:
+            parent[find(i)] = find(members[0])
+    roots = [find(i) for i in range(len(parent))]
+    return _group_by_key(roots)
+
+
 def h_class_oracle(S):
     """`HClassProfile`s by definition, one per element in index order, from
     the H-classes of `green_oracle`: a class is a group when its products
