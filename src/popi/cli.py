@@ -483,6 +483,11 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] == "--":
+        # argparse reads a leading "--" as a command before 3.13.13 and as the
+        # end of options since; refuse it as an invalid command on every release
+        choices = ", ".join(map(repr, COMMANDS))
+        build_parser().error("argument command: invalid choice: '--' (choose from %s)" % choices)
     # a parser, if one is built, is freed before the command runs
     args = _read_plain(argv) or build_parser().parse_args(argv)
     try:

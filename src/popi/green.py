@@ -96,17 +96,22 @@ def green_characterized(ctx: RangeContext, relations: str) -> dict[str, Partitio
 
 
 def _left_ideals(table):
-    # S¹a in index order, from `mult_table`'s (rows, classes): the lefts x of
-    # one image share one class map c, so their products x*a are entry c[a]
+    # (members, Sa) per class vector, from `mult_table`'s (rows, classes): the
+    # lefts x of one image share one class map c, so their products x*a are
+    # entry c[a], and Sa reads a only through its class vector, c[a] per map
     rows, classes = table
     lefts_by_image: dict = {}  # id of a shared class map -> (it, its lefts)
     for x, c in enumerate(classes):
         lefts_by_image.setdefault(id(c), (c, []))[1].append(x)
-    columns = [
-        (c, list(map(frozenset, zip(*map(rows.__getitem__, xs)))))
-        for c, xs in lefts_by_image.values()
-    ]
-    return (frozenset((a,)).union(*[col[c[a]] for c, col in columns]) for a in range(len(rows)))
+    groups = list(lefts_by_image.values())
+    columns = [list(map(frozenset, zip(*map(rows.__getitem__, xs)))) for _, xs in groups]
+    members_by_vector: dict = {}  # class vector -> the a that have it
+    for a, vector in enumerate(zip(*[c for c, _ in groups])):
+        members_by_vector.setdefault(vector, []).append(a)
+    return (
+        (members, frozenset().union(*map(list.__getitem__, columns, vector)))
+        for vector, members in members_by_vector.items()
+    )
 
 
 def _right_ideals(table):
@@ -126,13 +131,22 @@ def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
     nonempty string of letters from "LRHD"), from one pass over each side's
     one-sided ideals they need: R alone builds no left ideals, and L alone
     no right ideals.  Each element is labelled by its ideals as they are
-    built, so one ideal per class is held.  L and R compare those labels,
-    and H the pairs of them.  D = L∘R = R∘L, so a D b exactly when R_a and
-    R_b meet the same L-classes: then L_a meets R_b, and a L c R b for some c.
+    built, so one ideal per class is held, and a left ideal is built once
+    per class vector for every element that has it.  L and R compare those
+    labels, and H the pairs of them.  D = L∘R = R∘L, so a D b exactly when
+    R_a and R_b meet the same L-classes: then L_a meets R_b, and a L c R b
+    for some c.
     """
     _check_relations(relations)
     table = S.mult_table()
-    left = _labels(_left_ideals(table)) if relations != "R" else None
+    if relations != "R":
+        # S¹a = Sa when a is in Sa; otherwise a is alone in its L-class, since
+        # b L a with b != a gives a = xb and b = ya, so a = xya is in Sa
+        left = [0] * len(table[0])
+        first: dict = {}  # as in `_labels`, the first Sa of each class
+        for members, ideal in _left_ideals(table):
+            for a in members:
+                left[a] = first.setdefault(ideal if a in ideal else a, len(first))
     right = _labels(_right_ideals(table)) if relations != "L" else None
     classes = {}
     if "L" in relations:

@@ -71,11 +71,11 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
     built.  Tries every bijection phi between the two range sets (forced by
     the images of the singleton identities).  S and T are grouped once into
     classes by key (image, so rank, and graph on the range set, read from
-    the `bytes` tables); under phi each class of S takes the T class of its
-    mapped key as its members' candidates.  Backtracking with constraint
-    propagation then extends over elements: a choice forces its products
-    with every assigned element, and each element forced its products with
-    the choices (see `_extend`).
+    the `bytes` tables); under phi each class of S, rank down, takes the T
+    class of its mapped key as its members' candidates.  Backtracking with
+    constraint propagation then extends over elements: a choice forces its
+    products with every assigned element, and each element forced its
+    products with the choices (see `_extend`).
     """
     cy = RangeContext(n, y)
     cz = RangeContext(n, z)
@@ -94,13 +94,15 @@ def bruteforce_isomorphism(n: int, y, z) -> dict[int, int] | None:
         return out
 
     t_classes = classes(T.tables, cz.point_set)
-    s_classes = classes(S.tables, cy.point_set)
+    # rank down: every injection of at most two points preserves orientation,
+    # so classes of rank <= 2 never fail, and a failing phi is caught sooner
+    s_classes = sorted(classes(S.tables, cy.point_set).items(), key=lambda kv: -len(kv[0][0]))
     order = sorted(range(len(S)), key=lambda i: S.tables[i].count(0))  # rank down, then index
 
     for image_choice in permutations(cz.points):
         phi = dict(zip(cy.points, image_choice)).__getitem__
         cand: list = [None] * len(S)
-        for (image, graph), members in s_classes.items():
+        for (image, graph), members in s_classes:
             mapped = (frozenset(map(phi, image)), frozenset((phi(x), phi(v)) for x, v in graph))
             if mapped not in t_classes:
                 break

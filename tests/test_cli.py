@@ -736,6 +736,19 @@ class TestParser:
     def test_table_names_every_command(self):
         assert tuple(COMMANDS) == COMMAND_NAMES
 
+    def test_leading_double_dash_refused_alike_on_every_release(self, capsys):
+        # argparse 3.13.13 would read it as the end of options and run rank
+        with pytest.raises(SystemExit) as exc:
+            main(PARSER_CASES["double-dash-first"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("popi: error: argument command: invalid choice: '--'")
+        cases = []
+        for name in ("cli_parser.json", "cli_parser_3.13.json"):
+            with open(os.path.join(os.path.dirname(GOLDEN_PARSER), name)) as fh:
+                cases.append(json.load(fh)["double-dash-first"])
+        assert cases[0] == cases[1]
+
     @pytest.mark.parametrize("argv", COMMAND_ARGVS + [PARSER_CASES["extra-argument"]])
     def test_only_leftover_strings_build_the_full_parser(
         self, argv, monkeypatch, capsys, tmp_path

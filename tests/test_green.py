@@ -2,6 +2,7 @@ import random
 import tracemalloc
 import weakref
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -127,9 +128,21 @@ class TestRowProducts:
             first.setdefault(image, a)
         assert all(classes[a] is classes[first[image]] for a, image in enumerate(images))
         assert len(set(map(id, classes))) == len(first)
-        columns = zip(*full)
-        assert list(green._left_ideals(table)) == [frozenset((a, *col)) for a, col in enumerate(columns)]
+        TestRowProducts.check_left_ideals(table, full)
         assert list(green._right_ideals(table)) == [frozenset((a, *row)) for a, row in enumerate(full)]
+
+    @staticmethod
+    def check_left_ideals(table, full):
+        # one (members, Sa) pair per class vector: the members partition the
+        # indices, and each member's S¹a is Sa with it, as the whole table's;
+        # returns the members of each pair
+        columns = list(zip(*full))
+        groups = []
+        for members, ideal in green._left_ideals(table):
+            assert members and all(ideal | {a} == frozenset((a, *columns[a])) for a in members)
+            groups.append(members)
+        assert sorted(chain.from_iterable(groups)) == list(range(len(full)))
+        return groups
 
     def test_every_range_set_to_five(self):
         for n in range(1, 6):
@@ -139,6 +152,31 @@ class TestRowProducts:
     def test_full_range_at_six(self):
         # built here, not through the cached `semigroup`, so its table is freed
         self.check(P.enumerate_semigroup(P.RangeContext(6, range(1, 7))))
+
+    def test_shuffled_element_order(self):
+        # the members of one class vector need not be contiguous in index order
+        rng = random.Random(37)
+        scattered = 0
+        for n in range(1, 5):
+            for pts in all_range_sets(n):
+                tables = list(semigroup(n, pts)[1].tables)
+                rng.shuffle(tables)
+                S = P.ElementSet(tables)
+                groups = self.check_left_ideals(S.mult_table(), full_table(S))
+                scattered += any(m[-1] - m[0] >= len(m) for m in groups)
+        assert scattered
+
+    def test_an_element_outside_its_sa_is_alone_in_its_l_class(self):
+        outside = 0
+        for n in range(1, 6):
+            for pts in all_range_sets(n):
+                S = semigroup(n, pts)[1]
+                alone = {c[0] for c in P.green_oracle(S, "L")["L"] if len(c) == 1}
+                for members, ideal in green._left_ideals(S.mult_table()):
+                    out = {a for a in members if a not in ideal}
+                    assert out <= alone
+                    outside += len(out)
+        assert outside
 
     def test_open_set_raises_as_the_table_does(self):
         # the square of the rotation on {1, 2, 3} is not in the set
