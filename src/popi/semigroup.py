@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
+from operator import itemgetter
 
 from . import errors
 from .transform import PartialInjection, _check_chain_size, _is_int, is_cyclic
@@ -22,7 +23,7 @@ MAX_SEARCH_POINTS = 255
 # The largest `ElementSet.mult_table`, counted as |S|^2 entries.  It caps the
 # table, the Green oracle's left-ideal column sets (about three indices per
 # product held) and the isomorphism search; n = 6 with the full range (2,773^2
-# entries) fits, and `green --check` there peaks at 56 MiB (Python 3.11).
+# entries) fits, and `green --check` there peaks at 57 MiB (Python 3.11).
 MAX_TABLE_ENTRIES = 10**7
 
 
@@ -99,6 +100,11 @@ def _restrictions(image: Iterable[int], right: Sequence[bytes]) -> list[bytes]:
     return list(map(bytes(sorted(image)).translate, right))
 
 
+# The translation table that sends 0 to 0 and every other byte to 1: a
+# search table's domain, as the slots it defines.
+_DEFINED = b"\0" + b"\1" * 255
+
+
 class ElementSet:
     """A semigroup's elements as the search kernel's `bytes` slot tables,
     all of one chain, in a fixed order and indexed by table.  Immutable.
@@ -146,11 +152,19 @@ class ElementSet:
 
         a*b reads b only on im a, onto which a maps, so the b of one
         restriction to im a (with 0 when not total) share one product.
-        `rows[a]` holds the distinct ones in the order of their first columns,
-        formed by `_right_factor` as `closure` forms them; `classes[a]` maps
-        each b to its class, one tuple for every a of one image set.  Raises
-        KeyError on a set not closed under products, and TooLarge, before
-        building anything, past MAX_TABLE_ENTRIES.
+        `rows[a]` holds the distinct ones in the order of their first columns;
+        `classes[a]` maps each b to its class, one tuple for every a of one
+        image set.  Only the first left factor of each domain forms its row,
+        one product per class by `_right_factor` as `closure` forms them.
+        Each later left a of that domain gathers its row from that first
+        left b: with σ = `bytes.maketrans(b, a)`, b·σ = a, so a·h = b·(σ·h)
+        by associativity, and a's class of h is b's class of σ·h on im b.
+        a forms its row itself when b·σ ≠ a (tables that are not injective),
+        when some σ·h has no class on im b (a set that is not the whole
+        semigroup), or when its row has one class.  A gathered entry is a
+        product b's row looked up, so a set not closed under products raises
+        KeyError; past MAX_TABLE_ENTRIES TooLarge is raised before anything
+        is built.
         """
         if self._table is None:
             tables = self.tables
@@ -159,21 +173,42 @@ class ElementSet:
                 raise errors.TooLarge("%d^2 table entries exceed %d" % (size, MAX_TABLE_ENTRIES))
             index_of_table = self._index.__getitem__
             right = list(map(_right_factor, tables))
-            lefts_by_image: dict[frozenset[int], list[int]] = {}
-            for i, a in enumerate(tables):
-                lefts_by_image.setdefault(frozenset(a), []).append(i)
-            rows: list = [None] * size
-            classes: list = [None] * size
-            for image, lefts in lefts_by_image.items():
+            images = list(map(frozenset, tables))
+            # image set -> (its points as a key, the class representatives,
+            # restriction -> class, the class of every right factor)
+            groups = {}
+            for image in dict.fromkeys(images):
+                key = bytes(sorted(image))
                 restrictions = _restrictions(image, right)
                 representatives = dict(zip(restrictions, right))
                 class_of = dict(zip(representatives, range(len(representatives))))
                 image_classes = tuple(map(class_of.__getitem__, restrictions))
-                for i in lefts:
+                groups[image] = key, list(representatives.values()), class_of, image_classes
+            first_of_domain: dict[bytes, int] = {}
+            gathers: dict[tuple[bytes, bytes], itemgetter | None] = {}
+            rows: list = [None] * size
+            classes: list = [None] * size
+            for i, a in enumerate(tables):
+                _, reps, _, classes[i] = groups[images[i]]
+                j = first_of_domain.setdefault(a.translate(_DEFINED), i)
+                gather = None
+                if j != i and len(reps) > 1:
+                    b = tables[j]
+                    sigma = bytes.maketrans(b, a)
+                    if b.translate(sigma) == a:
+                        key_b, _, class_of_b, _ = groups[images[j]]
+                        moved = key_b.translate(sigma)
+                        try:
+                            gather = gathers[key_b, moved]
+                        except KeyError:
+                            perm = [class_of_b.get(moved.translate(h)) for h in reps]
+                            gather = None if None in perm else itemgetter(*perm)
+                            gathers[key_b, moved] = gather
+                if gather is None:
                     # a lookup per class still raises KeyError for an open set
-                    products = map(tables[i].translate, representatives.values())
-                    rows[i] = tuple(map(index_of_table, products))
-                    classes[i] = image_classes
+                    rows[i] = tuple(map(index_of_table, map(a.translate, reps)))
+                else:
+                    rows[i] = gather(rows[j])
             self._table = rows, classes
         return self._table
 

@@ -6,10 +6,14 @@ call.  `semigroup` owns the `bytes` table of the searches, which
 `ElementSet.mult_table` and `closure` multiply through `bytes.translate` and
 `_right_factor`.  These tests hold each product to a definition-level
 reference built from `PartialInjection` values, and the search kernel to
-`compose`.
+`compose`.  `mult_table` forms one row per domain and gathers the others
+from it; the tests below shuffle, thin and break the sets it reads so that
+every branch of that row loop runs against the reference.
 """
 
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +39,53 @@ def reference_table(S):
     """The definition-level table: one `PartialInjection` product per entry."""
     elements = list(S)
     return [[S.index_of(a * b) for b in elements] for a in elements]
+
+
+def bytes_reference(S):
+    """The table of a set of `bytes` tables of any maps at all, injective or
+    not, by the definition x(ab) = (xa)b: one product per entry."""
+    index = {t: i for i, t in enumerate(S.tables)}
+    return [
+        [index[bytes(b[x - 1] if x else 0 for x in a)] for b in S.tables] for a in S.tables
+    ]
+
+
+class CountingIndex(dict):
+    """A table index that counts its lookups: each is one product formed."""
+
+    lookups = 0
+
+    def __getitem__(self, table):
+        self.lookups += 1
+        return super().__getitem__(table)
+
+
+def products_formed(S):
+    """The products `S.mult_table()` forms, counted through its index."""
+    S._index = CountingIndex(S._index)
+    S.mult_table()
+    return S._index.lookups
+
+
+def first_of_domain(S):
+    """Each element's index -> the index of the first element of its domain."""
+    first = {}
+    return [first.setdefault(tuple(map(bool, t)), i) for i, t in enumerate(S.tables)]
+
+
+def gathered_floor(S):
+    """The products `mult_table` forms if it gathers every row it may: the
+    rows of each domain's first element, and the rows of one class."""
+    rows, _ = S.mult_table()
+    first = first_of_domain(S)
+    return sum(len(row) for i, row in enumerate(rows) if first[i] == i or len(row) == 1)
+
+
+def c(k, r):
+    """The restriction classes on a k-set: the orientation-preserving
+    partial injections from it into an r-set, one per image of j points
+    (C(k, j) domains, C(r, j) images, j rotations) and the empty one."""
+    return 1 + sum(math.comb(k, j) * j * math.comb(r, j) for j in range(1, k + 1))
 
 
 def pointwise_product(a, b):
@@ -99,6 +150,87 @@ class TestMultTable:
             for gens in choices:
                 C = ordered_closure(ctx, gens)
                 assert full_table(C) == reference_table(C), (pts, gens)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shuffled_sets_match_reference_table(self, n):
+        # a domain's first element is then any of its rotations, and every
+        # other row of the domain is gathered from that one
+        rng = random.Random(n)
+        for pts in all_range_sets(n):
+            _, S = semigroup(n, pts)
+            for _ in range(2):
+                tables = list(S.tables)
+                rng.shuffle(tables)
+                T = P.ElementSet(tables)
+                formed = products_formed(T)
+                assert formed == gathered_floor(T) == products_formed(P.ElementSet(S.tables))
+                assert full_table(T) == reference_table(T), pts
+
+    @pytest.mark.parametrize(
+        "n, pts, formed",
+        [
+            # Σ_k C(7, k)·c(k, 3) = 1 + 7·4 + 21·13 + 35·31
+            (7, (1, 2, 4), 1387),
+            # Σ_k C(6, k)·c(k, 4) = 1 + 6·5 + 15·21 + 20·61 + 15·141
+            (6, (2, 4, 5, 6), 3681),
+            # Σ_k C(6, k)·c(k, 6) = 1 + 6·7 + 15·43 + 20·169 + 15·505
+            #                       + 6·1,261 + 2,773
+            (6, (1, 2, 3, 4, 5, 6), 21982),
+        ],
+    )
+    def test_one_row_formed_per_domain(self, n, pts, formed):
+        # each k-point domain forms the c(k) products of one row, of the
+        # k·C(r, k)·c(k) the rows of that domain hold
+        _, S = semigroup(n, pts)
+        T = P.ElementSet(S.tables)
+        assert formed == sum(math.comb(n, k) * c(k, len(pts)) for k in range(len(pts) + 1))
+        assert products_formed(T) == formed
+
+    def test_closures_without_a_class_form_their_rows(self):
+        # σ·h on im b need not be a restriction of any member of a closure;
+        # then the row of a is formed, not gathered, and still exact
+        rng = random.Random(4)
+        fallbacks = 0
+        for pts in all_range_sets(4):
+            ctx, S = semigroup(4, pts)
+            for k in (1, 2, 3):
+                C = ordered_closure(ctx, rng.sample(tuple(S), min(k, len(S))))
+                fallbacks += products_formed(C) > gathered_floor(C)
+                assert full_table(C) == reference_table(C), (pts, k)
+        assert fallbacks > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_maps_that_are_not_injective(self, seed):
+        # all 64 partial maps of {1, 2, 3}, in a random order; between two
+        # of one domain, maketrans keeps the last of the values one point
+        # takes, so b·σ = a fails for pairs such as b = (1, 1, 2), a = (2, 3, 2)
+        tables = [bytes(t) for t in product(range(4), repeat=3)]
+        random.Random(seed).shuffle(tables)
+        S = P.ElementSet(tables)
+        first = first_of_domain(S)
+        rejected = sum(
+            tables[j].translate(bytes.maketrans(tables[j], a)) != a
+            for a, j in zip(tables, first)
+        )
+        assert rejected > 0
+        assert full_table(S) == bytes_reference(S)
+
+    def test_later_left_of_one_class(self):
+        # (1, 1) reads its right factor at 1 alone, so its row has one class
+        S = P.ElementSet([bytes((1, 2)), bytes((1, 1))])
+        assert full_table(S) == bytes_reference(S) == [[0, 1], [1, 1]]
+
+    def test_open_set_raises_from_a_later_row(self):
+        # every product of (1, 2) and of the maps of rank at most one is a
+        # member; only (2, 1)·(1, 0) = (0, 1) and (2, 1)·(2, 0) = (0, 2) are
+        # not, and (2, 1) is the second element of its domain
+        tables = [bytes(t) for t in ((1, 2), (2, 1), (1, 0), (2, 0), (0, 0))]
+        S = P.ElementSet(tables)
+        for a in tables:
+            missing = {bytes(b[x - 1] if x else 0 for x in a) for b in tables} - set(tables)
+            assert missing == ({bytes((0, 1)), bytes((0, 2))} if a == tables[1] else set())
+        with pytest.raises(KeyError):
+            S.mult_table()
 
     def test_open_set_raises(self):
         a = P.PartialInjection(3, [(1, 2), (2, 3)])  # a * a = {1 -> 3}
