@@ -115,15 +115,24 @@ def _left_ideals(table):
 
 
 def _right_ideals(table):
-    # aS¹ in index order: row a of `mult_table`'s rows, one product per class
-    return (frozenset((a, *row)) for a, row in enumerate(table[0]))
+    # ((a,), aS) in index order, as `_left_ideals` pairs: aS is row a's products
+    return (((a,), frozenset(row)) for a, row in enumerate(table[0]))
 
 
-def _labels(keys) -> list[int]:
-    """One int per key, in order, numbered by first occurrence and equal
-    exactly for equal keys; only the first key of each class is kept."""
+def _labels(ideals, size: int) -> list[int]:
+    """One int per index below `size` from (members, Sa or aS) pairs whose
+    members partition the indices, equal exactly for equal S¹a (or aS¹).
+    S¹a = Sa when a is in Sa, and otherwise a is alone in its L-class: b L a
+    with b != a gives a = xb and b = ya, so a = xya is in Sa (for R, a = ayx
+    is in aS).  So a member is keyed by its ideal when in it and by itself
+    otherwise, keys are numbered by first occurrence, and only the first
+    ideal of each class is kept."""
+    labels = [0] * size
     first: dict = {}
-    return [first.setdefault(key, len(first)) for key in keys]
+    for members, ideal in ideals:
+        for a in members:
+            labels[a] = first.setdefault(ideal if a in ideal else a, len(first))
+    return labels
 
 
 def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
@@ -139,15 +148,8 @@ def green_oracle(S: ElementSet, relations: str) -> dict[str, Partition]:
     """
     _check_relations(relations)
     table = S.mult_table()
-    if relations != "R":
-        # S¹a = Sa when a is in Sa; otherwise a is alone in its L-class, since
-        # b L a with b != a gives a = xb and b = ya, so a = xya is in Sa
-        left = [0] * len(table[0])
-        first: dict = {}  # as in `_labels`, the first Sa of each class
-        for members, ideal in _left_ideals(table):
-            for a in members:
-                left[a] = first.setdefault(ideal if a in ideal else a, len(first))
-    right = _labels(_right_ideals(table)) if relations != "L" else None
+    left = _labels(_left_ideals(table), len(S)) if relations != "R" else None
+    right = _labels(_right_ideals(table), len(S)) if relations != "L" else None
     classes = {}
     if "L" in relations:
         classes["L"] = _group_by_key(left)

@@ -135,17 +135,6 @@ class ElementSet:
     def __getitem__(self, i: int) -> PartialInjection:
         return PartialInjection.from_table(self.tables[i])
 
-    def __contains__(self, a: PartialInjection) -> bool:
-        # past MAX_SEARCH_POINTS no byte holds a point, and no table is there
-        return a.n <= MAX_SEARCH_POINTS and bytes(a.table) in self._index
-
-    def index_of(self, a: PartialInjection) -> int:
-        """The index of a member; KeyError for anything else, an element of
-        another chain included."""
-        if a.n > MAX_SEARCH_POINTS:
-            raise KeyError(a)
-        return self._index[bytes(a.table)]
-
     def mult_table(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """The multiplication table over element indices (cached), factored
         as `(rows, classes)` with a*b = rows[a][classes[a][b]].

@@ -102,9 +102,6 @@ class PartialInjection:
             raise KeyError("point %d not in domain" % x)
         return v
 
-    def is_empty(self) -> bool:
-        return not any(self.table)
-
     # -- algebra ------------------------------------------------------------
 
     def compose(self, other: "PartialInjection") -> "PartialInjection":

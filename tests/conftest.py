@@ -111,14 +111,26 @@ def full_table(S):
     return [[row[c] for c in cls] for row, cls in zip(rows, classes)]
 
 
+def table_index(S):
+    """{`bytes` table: index} over `S.tables`; a member a is at
+    `table_index(S)[bytes(a.table)]`."""
+    return dict(zip(S.tables, range(len(S))))
+
+
+def one_sided_ideals(S):
+    """(S¹a per a, aS¹ per a) of any finite S, in index order, read from the
+    whole multiplication table."""
+    table = full_table(S)
+    left = [frozenset((a, *col)) for a, col in enumerate(zip(*table))]
+    return left, [frozenset((a, *row)) for a, row in enumerate(table)]
+
+
 def j_partition(S):
     """The J-classes of S by definition: a and b are J-related when their
-    two-sided ideals S¹aS¹ and S¹bS¹ are equal.  Each ideal is read from the
-    whole multiplication table as the union of the right ideals bS¹ over the
-    members b of the left ideal S¹a; L-related elements share it."""
-    table = full_table(S)
-    right = [frozenset((a, *row)) for a, row in enumerate(table)]
-    left = [frozenset((a, *col)) for a, col in enumerate(zip(*table))]
+    two-sided ideals S¹aS¹ and S¹bS¹ are equal.  Each ideal is the union of
+    the right ideals bS¹ over the members b of the left ideal S¹a;
+    L-related elements share it."""
+    left, right = one_sided_ideals(S)
     ideals = {ideal: frozenset().union(*map(right.__getitem__, ideal)) for ideal in set(left)}
     return _group_by_key(map(ideals.__getitem__, left))
 

@@ -21,10 +21,12 @@ from conftest import (
     j_partition,
     join_partition,
     member_of,
+    one_sided_ideals,
     ordered_closure,
     pi,
     rank_layer,
     semigroup,
+    table_index,
 )
 
 
@@ -50,11 +52,12 @@ def d_from_composition(S):
 class TestRegularity:
     def test_characterized_examples(self):
         ctx, S = semigroup(3, (1, 2))
+        at = table_index(S)
         regular = P.is_regular_characterized(ctx)
         assert len(regular) == len(S)
-        assert regular[S.index_of(pi(3, (1, 2)))]
-        assert not regular[S.index_of(pi(3, (3, 1)))]
-        assert regular[S.index_of(P.empty_map(3))]
+        assert regular[at[bytes(pi(3, (1, 2)).table)]]
+        assert not regular[at[bytes(pi(3, (3, 1)).table)]]
+        assert regular[at[bytes(P.empty_map(3).table)]]
 
     def test_oracle_examples(self):
         _, S = semigroup(3, (1, 2, 3))
@@ -66,8 +69,9 @@ class TestRegularity:
         # on Y = {1, 2} the non-regular elements are those defined at 3
         irregular = [i for i, flag in enumerate(regular) if not flag]
         assert irregular == [i for i, a in enumerate(S2) if 3 in a.domain]
-        assert S2.index_of(pi(3, (3, 1))) in irregular
-        assert regular[S2.index_of(P.empty_map(3))]
+        at = table_index(S2)
+        assert at[bytes(pi(3, (3, 1)).table)] in irregular
+        assert regular[at[bytes(P.empty_map(3).table)]]
 
     def test_oracle_agrees_with_characterization(self):
         for n in range(1, 5):
@@ -85,8 +89,9 @@ class TestRegularity:
 class TestCharacterizedExamples:
     def test_nonregular_same_domain(self):
         ctx, S = semigroup(3, (1, 2))
-        a = S.index_of(pi(3, (3, 1)))
-        b = S.index_of(pi(3, (3, 2)))
+        at = table_index(S)
+        a = at[bytes(pi(3, (3, 1)).table)]
+        b = at[bytes(pi(3, (3, 2)).table)]
         rmap, dmap, lmap = map(class_map, P.green_characterized(ctx, "RDL").values())
         assert rmap[a] == rmap[b]
         assert dmap[a] == dmap[b]
@@ -94,17 +99,19 @@ class TestCharacterizedExamples:
 
     def test_h_related_pair(self):
         ctx, S = semigroup(3, (1, 2))
-        e = S.index_of(P.identity_on(3, {1, 2}))
-        c = S.index_of(pi(3, (1, 2), (2, 1)))
+        at = table_index(S)
+        e = at[bytes(P.identity_on(3, {1, 2}).table)]
+        c = at[bytes(pi(3, (1, 2), (2, 1)).table)]
         hmap = class_map(P.green_characterized(ctx, "H")["H"])
         assert hmap[e] == hmap[c]
 
     def test_top_regular_d_class_content(self):
         ctx, S = semigroup(3, (1, 2))
         dmap = class_map(P.green_characterized(ctx, "D")["D"])
-        e = S.index_of(P.identity_on(3, {1, 2}))
+        at = table_index(S)
+        e = at[bytes(P.identity_on(3, {1, 2}).table)]
         members = [i for i, c in dmap.items() if c == dmap[e]]
-        expected = {e, S.index_of(pi(3, (1, 2), (2, 1)))}
+        expected = {e, at[bytes(pi(3, (1, 2), (2, 1)).table)]}
         assert set(members) == expected
 
 
@@ -129,7 +136,7 @@ class TestRowProducts:
         assert all(classes[a] is classes[first[image]] for a, image in enumerate(images))
         assert len(set(map(id, classes))) == len(first)
         TestRowProducts.check_left_ideals(table, full)
-        assert list(green._right_ideals(table)) == [frozenset((a, *row)) for a, row in enumerate(full)]
+        assert list(green._right_ideals(table)) == [((a,), frozenset(row)) for a, row in enumerate(full)]
 
     @staticmethod
     def check_left_ideals(table, full):
@@ -186,39 +193,55 @@ class TestRowProducts:
 
 
 class TestLabels:
-    """`_labels` numbers keys by first occurrence, equal exactly for equal
-    keys, in one pass that keeps only the first key of each class."""
+    """`_labels(pairs, size)` keys each member of a (members, ideal) pair by
+    the ideal when the member lies in it and by the member otherwise, and
+    numbers the keys by first occurrence, in one pass that keeps only the
+    first ideal of each class."""
 
     def test_numbered_by_first_occurrence(self):
-        assert green._labels("abacbd") == [0, 1, 0, 2, 1, 3]
-        assert green._labels([]) == []
+        a, b = frozenset({1, 2, 3}), frozenset({0, 4, 6})
+        # 3 lies outside b, and 5 outside its own pair's ideal a
+        pairs = [((2, 1), a), ((4, 0), b), ((3,), b), ((5,), a), ((6,), b)]
+        assert green._labels(pairs, 7) == [1, 0, 0, 2, 1, 3, 1]
+        assert green._labels([], 0) == []
 
-    @given(st.lists(st.frozensets(st.integers(0, 3), max_size=3), max_size=30))
-    def test_equal_exactly_for_equal_keys(self, keys):
-        labels = green._labels(keys)
-        assert len(labels) == len(keys)
+    @given(st.data())
+    def test_equal_exactly_for_equal_keys(self, data):
+        size = data.draw(st.integers(0, 12))
+        ideals = data.draw(st.lists(st.frozensets(st.integers(0, 11), max_size=4), min_size=1, max_size=5))
+        owner = data.draw(st.lists(st.integers(0, len(ideals) - 1), min_size=size, max_size=size))
+        pairs = [(tuple(a for a in range(size) if owner[a] == j), ideal) for j, ideal in enumerate(ideals)]
+        pairs = [(members, ideal) for members, ideal in pairs if members]
+        labels = green._labels(pairs, size)
+        keys = [ideals[j] if a in ideals[j] else ("alone", a) for a, j in enumerate(owner)]
+        assert len(labels) == size
         assert all((x == y) == (k == m) for x, k in zip(labels, keys) for y, m in zip(labels, keys))
-        firsts = [labels[keys.index(k)] for k in dict.fromkeys(keys)]
+        read = [labels[a] for members, _ in pairs for a in members]
+        firsts = list(dict.fromkeys(read))
         assert firsts == list(range(len(firsts)))
 
     def test_one_shot_generator_read_once(self):
         reads = []
 
-        def keys():
-            for key in "xyxz":
-                reads.append(key)
-                yield key
+        def pairs():
+            for members, ideal in [((0,), "x"), ((1, 3), "y"), ((2,), "x"), ((4,), "z")]:
+                reads.append(members)
+                yield members, frozenset({*members, ideal})
 
-        gen = keys()
-        assert green._labels(gen) == [0, 1, 0, 2]
-        assert reads == list("xyxz") and next(gen, None) is None
+        gen = pairs()
+        assert green._labels(gen, 5) == [0, 1, 2, 1, 3]
+        assert reads == [(0,), (1, 3), (2,), (4,)] and next(gen, None) is None
 
     def test_later_keys_of_a_class_are_dropped(self):
-        class Key:
+        class Ideal:
+            # holds every member, and equal ideals share a value
             __slots__ = ("v", "__weakref__")
 
             def __init__(self, v):
                 self.v = v
+
+            def __contains__(self, a):
+                return True
 
             def __eq__(self, other):
                 return self.v == other.v
@@ -230,17 +253,17 @@ class TestLabels:
         is_first = [values.index(v) == i for i, v in enumerate(values)]
         refs = []
 
-        def keys():
-            for v in values:
-                # every key before the one still being read lives exactly
+        def pairs():
+            for a, v in enumerate(values):
+                # every ideal before the one still being read lives exactly
                 # when it is the first of its class
                 read = refs[:-1]
                 assert [r() is not None for r in read] == is_first[: len(read)]
-                key = Key(v)
-                refs.append(weakref.ref(key))
-                yield key
+                ideal = Ideal(v)
+                refs.append(weakref.ref(ideal))
+                yield (a,), ideal
 
-        assert green._labels(keys()) == [0, 1, 0, 0, 1, 2, 2]
+        assert green._labels(pairs(), len(values)) == [0, 1, 0, 0, 1, 2, 2]
         assert len(refs) == len(values)
 
 
@@ -272,6 +295,56 @@ class TestDFromTheEggBox:
                 tables = list(semigroup(n, pts)[1].tables)
                 rng.shuffle(tables)
                 self.check(P.ElementSet(tables))
+
+
+def green_by_definition(S):
+    """L, R, H and D of any finite S by definition: S¹a and aS¹ per
+    element, H the pairs of them, and D the join of L and R."""
+    left, right = one_sided_ideals(S)
+    L, R = green._group_by_key(left), green._group_by_key(right)
+    return {"L": L, "R": R, "H": green._group_by_key(zip(left, right)), "D": join_partition(L, R)}
+
+
+def is_nilpotent(a):
+    """Whether some power of a is the empty map; on n points a^n is then."""
+    power = a
+    for _ in range(a.n - 1):
+        power = power * a
+    return power.rank == 0
+
+
+class TestClosuresByDefinition:
+    """In a whole semigroup a lies in aS, since the identity on im a is a
+    member, so R keys a member by itself only on a closure: there a
+    nilpotent a can lie outside aS.  The oracle must match the definitions
+    on such closures, of one nilpotent generator at n <= 4 and of a
+    nilpotent and any member at n <= 3."""
+
+    def test_outside_its_as_at_three(self):
+        # the closure of {1->2} is {∅, 1->2}, and (1->2)S = {∅}
+        ctx = P.RangeContext(3, (1, 2, 3))
+        S = ordered_closure(ctx, [pi(3, (1, 2))])
+        assert list(S) == [P.empty_map(3), pi(3, (1, 2))]
+        assert green_by_definition(S)["R"] == ((0,), (1,))
+        assert P.green_oracle(S, "LRHD") == green_by_definition(S)
+
+    def test_nilpotent_generators_to_four(self):
+        outside = merged = 0
+        for n in range(1, 5):
+            for pts in all_range_sets(n):
+                ctx, S = semigroup(n, pts)
+                nilpotent = [g for g in S if is_nilpotent(g)]
+                gens = [[g] for g in nilpotent]
+                if n <= 3:
+                    gens += [[g, h] for g in nilpotent for h in S]
+                for generators in gens:
+                    C = ordered_closure(ctx, generators)
+                    oracle = P.green_oracle(C, "LRHD")
+                    assert oracle == green_by_definition(C), (n, pts, generators)
+                    outside += sum(a not in row for a, row in enumerate(C.mult_table()[0]))
+                    merged += len(oracle["R"]) < len(C)
+        # both R keys are taken: members outside their aS, and classes of two or more
+        assert outside and merged
 
 
 class TestOracleMemory:

@@ -32,13 +32,15 @@ from conftest import (
     ordered_closure,
     semigroup,
     sort_key,
+    table_index,
 )
 
 
 def reference_table(S):
     """The definition-level table: one `PartialInjection` product per entry."""
     elements = list(S)
-    return [[S.index_of(a * b) for b in elements] for a in elements]
+    at = table_index(S)
+    return [[at[bytes((a * b).table)] for b in elements] for a in elements]
 
 
 def bytes_reference(S):

@@ -277,15 +277,14 @@ def test_table_predicates_match_their_definitions(n_table, data):
 
 
 def test_table_is_the_only_state():
-    # n, domain, rank and is_empty read the table, so an unchecked table
-    # cannot disagree with them: 1 and 2 both going to 1 has rank 2 and an
-    # image of one point, so it is no member
+    # n, domain and rank read the table, so an unchecked table cannot
+    # disagree with them: 1 and 2 both going to 1 has rank 2 and an image
+    # of one point, so it is no member
     assert P.PartialInjection.__slots__ == ("table",)
     a = P.PartialInjection.from_table((1, 1, 0))
     assert not hasattr(a, "__dict__")
-    assert (a.n, a.domain, a.rank, a.is_empty()) == (3, (1, 2), 2, False)
+    assert (a.n, a.domain, a.rank) == (3, (1, 2), 2)
     assert not P.contains(P.RangeContext(3, [1, 2]), a)
-    assert P.PartialInjection.from_table((0, 0)).is_empty()
     with pytest.raises(TypeError):
         P.PartialInjection.from_table((1, 1, 0), (1,))
 
@@ -357,8 +356,6 @@ def test_an_element_is_its_table(n_tables):
     S = P.ElementSet(map(bytes, index))
     for a, t in zip(elems, tables):
         assert (a in S) == (t in index)
-        if t in index:
-            assert S.index_of(a) == index[t]
         # the same graph on a longer chain: another element, never a member
         longer = P.PartialInjection.from_table(t + (0,))
         assert longer.n == n + 1 and longer != a and longer not in S
