@@ -49,8 +49,10 @@ class RankCertificate(
 ):
     """`order` is |S| as counted by `semigroup_rank`, which raises unless
     `generating_set` closes to all of S.  `lower_bound_witness` holds the
-    domains that bound the rank from below: one per top-rank R-class for a
-    proper range set, and those of the two idempotents for the full one."""
+    domains that bound the rank from below.  For a proper range set they are
+    the domains of the closure's top-rank elements, read off that closure,
+    and `semigroup_rank` raises unless there are as many as generators; for
+    the full one, those of the two idempotents."""
 
     __slots__ = ()
 
@@ -255,35 +257,31 @@ def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> D
 # -- top-layer structure ----------------------------------------------------
 
 
-def _check_generating_set_size(ctx: RangeContext) -> None:
-    """TooLarge if the canonical set's C(n, r) tables of n slots pass
-    MAX_ELEMENTS slots.  A proper range set gives C(n, r) >= n, so n*n
-    decides first, and the exact binomial is only computed when n*n is
-    within the bound."""
+def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
+    """One top-rank representative per domain: the order isomorphism onto
+    the range set, except that the representative with domain equal to the
+    range set is the range rotation.  Past MAX_ELEMENTS slots, and then on a
+    chain that `closure` cannot check it on, TooLarge is raised before any
+    is built."""
+    if ctx.is_full:
+        raise errors.FullRangeNotSupported(
+            "full-range rank is certified by a constructed pair, not by representatives"
+        )
     n, r = ctx.n, ctx.r
+    # a proper range set gives C(n, r) >= n, so n*n decides first, and the
+    # exact binomial is only computed when n*n is within the bound
     if n * n > MAX_ELEMENTS or n * math.comb(n, r) > MAX_ELEMENTS:
         raise errors.TooLarge(
             "n=%d with |Y|=%d gives C(%d, %d) generators of %d slots, more than %d slots"
             % (n, r, n, r, n, MAX_ELEMENTS)
         )
-
-
-def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
-    """One top-rank representative per domain: the order isomorphism onto
-    the range set, except that the representative with domain equal to the
-    range set is the range rotation.  Past MAX_ELEMENTS slots, TooLarge is
-    raised before any is built."""
-    if ctx.is_full:
-        raise errors.FullRangeNotSupported(
-            "full-range rank is certified by a constructed pair, not by representatives"
-        )
-    _check_generating_set_size(ctx)
+    check_search_size(n)
     gens = []
-    for dom in combinations(range(1, ctx.n + 1), ctx.r):
+    for dom in combinations(range(1, n + 1), r):
         if dom == ctx.points:
             gens.append(range_rotation_power(ctx, 1))
         else:
-            gens.append(order_isomorphism(ctx.n, dom, ctx.points))
+            gens.append(order_isomorphism(n, dom, ctx.points))
     return gens
 
 
@@ -324,23 +322,23 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
     """Rank with a constructive certificate, checked by one closure.
 
     Proper range set: the canonical representatives, one per top-rank
-    R-class, whose domains bound the rank from below.  Full range set: the
+    domain.  A word's domain lies in its first letter's and its rank is at
+    most each letter's, so every generating set holds an element of each
+    top-rank domain.  The witness is those domains, read off the closure,
+    and the set must be no larger.  Full range set: the
     constructed pair of `full_range_pair`.  A finite monogenic semigroup
     has exactly one idempotent, so the two idempotents of S, the empty map
     and the identity, show that no single element generates it.  |S| is
     `element_count`, so no element set is built.
 
-    For a proper range set, TooLarge is raised before anything is counted
-    or built when the canonical set passes MAX_ELEMENTS slots or the chain
-    passes the closure's MAX_SEARCH_POINTS.  A full range set past the
-    search bound already passes MAX_ELEMENTS elements.
+    For a proper range set, `canonical_generating_set` raises TooLarge
+    before anything is counted or built when the set passes MAX_ELEMENTS
+    slots or the chain passes the closure's MAX_SEARCH_POINTS.  A full range
+    set past the search bound already passes MAX_ELEMENTS elements.
     """
     n, r = ctx.n, ctx.r
-    if not ctx.is_full:
-        _check_generating_set_size(ctx)
-        check_search_size(n)
-    order = element_count(ctx)
     if ctx.is_full:
+        order = element_count(ctx)
         gens = full_range_pair(n)
         idempotents = (empty_map(n), identity_on(n, ctx.points))
         if not all(contains(ctx, e) and e.is_idempotent() for e in idempotents):
@@ -348,9 +346,15 @@ def semigroup_rank(ctx: RangeContext) -> RankCertificate:
         witness = tuple(e.domain for e in idempotents)
     else:
         gens = tuple(canonical_generating_set(ctx))
-        witness = tuple(combinations(range(1, n + 1), r))
-    if len(closure(ctx, gens)) != order:
+        order = element_count(ctx)
+    tables = closure(ctx, gens)
+    if len(tables) != order:
         raise errors.DecompositionFailed("generating set failed to generate")
+    if not ctx.is_full:
+        top = {tuple(compress(range(1, n + 1), t)) for t in tables if t.count(0) == n - r}
+        witness = tuple(sorted(top))
+        if len(witness) != len(gens):
+            raise errors.DecompositionFailed("generating set is not of minimum size")
     return RankCertificate(len(gens), gens, order, witness)
 
 

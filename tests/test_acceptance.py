@@ -7,6 +7,7 @@ complete; each criterion is a separate test so a failure pinpoints itself.
 import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import popi as P
 
@@ -117,6 +118,10 @@ class TestAcceptance:
                 if len(P.closure(ctx, gens)) != len(S):
                     ok = False
                 if not all(P.deletion_test(ctx, gens)):
+                    ok = False
+                # the lower bound: one top-rank domain of the closure per generator
+                witness = P.semigroup_rank(ctx).lower_bound_witness
+                if witness != tuple(combinations(range(1, n + 1), len(pts))):
                     ok = False
         for n in range(1, 7):
             ctx = P.RangeContext(n, range(1, n + 1))

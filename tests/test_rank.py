@@ -423,6 +423,11 @@ class TestCanonicalGeneratingSet:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_chain_past_the_search_bound_refused(self):
+        # 256 tables of 256 slots are within MAX_ELEMENTS, but no closure checks them
+        with pytest.raises(errors.TooLarge, match="longer than the 255 a search takes"):
+            P.canonical_generating_set(P.RangeContext(256, [1]))
+
     def test_removing_any_generator_loses_elements(self):
         ctx = P.RangeContext(4, (1, 3))
         gens = P.canonical_generating_set(ctx)
@@ -471,6 +476,13 @@ class TestDeletionTest:
         assert checked
 
 
+def assert_witness_is_every_top_rank_domain(n, pts):
+    # the witness is read off the closure; C(n, |Y|) domains, one per generator
+    cert = P.semigroup_rank(P.RangeContext(n, pts))
+    assert cert.lower_bound_witness == tuple(combinations(range(1, n + 1), len(pts)))
+    assert cert.claimed_rank == len(cert.lower_bound_witness)
+
+
 class TestSemigroupRank:
     def test_proper_cases(self):
         cert = P.semigroup_rank(P.RangeContext(3, (1, 2)))
@@ -493,6 +505,19 @@ class TestSemigroupRank:
         doms = sorted(g.domain for g in cert.generating_set)
         assert doms == sorted(cert.lower_bound_witness)
 
+
+    def test_witness_is_every_top_rank_domain(self):
+        # every proper Y at n <= 7: 240 range sets
+        for n in range(2, 8):
+            for pts in proper_range_sets(n):
+                assert_witness_is_every_top_rank_domain(n, pts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_witness_past_the_sweep(self, data):
+        n = data.draw(st.integers(2, 10))
+        pts = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True))
+        assert_witness_is_every_top_rank_domain(n, pts)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_order_counts_the_enumeration(self, n):
@@ -588,6 +613,15 @@ GUARDS = [
         rank, "closure", lambda real: lambda *args: range(len(real(*args)) - 1),
         lambda: P.semigroup_rank(P.RangeContext(3, (1, 2))),
         id="closure",
+    ),
+    pytest.param(
+        # one redundant generator, the product of the first two, makes the
+        # set one larger than the C(5, 2) top-rank domains of its closure
+        "generating set is not of minimum size",
+        rank, "canonical_generating_set",
+        lambda real: lambda ctx: (gens := real(ctx)) + [gens[0] * gens[1]],
+        lambda: P.semigroup_rank(P.RangeContext(5, (1, 3))),
+        id="redundant-generator",
     ),
     pytest.param(
         # the walk's factor list loses its last factor; the one split of a
