@@ -114,7 +114,17 @@ def _checked(
 
 
 def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """Factor an element of rank at most r-2 into two factors of one higher rank.
+    """Factor an element of rank at most r-2 into two factors of one higher
+    rank (`_low_rank`); NotAMember or BadRank for any other input."""
+    if not contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
+    if a.rank > ctx.r - 2:
+        raise errors.BadRank("rank %d exceeds %d" % (a.rank, ctx.r - 2))
+    return _low_rank(ctx, a)
+
+
+def _low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
+    """`decompose_low_rank` of a member of rank at most r-2.
 
     beta sends the domain plus its least missing point onto the first m+1
     points of Y, rotated t places.  gamma is beta^-1 * a plus one pair d -> y
@@ -124,12 +134,7 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     factors are written as slot tables: beta sends ext[i] to the i-th of
     its images, and beta^-1 * a sends that image to a(ext[i]).
     """
-    if not contains(ctx, a):
-        raise errors.NotAMember("%r" % (a,))
     m = a.rank
-    r = ctx.r
-    if m > r - 2:
-        raise errors.BadRank("rank %d exceeds %d" % (m, r - 2))
     n, table = ctx.n, a.table
     c = table.index(0) + 1
     ext = sorted(a.domain + (c,))
@@ -163,7 +168,17 @@ def _gap_point(free: list[int], images: tuple[int, ...], j: int) -> int | None:
 
 
 def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """Factor a rank-(r-1) element as (top-rank) * (restricted corank-one).
+    """Factor a rank-(r-1) element as (top-rank) * (restricted corank-one)
+    (`_corank_one`); NotAMember or BadRank for any other input."""
+    if not contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
+    if a.rank != ctx.r - 1:
+        raise errors.BadRank("expected rank %d, got %d" % (ctx.r - 1, a.rank))
+    return _corank_one(ctx, a)
+
+
+def _corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
+    """`decompose_corank_one` of a member of rank r-1.
 
     The first factor is a rotation shift composed with the order
     isomorphism beta from the extended domain onto the range set; the
@@ -172,12 +187,7 @@ def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decompositio
     to a1(ext[i]), and x (rotation^l * beta) = (x + l) beta, so the first
     factor's table is beta's rotated l slots to the left.
     """
-    if not contains(ctx, a):
-        raise errors.NotAMember("%r" % (a,))
-    r = ctx.r
-    if a.rank != r - 1:
-        raise errors.BadRank("expected rank %d, got %d" % (r - 1, a.rank))
-    n, pts = ctx.n, ctx.points
+    n, r, pts = ctx.n, ctx.r, ctx.points
     l, a1 = shift_decompose(a)
     a1_table = a1.table
     c = a1_table.index(0) + 1
@@ -215,7 +225,19 @@ def _missing_index(ctx: RangeContext, points: Iterable[int]) -> int:
 
 
 def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """Factor a restricted corank-one element into two top-rank factors.
+    """Factor a restricted corank-one element into two top-rank factors
+    (`_restricted_corank_one`); FullRangeNotSupported on the full range set,
+    NotRestricted for any other input."""
+    if ctx.is_full:
+        raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
+    if not is_restricted_corank_one(ctx, a):
+        raise errors.NotRestricted("%r" % (a,))
+    return _restricted_corank_one(ctx, a)
+
+
+def _restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
+    """`decompose_restricted_corank_one` of a restricted corank-one element
+    of a proper range set.
 
     The first factor is a rotation of the range set; the second is forced
     by the product identity except for one extra pair anchored at an
@@ -223,10 +245,6 @@ def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> D
     above it, or inside its first interior gap.  The chosen case is
     recorded for coverage accounting.
     """
-    if ctx.is_full:
-        raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
-    if not is_restricted_corank_one(ctx, a):
-        raise errors.NotRestricted("%r" % (a,))
     n, r, pts = ctx.n, ctx.r, ctx.points
     i = _missing_index(ctx, a.domain)
     j = _missing_index(ctx, a.image_seq)
@@ -397,9 +415,16 @@ def top_rank_factorization(
 
 
 def _factor(ctx, a, steps) -> list[PartialInjection]:
-    """The top-rank factors of `a` in order, each β's split before its γ's."""
+    """The top-rank factors of `a` in order, each β's split before its γ's.
+
+    `a` is a checked member, and so is every factor a split passes
+    `_checked`, so the levels' bodies are called without their entry checks,
+    and each rank-(r-1) input is classified as restricted once.  Each
+    distinct input is split once per call: a repeat reuses its split and
+    still records its step."""
     r = ctx.r
     factors = []
+    splits: dict = {}
     stack = [a]
     while stack:
         a = stack.pop()
@@ -407,12 +432,21 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
         if m == r:
             factors.append(a)
             continue
-        if m <= r - 2:
-            op, d = "raise_rank", decompose_low_rank(ctx, a)
-        elif is_restricted_corank_one(ctx, a):
-            op, d = "restricted_split", decompose_restricted_corank_one(ctx, a)
-        else:
-            op, d = "corank_one_split", decompose_corank_one(ctx, a)
+        split = splits.get(a.table)
+        if split is None:
+            if m <= r - 2:
+                split = "raise_rank", _low_rank(ctx, a)
+            elif is_restricted_corank_one(ctx, a):
+                split = "restricted_split", _restricted_corank_one(ctx, a)
+            else:
+                split = "corank_one_split", _corank_one(ctx, a)
+                # the body has found its γ restricted, and γ is the next
+                # input split: split it now, without classifying it again
+                gamma = split[1].gamma
+                if gamma.table not in splits:
+                    splits[gamma.table] = "restricted_split", _restricted_corank_one(ctx, gamma)
+            splits[a.table] = split
+        op, d = split
         if steps is not None:
             steps.append((op, a, d))
         stack += d.gamma, d.beta

@@ -446,6 +446,29 @@ def test_decompose_reports_match_golden_digests():
     assert [k for k in digests if digests[k] != golden[k]] == []
 
 
+# sha256 per (format, n, Y) of `decompose` stdout for the empty map, past the
+# n <= 5 sweep, captured before each distinct input was split once per call:
+# (8, {1,2,4,6,7}) and (12, {1,2,4,5,7,8,10,11}) in every format, and
+# (16, {1..15}), 32,767 steps, in json.
+GOLDEN_DECOMPOSE_LARGE = os.path.join(os.path.dirname(__file__), "golden", "decompose_large.json")
+
+
+def test_larger_decompose_reports_match_golden_digests():
+    with open(GOLDEN_DECOMPOSE_LARGE) as fh:
+        golden = json.load(fh)
+    assert "json 16 " + ",".join(map(str, range(1, 16))) in golden and len(golden) == 7
+    flags = {name: f for name, _, f in DECOMPOSE_FORMATS}
+    digests = {}
+    for key in golden:
+        name, n, y = key.split()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            element = json.dumps({"n": int(n), "pairs": []})
+            assert main(["decompose", "--n", n, "--y", y, "--element", element] + flags[name]) == 0
+        digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digests == golden
+
+
 # sha256 per (format, n, Y) of `enumerate` stdout, captured while the listing
 # was still written from element objects: every Y at n <= 6, full ranges
 # included, in text, --csv and --json.

@@ -772,12 +772,50 @@ def test_factor_walk_matches_recursive_reference(n):
             assert steps == expected_steps
 
 
+@pytest.mark.parametrize(
+    "n, pts, steps, distinct",
+    [(8, (1, 2, 4, 6, 7), 45, 15), (12, (1, 2, 4, 5, 7, 8, 10, 11), 341, 40)],
+)
+def test_factor_splits_each_distinct_input_once(monkeypatch, n, pts, steps, distinct):
+    # the levels' bodies each see a distinct input, and `contains` checks
+    # the root once and each split's two factors once
+    split, checked = [], []
+    for body in ("_low_rank", "_corank_one", "_restricted_corank_one"):
+        real = getattr(rank, body)
+        monkeypatch.setattr(rank, body, lambda ctx, a, real=real: split.append(a) or real(ctx, a))
+    real_contains = rank.contains
+    monkeypatch.setattr(rank, "contains", lambda ctx, a: checked.append(a) or real_contains(ctx, a))
+    recorded = []
+    P.top_rank_factorization(P.RangeContext(n, pts), P.empty_map(n), recorded)
+    assert len(recorded) == steps
+    assert len({a for _, a, _ in recorded}) == len(split) == len(set(split)) == distinct
+    assert len(checked) == 1 + 2 * distinct
+
+
 @st.composite
 def members(draw):
     """A chain size n <= 9, a proper range set Y and one member a."""
     n = draw(st.integers(2, 9))
     pts = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
     return P.RangeContext(n, pts), draw(member_of(n, pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(members())
+def test_every_step_splits_a_member_into_members(ctx_a):
+    # checked from outside the pipeline, which checks each element once:
+    # every step's input and factors are members of the ranks its op makes
+    ctx, a = ctx_a
+    r, steps = ctx.r, []
+    factors = P.top_rank_factorization(ctx, a, steps)
+    for op, x, d in steps:
+        m = x.rank
+        assert all(P.contains(ctx, f) for f in (x, d.beta, d.gamma))
+        assert d.beta * d.gamma == x
+        assert (m <= r - 2 if op == "raise_rank" else m == r - 1)
+        ranks = {"raise_rank": (m + 1, m + 1), "corank_one_split": (r, r - 1), "restricted_split": (r, r)}
+        assert (d.beta.rank, d.gamma.rank) == ranks[op]
+    assert all(P.contains(ctx, f) and f.rank == r for f in factors)
 
 
 def assert_factors(d, x, beta_rank, gamma_rank):
