@@ -59,9 +59,7 @@ def _fmt_elem(a: PartialInjection) -> str:
 def _json(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, indent=2)`, written directly, for what a report
     holds: str, int, bool, None, and lists and str-keyed dicts of them;
-    TypeError for anything else.  `pad` starts the value's closing line.
-    A list's or dict's str and int leaves are written in place, without a
-    call each."""
+    TypeError for anything else.  `pad` starts the value's closing line."""
     cls = type(obj)
     if cls is str:
         return _quote(obj)
@@ -69,17 +67,10 @@ def _json(obj, pad: str = "\n") -> str:
         return repr(obj)
     inner = pad + "  "
     if cls is list:
-        items = [
-            _quote(v) if (c := type(v)) is str else repr(v) if c is int else _json(v, inner)
-            for v in obj
-        ]
+        items = [_json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if cls is dict:
-        items = [
-            _quote(k) + ": "
-            + (_quote(v) if (c := type(v)) is str else repr(v) if c is int else _json(v, inner))
-            for k, v in obj.items()
-        ]
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if cls is bool:
         return "true" if obj else "false"

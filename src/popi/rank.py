@@ -82,14 +82,16 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
     a1 keeps the image of a.  A descent after the k-th image, at domain
     point d_{k+1}, gives l = n + 1 - d_{k+1}; an ascending sequence, l = 0.
     x a1 = (x - l) a, so a1's table is a's rotated l slots to the right.
+    a1's images are a's rotated, so they ascend only if a's are cyclic:
+    orientation is tested only when they do not, for NotAMember.
     """
-    if not a.is_orientation_preserving():
-        raise errors.NotAMember("%r" % (a,))
     n, seq, table = a.n, a.image_seq, a.table
     k = next((k for k in range(1, len(seq)) if seq[k - 1] > seq[k]), None)
     l = 0 if k is None else n + 1 - a.domain[k]
     a1 = PartialInjection.from_table(table[n - l :] + table[: n - l])
     if not a1.is_order_preserving():
+        if not a.is_orientation_preserving():
+            raise errors.NotAMember("%r" % (a,))
         raise errors.DecompositionFailed("no rotation shift found for %r" % (a,))
     return l, a1
 
@@ -205,7 +207,8 @@ def _corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
 
 
 def is_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> bool:
-    """Order-preserving, rank r-1, with domain inside the range set."""
+    """Order-preserving, rank r-1, with domain inside the range set.  It
+    does not test membership: the image may leave the range set."""
     table = a.table
     n = len(table)
     return (
@@ -227,9 +230,11 @@ def _missing_index(ctx: RangeContext, points: Iterable[int]) -> int:
 def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """Factor a restricted corank-one element into two top-rank factors
     (`_restricted_corank_one`); FullRangeNotSupported on the full range set,
-    NotRestricted for any other input."""
+    NotAMember or NotRestricted for any other input."""
     if ctx.is_full:
         raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
+    if not contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
     if not is_restricted_corank_one(ctx, a):
         raise errors.NotRestricted("%r" % (a,))
     return _restricted_corank_one(ctx, a)
@@ -418,10 +423,9 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
     """The top-rank factors of `a` in order, each β's split before its γ's.
 
     `a` is a checked member, and so is every factor a split passes
-    `_checked`, so the levels' bodies are called without their entry checks,
-    and each rank-(r-1) input is classified as restricted once.  Each
-    distinct input is split once per call: a repeat reuses its split and
-    still records its step."""
+    `_checked`, so the levels' bodies are called without their entry checks.
+    Each distinct input is split once per call: a repeat reuses its split
+    and still records its step."""
     r = ctx.r
     factors = []
     splits: dict = {}
@@ -440,11 +444,6 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
                 split = "restricted_split", _restricted_corank_one(ctx, a)
             else:
                 split = "corank_one_split", _corank_one(ctx, a)
-                # the body has found its γ restricted, and γ is the next
-                # input split: split it now, without classifying it again
-                gamma = split[1].gamma
-                if gamma.table not in splits:
-                    splits[gamma.table] = "restricted_split", _restricted_corank_one(ctx, gamma)
             splits[a.table] = split
         op, d = split
         if steps is not None:

@@ -20,7 +20,15 @@ from popi.cli import main
 from popi import rank
 from popi.rank import _checked, _gap_point, _missing_index, full_range_pair
 
-from conftest import all_range_sets, member_of, pi, proper_range_sets, rank_layer, semigroup
+from conftest import (
+    all_partial_injections,
+    all_range_sets,
+    member_of,
+    pi,
+    proper_range_sets,
+    rank_layer,
+    semigroup,
+)
 
 
 # -- reference searches -----------------------------------------------------
@@ -139,6 +147,8 @@ def reference_corank_one(ctx, a):
 def reference_restricted_corank_one(ctx, a):
     if ctx.is_full:
         raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
+    if not P.contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
     if not P.is_restricted_corank_one(ctx, a):
         raise errors.NotRestricted("%r" % (a,))
     n, r, pts = ctx.n, ctx.r, ctx.points
@@ -210,9 +220,14 @@ class TestShiftDecompose:
             P.shift_decompose(pi(3, (1, 2), (2, 1), (3, 3)))
 
     def test_exhaustive_small(self):
+        # every partial injection: NotAMember exactly when its images are
+        # not cyclic, that is when it is no member of the full range set
         for n in range(1, 6):
-            ctx, S = semigroup(n, tuple(range(1, n + 1)))
-            for a in S:
+            for a in all_partial_injections(n):
+                if not P.is_cyclic(a.image_seq):
+                    with pytest.raises(errors.NotAMember):
+                        P.shift_decompose(a)
+                    continue
                 l, a1 = P.shift_decompose(a)
                 assert 0 <= l < n
                 assert a1.is_order_preserving()
@@ -352,6 +367,26 @@ class TestDecomposeRestrictedCorankOne:
                     assert d.beta.rank == ctx.r == d.gamma.rank
                     assert P.contains(ctx, d.beta) and P.contains(ctx, d.gamma)
                     assert d.beta * d.gamma == a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_level_refuses_non_members(n):
+    """Each split level and the pipeline raise NotAMember for every map
+    that `contains` rejects, at every proper Y, whatever its rank."""
+    calls = (
+        P.decompose_low_rank,
+        P.decompose_corank_one,
+        P.decompose_restricted_corank_one,
+        P.top_rank_factorization,
+    )
+    for pts in proper_range_sets(n):
+        ctx = P.RangeContext(n, pts)
+        for a in all_partial_injections(n):
+            if P.contains(ctx, a):
+                continue
+            for call in calls:
+                with pytest.raises(errors.NotAMember):
+                    call(ctx, a)
 
 
 class TestRotationExponent:
