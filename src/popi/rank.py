@@ -28,7 +28,6 @@ from .transform import (
     empty_map,
     identity_on,
     order_isomorphism,
-    rotation_perm,
 )
 
 
@@ -47,7 +46,8 @@ class Decomposition(
 class RankCertificate(
     namedtuple("RankCertificate", "claimed_rank generating_set order lower_bound_witness")
 ):
-    """`order` is |S| as counted by `semigroup_rank`, which raises unless
+    """`generating_set` is `canonical_generating_set`, for every range set.
+    `order` is |S| as counted by `semigroup_rank`, which raises unless
     `generating_set` closes to all of S.  `lower_bound_witness` holds the
     domains that bound the rank from below.  For a proper range set they are
     the domains of the closure's top-rank elements, read off that closure,
@@ -220,11 +220,9 @@ def is_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> bool:
 
 
 def _missing_index(ctx: RangeContext, points: Iterable[int]) -> int:
-    """1-based position of the unique range-set point absent from `points`."""
-    missing = ctx.point_set - set(points)
-    if len(missing) != 1:
-        raise errors.BadRank("expected exactly one missing range point")
-    return ctx.points.index(next(iter(missing))) + 1
+    """1-based position of the one range-set point absent from `points`."""
+    (missing,) = ctx.point_set.difference(points)
+    return ctx.points.index(missing) + 1
 
 
 def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
@@ -281,19 +279,23 @@ def _restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposit
 
 
 def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
-    """One top-rank representative per domain: the order isomorphism onto
-    the range set, except that the representative with domain equal to the
-    range set is the range rotation.  Past MAX_ELEMENTS slots, and then on a
-    chain that `closure` cannot check it on, TooLarge is raised before any
-    is built."""
-    if ctx.is_full:
-        raise errors.FullRangeNotSupported(
-            "full-range rank is certified by a constructed pair, not by representatives"
-        )
+    """The generating set of S for every range set: one top-rank
+    representative per domain, the order isomorphism onto the range set,
+    except that the representative with domain equal to the range set is the
+    range rotation.  On the full range set that rule gives the chain rotation
+    alone, and one order-preserving map of {1..n-1} onto the chain minus one
+    point is appended.  Every product of the rotation with a restriction of
+    one of its powers is again such a restriction, so for n >= 3 that map
+    must not be one: it fixes 1..n-2 and sends n-1 to n.  For n <= 2 it is
+    the partial identity on {1..n-1}, the empty map at n = 1.
+
+    Past MAX_ELEMENTS slots, and then on a chain that `closure` cannot check
+    it on, TooLarge is raised before any is built."""
     n, r = ctx.n, ctx.r
     # a proper range set gives C(n, r) >= n, so n*n decides first, and the
-    # exact binomial is only computed when n*n is within the bound
-    if n * n > MAX_ELEMENTS or n * math.comb(n, r) > MAX_ELEMENTS:
+    # exact binomial is only computed when n*n is within the bound; the two
+    # maps of the full range set fit wherever the search bound holds
+    if not ctx.is_full and (n * n > MAX_ELEMENTS or n * math.comb(n, r) > MAX_ELEMENTS):
         raise errors.TooLarge(
             "n=%d with |Y|=%d gives C(%d, %d) generators of %d slots, more than %d slots"
             % (n, r, n, r, n, MAX_ELEMENTS)
@@ -305,6 +307,9 @@ def canonical_generating_set(ctx: RangeContext) -> list[PartialInjection]:
             gens.append(range_rotation_power(ctx, 1))
         else:
             gens.append(order_isomorphism(n, dom, ctx.points))
+    if ctx.is_full:
+        skip = n - 1 if n >= 3 else n
+        gens.append(order_isomorphism(n, range(1, n), [y for y in range(1, n + 1) if y != skip]))
     return gens
 
 
@@ -326,54 +331,35 @@ def deletion_test(ctx: RangeContext, generators: list[PartialInjection]) -> list
     return out
 
 
-def full_range_pair(n: int) -> tuple[PartialInjection, PartialInjection]:
-    """The chain rotation and an order-preserving map of {1..n-1} onto the
-    chain minus one point, which together generate the full-range semigroup.
-
-    Every product of the rotation with a restriction of one of its powers is
-    again such a restriction, so for n >= 3 the second map must not be one:
-    it fixes 1..n-2 and sends n-1 to n.  For n <= 2 it is the partial
-    identity on {1..n-1}, the empty map at n = 1.
-    """
-    skip = n - 1 if n >= 3 else n
-    return rotation_perm(n), order_isomorphism(
-        n, range(1, n), [y for y in range(1, n + 1) if y != skip]
-    )
-
-
 def semigroup_rank(ctx: RangeContext) -> RankCertificate:
-    """Rank with a constructive certificate, checked by one closure.
+    """Rank with a constructive certificate, checked by one closure of
+    `canonical_generating_set`.
 
-    Proper range set: the canonical representatives, one per top-rank
-    domain.  A word's domain lies in its first letter's and its rank is at
-    most each letter's, so every generating set holds an element of each
-    top-rank domain.  The witness is those domains, read off the closure,
-    and the set must be no larger.  Full range set: the
-    constructed pair of `full_range_pair`.  A finite monogenic semigroup
-    has exactly one idempotent, so the two idempotents of S, the empty map
-    and the identity, show that no single element generates it.  |S| is
-    `element_count`, so no element set is built.
+    Proper range set: a word's domain lies in its first letter's and its
+    rank is at most each letter's, so every generating set holds an element
+    of each top-rank domain.  The witness is those domains, read off the
+    closure, and the set must be no larger.  Full range set: a finite
+    monogenic semigroup has exactly one idempotent, so the two idempotents
+    of S, the empty map and the identity, show that no single element
+    generates it.  |S| is `element_count`, so no element set is built.
 
-    For a proper range set, `canonical_generating_set` raises TooLarge
-    before anything is counted or built when the set passes MAX_ELEMENTS
-    slots or the chain passes the closure's MAX_SEARCH_POINTS.  A full range
-    set past the search bound already passes MAX_ELEMENTS elements.
+    `canonical_generating_set` raises TooLarge before anything is counted or
+    built when the set passes MAX_ELEMENTS slots or the chain passes the
+    closure's MAX_SEARCH_POINTS; `element_count` then raises it past
+    MAX_ELEMENTS elements.
     """
     n, r = ctx.n, ctx.r
+    gens = tuple(canonical_generating_set(ctx))
+    order = element_count(ctx)
+    tables = closure(ctx, gens)
+    if len(tables) != order:
+        raise errors.DecompositionFailed("generating set failed to generate")
     if ctx.is_full:
-        order = element_count(ctx)
-        gens = full_range_pair(n)
         idempotents = (empty_map(n), identity_on(n, ctx.points))
         if not all(contains(ctx, e) and e.is_idempotent() for e in idempotents):
             raise errors.DecompositionFailed("lower-bound witness is not two idempotents of S")
         witness = tuple(e.domain for e in idempotents)
     else:
-        gens = tuple(canonical_generating_set(ctx))
-        order = element_count(ctx)
-    tables = closure(ctx, gens)
-    if len(tables) != order:
-        raise errors.DecompositionFailed("generating set failed to generate")
-    if not ctx.is_full:
         top = {tuple(compress(range(1, n + 1), t)) for t in tables if t.count(0) == n - r}
         witness = tuple(sorted(top))
         if len(witness) != len(gens):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import popi as P
 from popi.green import _group_by_key
-from popi.rank import full_range_pair
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +92,7 @@ def conjugation_isomorphism(n, y, z, sigma):
     """
     ctx, S = semigroup(n, y)
     T = semigroup(n, z)[1]
-    gens = full_range_pair(n) if ctx.is_full else P.canonical_generating_set(ctx)
+    gens = P.canonical_generating_set(ctx)
     assert len(P.closure(ctx, gens)) == len(S)
     inv = sigma.inverse()
     phi = {a: inv * a * sigma for a in S}

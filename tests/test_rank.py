@@ -18,7 +18,8 @@ from popi import errors
 from popi.cli import main
 
 from popi import rank
-from popi.rank import _checked, _gap_point, _missing_index, full_range_pair
+from popi.rank import _checked, _gap_point, _missing_index
+from popi.semigroup import element_count
 
 from conftest import (
     all_partial_injections,
@@ -32,9 +33,10 @@ from conftest import (
 
 
 # -- reference searches -----------------------------------------------------
-# Search oracles for `shift_decompose`, `decompose_low_rank` and
-# `full_range_pair`.  Each returns the first factorization or generator in its
-# search order; the constructions must return exactly the same.
+# Search oracles for `shift_decompose`, `decompose_low_rank` and the second
+# member of `canonical_generating_set` on the full range.  Each returns the
+# first factorization or generator in its search order; the constructions
+# must return exactly the same.
 
 
 def search_shift(a):
@@ -215,10 +217,6 @@ class TestShiftDecompose:
         assert P.rotation_perm(3, l) * a1 == a
         assert a1.is_order_preserving() and a1.image == a.image
 
-    def test_rejects_non_orientation_preserving(self):
-        with pytest.raises(errors.NotAMember):
-            P.shift_decompose(pi(3, (1, 2), (2, 1), (3, 3)))
-
     def test_exhaustive_small(self):
         # every partial injection: NotAMember exactly when its images are
         # not cyclic, that is when it is no member of the full range set
@@ -290,9 +288,7 @@ def test_constructions_match_searches(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_full_range_pair_matches_search(n):
     ctx, S = semigroup(n, tuple(range(1, n + 1)))
-    g, a = full_range_pair(n)
-    assert g == P.rotation_perm(n)
-    assert a == search_full_range_pair(ctx, S)
+    assert P.canonical_generating_set(ctx) == [P.rotation_perm(n), search_full_range_pair(ctx, S)]
 
 
 class TestDecomposeCorankOne:
@@ -435,16 +431,17 @@ class TestCanonicalGeneratingSet:
         assert len(P.closure(ctx, gens)) == 13
 
     def test_counts_and_generation(self):
-        for n in range(2, 6):
-            for pts in proper_range_sets(n):
-                ctx, S = semigroup(n, pts)
+        # every Y at n <= 7, 247 range sets: members that close to all of S,
+        # C(n, |Y|) of them below the full range and 2 on it, and the set
+        # that `semigroup_rank` certifies
+        for n in range(1, 8):
+            for pts in all_range_sets(n):
+                ctx = P.RangeContext(n, pts)
                 gens = P.canonical_generating_set(ctx)
-                assert len(gens) == math.comb(n, len(pts))
-                assert len(P.closure(ctx, gens)) == len(S)
-
-    def test_full_range_rejected(self):
-        with pytest.raises(errors.FullRangeNotSupported):
-            P.canonical_generating_set(P.RangeContext(3, (1, 2, 3)))
+                assert all(P.contains(ctx, g) for g in gens)
+                assert len(P.closure(ctx, gens)) == element_count(ctx)
+                assert len(gens) == (2 if len(pts) == n else math.comb(n, len(pts)))
+                assert tuple(gens) == P.semigroup_rank(ctx).generating_set
 
     def test_too_large_refused_before_building(self):
         # 10^5 tables of 10^5 slots
@@ -581,6 +578,15 @@ class TestSemigroupRank:
         monkeypatch.setattr("popi.rank.element_count", uncounted)
         with pytest.raises(errors.TooLarge):
             P.semigroup_rank(P.RangeContext(n, pts))
+
+    @pytest.mark.parametrize("n", [11, 255, 256, 1001])
+    def test_full_range_refusals(self, element_sets, n):
+        # the element count refuses up to the search bound, the bound past
+        # it; the set's two maps are never refused by a count of C(n, n) slots
+        message = "longer than the 255 a search takes" if n > 255 else "more than 1000000 elements"
+        with pytest.raises(errors.TooLarge, match=message):
+            P.semigroup_rank(P.RangeContext(n, range(1, n + 1)))
+        assert element_sets == []
 
     def test_deletion_test_past_the_search_bound(self):
         ctx = P.RangeContext(3000, [1])
