@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 
 from . import errors
@@ -327,12 +327,17 @@ def closure(
     restriction class of those generators on each image met
     (`_restrictions`).  A class's restriction has |im a ∩ dom h| nonzero
     values, the rank of its product, so classes below the floor are dropped
-    before any product is formed.  No identity or zero is adjoined unless
-    generated.  The result is a set of `bytes` tables, in no order, and
-    builds no element.  Every generator is checked for membership, and the
-    result's `generators` holds them all, deduplicated in first-seen order,
-    those below the floor included.  A chain past MAX_SEARCH_POINTS raises
-    TooLarge before anything is checked or built.
+    before any product is formed.  Its set of values is the image set of
+    the product (with 0 exactly when the product is not total, as h sends 0
+    to 0), so each round's frontier is kept grouped by image set: one
+    lookup finds the classes of a whole group, each class multiplies the
+    group in one pass, and its new products join the group of the class's
+    image set without their own image being read.  No identity or zero is
+    adjoined unless generated.  The result is a set of `bytes` tables, in
+    no order, and builds no element.  Every generator is checked for
+    membership, and the result's `generators` holds them all, deduplicated
+    in first-seen order, those below the floor included.  A chain past
+    MAX_SEARCH_POINTS raises TooLarge before anything is checked or built.
     """
     check_search_size(ctx.n)
     gens: dict[PartialInjection, None] = {}  # first-seen order
@@ -344,27 +349,34 @@ def closure(
         raise errors.BadParameters("need at least one generator")
     seeds = [bytes(g.table) for g in gens if g.rank >= min_rank]
     right = list(map(_right_factor, seeds))
-    # image set (with 0 when not total) -> one right factor per restriction
-    # class whose product stays at or above the floor
-    representatives: dict[frozenset[int], list[bytes]] = {}
+    # image set (with 0 when not total) -> (right factor, image set of its
+    # products) for each restriction class whose product stays at or above
+    # the floor
+    classes: dict[frozenset[int], list[tuple[bytes, frozenset[int]]]] = {}
     tables = set(seeds)
-    frontier = list(tables)
+    # image set -> the tables of the last round with that image set
+    frontier: dict[frozenset[int], list[bytes]] = {}
+    for a in tables:
+        frontier.setdefault(frozenset(a), []).append(a)
     while frontier:
-        fresh = []
-        for a in frontier:
-            image = frozenset(a)
-            reps = representatives.get(image)
-            if reps is None:
-                classes = {
+        fresh: dict[frozenset[int], list[bytes]] = {}
+        for image, group in frontier.items():
+            steps = classes.get(image)
+            if steps is None:
+                reps = {
                     r: h
                     for r, h in zip(_restrictions(image, right), right)
                     if len(r) - r.count(0) >= min_rank
                 }
-                reps = representatives[image] = list(classes.values())
-            for p in map(a.translate, reps):
-                if p not in tables:
-                    tables.add(p)
-                    fresh.append(p)
+                steps = classes[image] = [(h, frozenset(r)) for r, h in reps.items()]
+            for h, product_image in steps:
+                new = []
+                for p in map(bytes.translate, group, repeat(h)):
+                    if p not in tables:
+                        tables.add(p)
+                        new.append(p)
+                if new:
+                    fresh.setdefault(product_image, []).extend(new)
         frontier = fresh
     result = Closure(tables)
     result.generators = tuple(gens)

@@ -246,17 +246,25 @@ class TestMultTable:
 
 
 class TestClosure:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_matches_naive_search(self, n):
+    @pytest.mark.parametrize(
+        "n, floors",
+        [pytest.param(n, False, id=str(n)) for n in range(1, 6)]
+        + [pytest.param(n, True, id="%d-floors" % n) for n in range(1, 6)],
+    )
+    def test_matches_naive_search(self, n, floors):
+        # without floors the whole closure; with them every floor from 1,
+        # which drops the empty map, to |Y| + 1, which keeps nothing
         rng = random.Random(n)
         for pts in all_range_sets(n):
             ctx, S = semigroup(n, pts)
             choices = [rng.sample(tuple(S), min(k, len(S))) for k in (1, 2, 3)]
             choices.append(P.canonical_generating_set(ctx))
             for gens in choices:
-                C = ordered_closure(ctx, gens + gens[:1])
-                assert tuple(C) == naive_closure(gens), (pts, gens)
-                assert P.closure(ctx, gens + gens[:1]).generators == tuple(gens)
+                naive = naive_closure(gens)
+                for k in range(1, len(pts) + 2) if floors else (0,):
+                    C = ordered_closure(ctx, gens + gens[:1], k)
+                    assert tuple(C) == tuple(a for a in naive if a.rank >= k), (pts, gens, k)
+                    assert P.closure(ctx, gens + gens[:1], k).generators == tuple(gens)
 
     def test_generators_agreeing_on_an_image_share_a_class(self):
         # both send 2 to 3 and leave 3 undefined, so they agree on {2, 3},
