@@ -8,7 +8,6 @@ from .transform import (
     identity_on,
     is_cyclic,
     order_isomorphism,
-    rotation_perm,
 )
 from .semigroup import (
     ElementSet,
@@ -30,9 +29,6 @@ from .rank import (
     Decomposition,
     RankCertificate,
     canonical_generating_set,
-    decompose_corank_one,
-    decompose_low_rank,
-    decompose_restricted_corank_one,
     deletion_test,
     is_restricted_corank_one,
     range_rotation_power,
@@ -62,9 +58,6 @@ __all__ = [
     "closure",
     "contains",
     "decide_isomorphic",
-    "decompose_corank_one",
-    "decompose_low_rank",
-    "decompose_restricted_corank_one",
     "deletion_test",
     "empty_map",
     "enumerate_semigroup",
@@ -78,7 +71,6 @@ __all__ = [
     "is_restricted_corank_one",
     "order_isomorphism",
     "range_rotation_power",
-    "rotation_perm",
     "semigroup_rank",
     "shift_decompose",
     "top_rank_factorization",

@@ -30,11 +30,7 @@ class NotAMember(PopiError):
 
 
 class BadRank(PopiError):
-    pass
-
-
-class NotRestricted(PopiError):
-    """Element is not an order-preserving corank-one map with domain in the range set."""
+    """Raised by `rank.decompose_low_rank` alone, and kept while it is."""
 
 
 class FullRangeNotSupported(PopiError):

@@ -115,9 +115,13 @@ def _checked(
     return d
 
 
+# Kept for the benchmark alone: `bench/tracer.py` patches it by name, and
+# bench/tests/test_bench.py::test_install_patches_every_importer_and_uninstall_restores
+# requires it.  Once the tracer is retargeted, it goes with `errors.BadRank`.
 def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """Factor an element of rank at most r-2 into two factors of one higher
-    rank (`_low_rank`); NotAMember or BadRank for any other input."""
+    rank (`_low_rank`); NotAMember or BadRank for any other input.  No
+    command calls it: `_factor` calls `_low_rank`."""
     if not contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
     if a.rank > ctx.r - 2:
@@ -126,7 +130,8 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
 
 
 def _low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """`decompose_low_rank` of a member of rank at most r-2.
+    """Two factors of rank m+1 whose product is `a`, a member of rank m at
+    most r-2; the input is not checked.
 
     beta sends the domain plus its least missing point onto the first m+1
     points of Y, rotated t places.  gamma is beta^-1 * a plus one pair d -> y
@@ -169,18 +174,9 @@ def _gap_point(free: list[int], images: tuple[int, ...], j: int) -> int | None:
     return next((y for y in free if (lo < y < hi if lo < hi else not hi <= y <= lo)), None)
 
 
-def decompose_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """Factor a rank-(r-1) element as (top-rank) * (restricted corank-one)
-    (`_corank_one`); NotAMember or BadRank for any other input."""
-    if not contains(ctx, a):
-        raise errors.NotAMember("%r" % (a,))
-    if a.rank != ctx.r - 1:
-        raise errors.BadRank("expected rank %d, got %d" % (ctx.r - 1, a.rank))
-    return _corank_one(ctx, a)
-
-
 def _corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """`decompose_corank_one` of a member of rank r-1.
+    """(top-rank) * (restricted corank-one) factors of `a`, a member of
+    rank r-1; the input is not checked.
 
     The first factor is a rotation shift composed with the order
     isomorphism beta from the extended domain onto the range set; the
@@ -225,22 +221,9 @@ def _missing_index(ctx: RangeContext, points: Iterable[int]) -> int:
     return ctx.points.index(missing) + 1
 
 
-def decompose_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """Factor a restricted corank-one element into two top-rank factors
-    (`_restricted_corank_one`); FullRangeNotSupported on the full range set,
-    NotAMember or NotRestricted for any other input."""
-    if ctx.is_full:
-        raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
-    if not contains(ctx, a):
-        raise errors.NotAMember("%r" % (a,))
-    if not is_restricted_corank_one(ctx, a):
-        raise errors.NotRestricted("%r" % (a,))
-    return _restricted_corank_one(ctx, a)
-
-
 def _restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """`decompose_restricted_corank_one` of a restricted corank-one element
-    of a proper range set.
+    """Two top-rank factors of `a`, a member that `is_restricted_corank_one`
+    accepts, on a proper range set; the input is not checked.
 
     The first factor is a rotation of the range set; the second is forced
     by the product identity except for one extra pair anchored at an
@@ -409,7 +392,7 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
     """The top-rank factors of `a` in order, each β's split before its γ's.
 
     `a` is a checked member, and so is every factor a split passes
-    `_checked`, so the levels' bodies are called without their entry checks.
+    `_checked`, so the levels' bodies check no input.
     Each distinct input is split once per call: a repeat reuses its split
     and still records its step."""
     r = ctx.r

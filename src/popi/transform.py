@@ -120,12 +120,6 @@ class PartialInjection:
 
     __mul__ = compose
 
-    def inverse(self) -> "PartialInjection":
-        table = [0] * self.n
-        for x in self.domain:
-            table[self.table[x - 1] - 1] = x
-        return PartialInjection.from_table(table)
-
     # -- predicates ---------------------------------------------------------
 
     def is_order_preserving(self) -> bool:
@@ -154,12 +148,10 @@ class PartialInjection:
 
     # -- wire format --------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "pairs": [[x, self.table[x - 1]] for x in self.domain]}
-
     @classmethod
     def from_json_dict(cls, data: dict, chain: int | None = None) -> "PartialInjection":
-        """Inverse of `to_json_dict`; BadParameters for any other shape,
+        """The element written `{"n": n, "pairs": [[x, y], ...]}`, one pair
+        per defined point x with image y; BadParameters for any other shape,
         points that are not ints included (the constructor refuses those).
 
         Given `chain`, an element on a chain of another size raises
@@ -205,14 +197,3 @@ def order_isomorphism(n: int, source: Iterable[int], target: Iterable[int]) -> P
     if len(src) != len(dst):
         raise errors.BadParameters("point sets differ in size")
     return PartialInjection(n, zip(src, dst))
-
-
-def rotation_perm(n: int, k: int = 1) -> PartialInjection:
-    """The k-th power of the full cycle i -> i+1 (mod n) on the chain,
-    i -> i+k (mod n), built directly; a negative k gives an inverse power.
-    Its table is 1..n rotated k places: slot i-1 holds (i-1+k mod n) + 1."""
-    _check_chain_size(n)
-    points = tuple(range(1, n + 1))
-    k %= n
-    return PartialInjection.from_table(points[k:] + points[:k])
-

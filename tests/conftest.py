@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import popi as P
+from popi import errors, rank
 from popi.green import _group_by_key
 
 
@@ -55,6 +56,48 @@ def pi(n, *pairs):
     return P.PartialInjection(n, pairs)
 
 
+def inverse(a):
+    """The partial injection that sends each image of `a` back to its point."""
+    table = [0] * a.n
+    for x in a.domain:
+        table[a(x) - 1] = x
+    return P.PartialInjection.from_table(table)
+
+
+def to_json_dict(a):
+    """`a` in the wire format that `PartialInjection.from_json_dict` reads."""
+    return {"n": a.n, "pairs": [[x, a(x)] for x in a.domain]}
+
+
+def chain_rotation(n, k=1):
+    """The k-th power of the chain rotation i -> i+1 (mod n), a negative k
+    for an inverse power: `range_rotation_power` on Y = {1..n}."""
+    return P.range_rotation_power(P.RangeContext(n, range(1, n + 1)), k)
+
+
+class NotRestricted(errors.PopiError):
+    """Element is not an order-preserving corank-one map with domain in the range set."""
+
+
+def corank_one_split(ctx, a, restricted=False):
+    """The split `_factor` makes of a rank-(r-1) member: `rank._corank_one`,
+    or `rank._restricted_corank_one` when `restricted`, behind the checks
+    that keep those bodies to their inputs.  Restricted: FullRangeNotSupported
+    on the full range set, then NotAMember, then NotRestricted.  Otherwise:
+    NotAMember, then BadRank."""
+    if restricted and ctx.is_full:
+        raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
+    if not P.contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
+    if restricted:
+        if not P.is_restricted_corank_one(ctx, a):
+            raise NotRestricted("%r" % (a,))
+        return rank._restricted_corank_one(ctx, a)
+    if a.rank != ctx.r - 1:
+        raise errors.BadRank("expected rank %d, got %d" % (ctx.r - 1, a.rank))
+    return rank._corank_one(ctx, a)
+
+
 def reflection(n):
     """The order-reversing permutation i -> n+1-i."""
     return P.PartialInjection.from_table(tuple(range(n, 0, -1)))
@@ -63,7 +106,7 @@ def reflection(n):
 def full_dihedral_group(n):
     """The 2n rotations and reflections, as the rotation powers followed by
     the reflection times each of them."""
-    rotations = [P.rotation_perm(n, k) for k in range(n)]
+    rotations = [chain_rotation(n, k) for k in range(n)]
     h = reflection(n)
     return rotations + [h * g for g in rotations]
 
@@ -94,7 +137,7 @@ def conjugation_isomorphism(n, y, z, sigma):
     T = semigroup(n, z)[1]
     gens = P.canonical_generating_set(ctx)
     assert len(P.closure(ctx, gens)) == len(S)
-    inv = sigma.inverse()
+    inv = inverse(sigma)
     phi = {a: inv * a * sigma for a in S}
     if set(phi.values()) != set(T) or len(S) != len(T):
         return None

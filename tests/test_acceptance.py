@@ -15,6 +15,7 @@ from conftest import (
     all_partial_injections,
     all_range_sets,
     conjugation_isomorphism,
+    corank_one_split,
     full_dihedral_group,
     h_class_oracle,
     is_dihedral_restriction,
@@ -97,7 +98,7 @@ class TestAcceptance:
                     if prod != a or any(f.rank != r for f in factors):
                         ok = False
                     if P.is_restricted_corank_one(ctx, a):
-                        cases[P.decompose_restricted_corank_one(ctx, a).case] += 1
+                        cases[corank_one_split(ctx, a, restricted=True).case] += 1
         expected_cases = {
             "low.ge", "low.lt", "high.ge", "high.lt",
             "gap.ge.wide", "gap.ge.narrow",
@@ -109,13 +110,14 @@ class TestAcceptance:
 
     def test_06_rank(self):
         ok = True
-        for n in range(2, 6):
+        # |S| from the formula, which test_01 checks against the enumeration
+        for n in range(2, 8):
             for pts in proper_range_sets(n):
-                ctx, S = semigroup(n, pts)
+                ctx = P.RangeContext(n, pts)
                 gens = P.canonical_generating_set(ctx)
                 if len(gens) != math.comb(n, len(pts)):
                     ok = False
-                if len(P.closure(ctx, gens)) != len(S):
+                if len(P.closure(ctx, gens)) != P.cardinality_formula(n, len(pts)):
                     ok = False
                 if not all(P.deletion_test(ctx, gens)):
                     ok = False

@@ -24,7 +24,7 @@ from popi.cli import (
     main,
 )
 
-from conftest import all_range_sets, proper_range_sets, semigroup
+from conftest import all_range_sets, proper_range_sets, semigroup, to_json_dict
 
 
 FULL_30 = ",".join(map(str, range(1, 31)))
@@ -429,7 +429,7 @@ def decompose_digests() -> dict:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     for a in semigroup(n, pts)[1]:
-                        element = json.dumps(a.to_json_dict())
+                        element = json.dumps(to_json_dict(a))
                         argv = ["decompose", "--n", str(n), "--y", y, "--element", element]
                         assert main(argv + flags) == 0
                 digests["%s %d %s" % (name, n, y)] = hashlib.sha256(
@@ -902,3 +902,32 @@ class TestStartUp:
         done = self.child(code % (argv,))
         assert done.stderr == b"[]"
         assert done.stdout == run(capsys, *argv)[1].encode()
+
+
+PUBLIC_NAMES = [
+    "Decomposition", "ElementSet", "HClassProfile", "IsoWitness", "PartialInjection",
+    "RangeContext", "RankCertificate", "bruteforce_isomorphism", "canonical_generating_set",
+    "cardinality_formula", "closure", "contains", "decide_isomorphic", "deletion_test",
+    "empty_map", "enumerate_semigroup", "green_characterized", "green_oracle",
+    "h_class_profile", "identity_on", "is_cyclic", "is_regular_characterized",
+    "is_regular_oracle", "is_restricted_corank_one", "order_isomorphism",
+    "range_rotation_power", "semigroup_rank", "shift_decompose", "top_rank_factorization",
+]
+
+
+def test_public_names():
+    # the names the package exports, each one resolving, and none of those
+    # that no command called
+    assert sorted(P.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 29
+    assert all(hasattr(P, name) for name in PUBLIC_NAMES)
+    for name in (
+        "rotation_perm", "decompose_low_rank", "decompose_corank_one",
+        "decompose_restricted_corank_one",
+    ):
+        assert not hasattr(P, name), name
+    assert not hasattr(P.PartialInjection, "inverse")
+    assert not hasattr(P.PartialInjection, "to_json_dict")
+    assert not hasattr(P.errors, "NotRestricted")
+    # bench/tests/test_bench.py::test_install_patches_every_importer_and_uninstall_restores
+    # patches it through bench/tracer.py
+    assert callable(P.rank.decompose_low_rank)

@@ -15,6 +15,7 @@ from popi.semigroup import element_blocks
 
 from conftest import (
     all_range_sets,
+    chain_rotation,
     class_map,
     full_table,
     h_class_oracle,
@@ -187,7 +188,7 @@ class TestRowProducts:
 
     def test_open_set_raises_as_the_table_does(self):
         # the square of the rotation on {1, 2, 3} is not in the set
-        S = P.ElementSet([bytes(P.rotation_perm(3).table)])
+        S = P.ElementSet([bytes(chain_rotation(3).table)])
         with pytest.raises(KeyError):
             S.mult_table()
 

@@ -18,6 +18,7 @@ from popi.iso import _extend
 from conftest import (
     all_pairs_extend,
     all_range_sets,
+    chain_rotation,
     conjugation_isomorphism,
     full_dihedral_group,
     full_table,
@@ -43,9 +44,9 @@ class TestDihedralElements:
 
     def test_defining_relation(self):
         for n in (3, 4, 5, 6):
-            g = P.rotation_perm(n)
+            g = chain_rotation(n)
             h = reflection(n)
-            assert g * h == h * P.rotation_perm(n, n - 1)
+            assert g * h == h * chain_rotation(n, n - 1)
 
 
 class TestDihedralRestriction:
@@ -55,7 +56,7 @@ class TestDihedralRestriction:
                 assert is_dihedral_restriction(a)
 
     def test_restriction_of_member(self):
-        g = P.rotation_perm(5)
+        g = chain_rotation(5)
         e = P.identity_on(5, {1, 3})
         assert is_dihedral_restriction(e * g * g)
 
@@ -135,7 +136,7 @@ class TestConjugation:
 
     def test_sigma_off_the_range_set(self):
         # the rotation carries {1, 2, 3} onto {2, 3, 4}, not onto {1, 2, 4}
-        assert conjugation_isomorphism(4, (1, 2, 3), (1, 2, 4), P.rotation_perm(4)) is None
+        assert conjugation_isomorphism(4, (1, 2, 3), (1, 2, 4), chain_rotation(4)) is None
 
 
 class TestBruteforceOracle:

@@ -27,6 +27,7 @@ from conftest import (
     all_partial_injections,
     all_range_sets,
     full_table,
+    inverse,
     member_of,
     ordered_closure,
     semigroup,
@@ -416,6 +417,6 @@ def test_product_is_associative_and_pointwise(abc):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 9).flatmap(maps_on))
 def test_inverse_is_a_generalized_inverse(a):
-    b = a.inverse()
+    b = inverse(a)
     assert a * b * a == a
     assert b * a * b == b

@@ -7,6 +7,7 @@ import os
 import random
 import tracemalloc
 from bisect import bisect
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -22,8 +23,12 @@ from popi.rank import _checked, _gap_point, _missing_index
 from popi.semigroup import element_count
 
 from conftest import (
+    NotRestricted,
     all_partial_injections,
     all_range_sets,
+    chain_rotation,
+    corank_one_split,
+    inverse,
     member_of,
     pi,
     proper_range_sets,
@@ -43,7 +48,7 @@ def search_shift(a):
     """The smallest shift l whose rotation leaves an order-preserving part."""
     n = a.n
     for l in range(n):
-        a1 = P.rotation_perm(n, -l) * a
+        a1 = chain_rotation(n, -l) * a
         if a1.is_order_preserving():
             return l, a1
     return None
@@ -61,7 +66,7 @@ def search_low_rank(ctx, a):
         for b_img in combinations(ctx.points, m + 1):
             for t in range(m + 1):
                 beta = P.PartialInjection(n, zip(ext, b_img[t:] + b_img[:t]))
-                gamma0 = beta.inverse() * a
+                gamma0 = inverse(beta) * a
                 for d in sorted(chain - set(b_img)):
                     for y in sorted(ctx.point_set - img):
                         table = list(gamma0.table)
@@ -75,7 +80,7 @@ def search_low_rank(ctx, a):
 def search_full_range_pair(ctx, S):
     """The first rank-(n-1) element that generates S together with the
     chain rotation."""
-    g = P.rotation_perm(ctx.n)
+    g = chain_rotation(ctx.n)
     for i in rank_layer(S, ctx.n - 1):
         if len(P.closure(ctx, [g, S[i]])) == len(S):
             return S[i]
@@ -95,7 +100,7 @@ def reference_deletion_test(ctx, generators):
 
 # -- object-built references ------------------------------------------------
 # The factorization levels as they were built from `PartialInjection` values:
-# pair lists, `order_isomorphism`, `inverse`, `rotation_perm` and products.
+# pair lists, `order_isomorphism`, `inverse`, `chain_rotation` and products.
 # The table-built levels must return exactly the same decompositions.
 
 
@@ -118,7 +123,7 @@ def reference_low_rank(ctx, a):
     outside = [d for d in range(1, n + 1) if d not in b_img]
     for t in range(m + 1):
         beta = P.PartialInjection(n, zip(ext, b_img[t:] + b_img[:t]))
-        gamma0 = beta.inverse() * a
+        gamma0 = inverse(beta) * a
         q, seq = gamma0.domain, gamma0.image_seq
         for d in outside:
             y = _gap_point(free, seq, bisect(q, d))
@@ -139,10 +144,10 @@ def reference_corank_one(ctx, a):
     dom1 = set(a1.domain)
     c = min(set(range(1, n + 1)) - dom1)
     beta = P.order_isomorphism(n, sorted(dom1 | {c}), ctx.points)
-    gamma = beta.inverse() * a1
+    gamma = inverse(beta) * a1
     if not P.is_restricted_corank_one(ctx, gamma):
         raise errors.DecompositionFailed("corank-one factor %r is not restricted" % (gamma,))
-    d = P.Decomposition(P.rotation_perm(n, l) * beta, gamma, shift_exponent=l, case="corank_one")
+    d = P.Decomposition(chain_rotation(n, l) * beta, gamma, shift_exponent=l, case="corank_one")
     return _checked(ctx, a, d, (r, r - 1))
 
 
@@ -152,7 +157,7 @@ def reference_restricted_corank_one(ctx, a):
     if not P.contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
     if not P.is_restricted_corank_one(ctx, a):
-        raise errors.NotRestricted("%r" % (a,))
+        raise NotRestricted("%r" % (a,))
     n, r, pts = ctx.n, ctx.r, ctx.points
     i = _missing_index(ctx, a.domain)
     j = _missing_index(ctx, a.image_seq)
@@ -186,7 +191,7 @@ class TestRangeRotation:
     def test_full_range_equals_chain_rotation(self):
         for n in range(1, 6):
             ctx = P.RangeContext(n, range(1, n + 1))
-            assert P.range_rotation_power(ctx, 1) == P.rotation_perm(n)
+            assert P.range_rotation_power(ctx, 1) == chain_rotation(n)
 
     def test_order_divides_range_size(self):
         ctx = P.RangeContext(5, (1, 3, 4))
@@ -214,7 +219,7 @@ class TestShiftDecompose:
     def test_rotation_input(self):
         a = pi(3, (1, 2), (2, 3), (3, 1))
         l, a1 = P.shift_decompose(a)
-        assert P.rotation_perm(3, l) * a1 == a
+        assert chain_rotation(3, l) * a1 == a
         assert a1.is_order_preserving() and a1.image == a.image
 
     def test_exhaustive_small(self):
@@ -230,32 +235,32 @@ class TestShiftDecompose:
                 assert 0 <= l < n
                 assert a1.is_order_preserving()
                 assert a1.image == a.image
-                assert P.rotation_perm(n, l) * a1 == a
+                assert chain_rotation(n, l) * a1 == a
 
 
 class TestDecomposeLowRank:
     def test_empty_in_small_context(self):
         ctx = P.RangeContext(3, (1, 2))
-        d = P.decompose_low_rank(ctx, P.empty_map(3))
+        d = rank.decompose_low_rank(ctx, P.empty_map(3))
         assert d.beta.rank == 1 and d.gamma.rank == 1
         assert d.beta * d.gamma == P.empty_map(3)
 
     def test_rank_one_in_bigger_context(self):
         ctx = P.RangeContext(4, (1, 2, 3))
         a = pi(4, (3, 1))
-        d = P.decompose_low_rank(ctx, a)
+        d = rank.decompose_low_rank(ctx, a)
         assert d.beta.rank == 2 and d.gamma.rank == 2
         assert d.beta * d.gamma == a
 
     def test_rejects_high_rank(self):
         ctx = P.RangeContext(3, (1, 2))
         with pytest.raises(errors.BadRank):
-            P.decompose_low_rank(ctx, pi(3, (3, 1)))
+            rank.decompose_low_rank(ctx, pi(3, (3, 1)))
 
     def test_rejects_non_member(self):
         ctx = P.RangeContext(4, (1, 2, 3))
         with pytest.raises(errors.NotAMember):
-            P.decompose_low_rank(ctx, pi(4, (1, 4)))
+            rank.decompose_low_rank(ctx, pi(4, (1, 4)))
 
     def test_all_low_rank_elements(self):
         for n in range(2, 6):
@@ -267,7 +272,7 @@ class TestDecomposeLowRank:
                 for a in S:
                     if a.rank > r - 2:
                         continue
-                    d = P.decompose_low_rank(ctx, a)
+                    d = rank.decompose_low_rank(ctx, a)
                     assert d.beta.rank == a.rank + 1 == d.gamma.rank
                     assert P.contains(ctx, d.beta) and P.contains(ctx, d.gamma)
                     assert d.beta * d.gamma == a
@@ -281,20 +286,20 @@ def test_constructions_match_searches(n):
         for a in S:
             assert P.shift_decompose(a) == search_shift(a)
             if a.rank <= len(pts) - 2:
-                d = P.decompose_low_rank(ctx, a)
+                d = rank.decompose_low_rank(ctx, a)
                 assert (d.beta, d.gamma) == search_low_rank(ctx, a)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_full_range_pair_matches_search(n):
     ctx, S = semigroup(n, tuple(range(1, n + 1)))
-    assert P.canonical_generating_set(ctx) == [P.rotation_perm(n), search_full_range_pair(ctx, S)]
+    assert P.canonical_generating_set(ctx) == [chain_rotation(n), search_full_range_pair(ctx, S)]
 
 
 class TestDecomposeCorankOne:
     def test_worked_example(self):
         ctx = P.RangeContext(3, (1, 2))
-        d = P.decompose_corank_one(ctx, pi(3, (3, 1)))
+        d = corank_one_split(ctx, pi(3, (3, 1)))
         assert d.shift_exponent == 0
         assert d.beta == pi(3, (1, 1), (3, 2))
         assert d.gamma == pi(3, (2, 1))
@@ -308,7 +313,7 @@ class TestDecomposeCorankOne:
                 for a in S:
                     if a.rank != r - 1:
                         continue
-                    d = P.decompose_corank_one(ctx, a)
+                    d = corank_one_split(ctx, a)
                     assert d.beta.rank == r
                     assert P.is_restricted_corank_one(ctx, d.gamma)
                     assert d.beta * d.gamma == a
@@ -316,18 +321,18 @@ class TestDecomposeCorankOne:
     def test_bad_rank(self):
         ctx = P.RangeContext(3, (1, 2))
         with pytest.raises(errors.BadRank):
-            P.decompose_corank_one(ctx, P.empty_map(3))
+            corank_one_split(ctx, P.empty_map(3))
 
     def test_rejects_non_member(self):
         ctx = P.RangeContext(3, (1, 2))
         with pytest.raises(errors.NotAMember):
-            P.decompose_corank_one(ctx, pi(3, (1, 3)))
+            corank_one_split(ctx, pi(3, (1, 3)))
 
 
 class TestDecomposeRestrictedCorankOne:
     def test_worked_example(self):
         ctx = P.RangeContext(3, (1, 2))
-        d = P.decompose_restricted_corank_one(ctx, pi(3, (2, 1)))
+        d = corank_one_split(ctx, pi(3, (2, 1)), restricted=True)
         assert d.case == "high.lt"
         assert d.beta == P.identity_on(3, {1, 2})
         assert d.gamma == pi(3, (2, 1), (3, 2))
@@ -337,19 +342,19 @@ class TestDecomposeRestrictedCorankOne:
         ctx = P.RangeContext(3, (2, 3))
         for a in semigroup(3, (2, 3))[1]:
             if P.is_restricted_corank_one(ctx, a):
-                assert P.decompose_restricted_corank_one(ctx, a).case.startswith("low.")
+                assert corank_one_split(ctx, a, restricted=True).case.startswith("low.")
         ctx2 = P.RangeContext(4, (1, 2, 4))
         for a in semigroup(4, (1, 2, 4))[1]:
             if P.is_restricted_corank_one(ctx2, a):
-                assert P.decompose_restricted_corank_one(ctx2, a).case.startswith("gap.")
+                assert corank_one_split(ctx2, a, restricted=True).case.startswith("gap.")
 
     def test_rejects_outsiders(self):
         ctx = P.RangeContext(3, (1, 2))
-        with pytest.raises(errors.NotRestricted):
-            P.decompose_restricted_corank_one(ctx, pi(3, (3, 1)))
+        with pytest.raises(NotRestricted):
+            corank_one_split(ctx, pi(3, (3, 1)), restricted=True)
         with pytest.raises(errors.FullRangeNotSupported):
-            P.decompose_restricted_corank_one(
-                P.RangeContext(3, (1, 2, 3)), pi(3, (1, 1), (2, 2))
+            corank_one_split(
+                P.RangeContext(3, (1, 2, 3)), pi(3, (1, 1), (2, 2)), restricted=True
             )
 
     def test_all_restricted_elements(self):
@@ -359,7 +364,7 @@ class TestDecomposeRestrictedCorankOne:
                 for a in S:
                     if not P.is_restricted_corank_one(ctx, a):
                         continue
-                    d = P.decompose_restricted_corank_one(ctx, a)
+                    d = corank_one_split(ctx, a, restricted=True)
                     assert d.beta.rank == ctx.r == d.gamma.rank
                     assert P.contains(ctx, d.beta) and P.contains(ctx, d.gamma)
                     assert d.beta * d.gamma == a
@@ -370,9 +375,9 @@ def test_every_level_refuses_non_members(n):
     """Each split level and the pipeline raise NotAMember for every map
     that `contains` rejects, at every proper Y, whatever its rank."""
     calls = (
-        P.decompose_low_rank,
-        P.decompose_corank_one,
-        P.decompose_restricted_corank_one,
+        rank.decompose_low_rank,
+        corank_one_split,
+        partial(corank_one_split, restricted=True),
         P.top_rank_factorization,
     )
     for pts in proper_range_sets(n):
@@ -601,7 +606,7 @@ class TestChecked:
     ctx = P.RangeContext(3, (1, 2))
 
     def test_rejects_wrong_rank(self):
-        d = P.decompose_low_rank(self.ctx, P.empty_map(3))
+        d = rank.decompose_low_rank(self.ctx, P.empty_map(3))
         assert _checked(self.ctx, P.empty_map(3), d, (1, 1)) is d
         with pytest.raises(errors.DecompositionFailed):
             _checked(self.ctx, P.empty_map(3), d, (2, 2))
@@ -615,7 +620,7 @@ class TestChecked:
 
     def test_rejects_wrong_product(self):
         a = pi(3, (3, 1))
-        d = P.decompose_corank_one(self.ctx, a)
+        d = corank_one_split(self.ctx, a)
         _checked(self.ctx, a, d, (2, 1))
         with pytest.raises(errors.DecompositionFailed):
             _checked(self.ctx, pi(3, (3, 2)), d, (2, 1))
@@ -634,13 +639,13 @@ GUARDS = [
     pytest.param(
         "no one-higher-rank factorization",
         rank, "_gap_point", lambda real: lambda *args: None,
-        lambda: P.decompose_low_rank(P.RangeContext(3, (1, 2)), P.empty_map(3)),
+        lambda: rank.decompose_low_rank(P.RangeContext(3, (1, 2)), P.empty_map(3)),
         id="low-rank",
     ),
     pytest.param(
         "corank-one factor .* is not restricted",
         rank, "is_restricted_corank_one", lambda real: lambda ctx, a: False,
-        lambda: P.decompose_corank_one(P.RangeContext(3, (1, 2)), pi(3, (3, 1))),
+        lambda: corank_one_split(P.RangeContext(3, (1, 2)), pi(3, (3, 1))),
         id="corank-one",
     ),
     pytest.param(
@@ -794,11 +799,11 @@ def reference_factor(ctx, a, steps):
     if a.rank == r:
         return [a]
     if a.rank <= r - 2:
-        op, d = "raise_rank", P.decompose_low_rank(ctx, a)
+        op, d = "raise_rank", rank.decompose_low_rank(ctx, a)
     elif P.is_restricted_corank_one(ctx, a):
-        op, d = "restricted_split", P.decompose_restricted_corank_one(ctx, a)
+        op, d = "restricted_split", corank_one_split(ctx, a, restricted=True)
     else:
-        op, d = "corank_one_split", P.decompose_corank_one(ctx, a)
+        op, d = "corank_one_split", corank_one_split(ctx, a)
     steps.append((op, a, d))
     return reference_factor(ctx, d.beta, steps) + reference_factor(ctx, d.gamma, steps)
 
@@ -871,16 +876,16 @@ def test_decomposition_stages_reproduce_the_element(ctx_a):
     r, m = ctx.r, a.rank
     assert P.shift_decompose(a) == search_shift(a)
     if m <= r - 2:
-        d = P.decompose_low_rank(ctx, a)
+        d = rank.decompose_low_rank(ctx, a)
         assert (d.beta, d.gamma) == search_low_rank(ctx, a)
         assert_factors(d, a, m + 1, m + 1)
     elif m == r - 1:
-        d = P.decompose_corank_one(ctx, a)
+        d = corank_one_split(ctx, a)
         assert d.shift_exponent == search_shift(a)[0]
         assert_factors(d, a, r, r - 1)
-        assert_factors(P.decompose_restricted_corank_one(ctx, d.gamma), d.gamma, r, r)
+        assert_factors(corank_one_split(ctx, d.gamma, restricted=True), d.gamma, r, r)
         if P.is_restricted_corank_one(ctx, a):
-            assert_factors(P.decompose_restricted_corank_one(ctx, a), a, r, r)
+            assert_factors(corank_one_split(ctx, a, restricted=True), a, r, r)
     factors = P.top_rank_factorization(ctx, a)
     assert all(f.rank == r for f in factors)
     prod = factors[0]
@@ -907,9 +912,9 @@ def members_of_rank(draw, level):
 
 
 LEVELS = {
-    "low": (P.decompose_low_rank, reference_low_rank),
-    "corank_one": (P.decompose_corank_one, reference_corank_one),
-    "restricted": (P.decompose_restricted_corank_one, reference_restricted_corank_one),
+    "low": (rank.decompose_low_rank, reference_low_rank),
+    "corank_one": (corank_one_split, reference_corank_one),
+    "restricted": (partial(corank_one_split, restricted=True), reference_restricted_corank_one),
 }
 
 

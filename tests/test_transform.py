@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import popi as P
 from popi import errors
 
-from conftest import all_partial_injections, member_of, pi
+from conftest import all_partial_injections, chain_rotation, inverse, member_of, pi, to_json_dict
 
 
 class TestConstruction:
@@ -55,8 +55,8 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         a = pi(3, (1, 2), (3, 1))
-        assert P.PartialInjection.from_json_dict(a.to_json_dict()) == a
-        assert a.to_json_dict() == {"n": 3, "pairs": [[1, 2], [3, 1]]}
+        assert P.PartialInjection.from_json_dict(to_json_dict(a)) == a
+        assert to_json_dict(a) == {"n": 3, "pairs": [[1, 2], [3, 1]]}
 
     @pytest.mark.parametrize(
         "data",
@@ -97,17 +97,17 @@ class TestCompose:
 
 class TestInverse:
     def test_swap_pairs(self):
-        assert pi(3, (1, 2), (3, 1)).inverse() == pi(3, (2, 1), (1, 3))
+        assert inverse(pi(3, (1, 2), (3, 1))) == pi(3, (2, 1), (1, 3))
 
     def test_empty(self):
-        assert P.empty_map(3).inverse() == P.empty_map(3)
+        assert inverse(P.empty_map(3)) == P.empty_map(3)
 
     def test_involution_and_round_trip(self):
         rng = random.Random(7)
         for a in _random_maps(rng, 60, 6):
-            assert a.inverse().inverse() == a
-            assert a * a.inverse() == P.identity_on(a.n, a.domain)
-            assert a * a.inverse() * a == a
+            assert inverse(inverse(a)) == a
+            assert a * inverse(a) == P.identity_on(a.n, a.domain)
+            assert a * inverse(a) * a == a
 
 
 class TestIdentityOn:
@@ -199,19 +199,20 @@ class TestAlgebraProperties:
 
 
 class TestChainPermutations:
+    # the chain rotation is `range_rotation_power` on the full range set
     def test_rotation(self):
-        assert P.rotation_perm(3) == pi(3, (1, 2), (2, 3), (3, 1))
-        assert P.rotation_perm(1) == P.identity_on(1, {1})
-        assert P.rotation_perm(5, 5) == P.identity_on(5, range(1, 6))
+        assert chain_rotation(3) == pi(3, (1, 2), (2, 3), (3, 1))
+        assert chain_rotation(1) == P.identity_on(1, {1})
+        assert chain_rotation(5, 5) == P.identity_on(5, range(1, 6))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rotation_power_closed_form(self, n):
-        g = P.rotation_perm(n)
+        g = chain_rotation(n)
         identity = P.identity_on(n, range(1, n + 1))
         power = identity  # g^k, one product per k
         for k in range(2 * n + 1):
-            assert P.rotation_perm(n, k) == power
-            assert P.rotation_perm(n, -k) * P.rotation_perm(n, k) == identity
+            assert chain_rotation(n, k) == power
+            assert chain_rotation(n, -k) * chain_rotation(n, k) == identity
             power = power * g
 
     def test_reflection(self):
@@ -291,10 +292,10 @@ def test_table_is_the_only_state():
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_rotation_perm_is_i_to_i_plus_k(data):
+def test_full_range_rotation_is_i_to_i_plus_k(data):
     n = data.draw(st.integers(1, 12))
     k = data.draw(st.integers(-2 * n, 2 * n))
-    g = P.rotation_perm(n, k)
+    g = chain_rotation(n, k)
     assert g.table == tuple((i + k - 1) % n + 1 for i in range(1, n + 1))
     assert g.domain == tuple(range(1, n + 1))
     assert g == P.PartialInjection(n, [(i, (i + k - 1) % n + 1) for i in range(1, n + 1)])
