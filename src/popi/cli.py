@@ -50,10 +50,18 @@ def _parse_points(text: str) -> tuple[int, ...]:
     return tuple(sorted(pts))
 
 
-def _fmt_elem(a: PartialInjection) -> str:
-    """The defined pairs as "x>y" words, in one pass over the table, or
-    "empty"."""
-    return " ".join(["%d>%d" % xy for xy in enumerate(a.table, 1) if xy[1]]) or "empty"
+def _fmt_elem(table: tuple[int, ...]) -> str:
+    """An element's defined pairs as "x>y" words, in one pass over its
+    table, or "empty"."""
+    return " ".join(["%d>%d" % xy for xy in enumerate(table, 1) if xy[1]]) or "empty"
+
+
+class _Texts(dict):
+    """Element texts by table, each formatted at its first lookup."""
+
+    def __missing__(self, table: tuple[int, ...]) -> str:
+        text = self[table] = _fmt_elem(table)
+        return text
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -142,36 +150,73 @@ def _listing(fmt: str, report: dict, blocks) -> str:
     report["count"] = count
     # the document's head and close ride on the first and last pieces, so
     # the document is copied once, by the join
-    if fmt == "json":
-        top = _json(report)[:-2] + ',\n  "elements": [\n'  # _json ends with "\n}"
-    elif fmt == "csv":
-        top = "index,rank,domain,image\r\n"
-    else:
-        top = _text_report(report) + "elements:\n"
-    parts[0] = top + head
+    parts[0] = _records_head(fmt, report, "elements", "index,rank,domain,image") + head
     parts[-1] = parts[-1][: -len(close)] + end
     return "".join(parts)
 
 
-def _emit(args, report: dict, records: list[dict] | None = None, listing=None) -> None:
-    """Write the report to stdout or --out; records drive the CSV projection
-    when given.  A listing (`element_blocks`) becomes the report's "count"
-    and its last key, "elements", written by `_listing`."""
-    if listing is not None:
-        text = _listing(args.format, report, listing)
+def _records_head(fmt: str, report: dict, key: str, fields: str) -> str:
+    """What comes before the first record of the report's last key `key`:
+    the report and the list's opening in JSON and text, the header `fields`
+    in CSV, which writes the records alone."""
+    if fmt == "json":
+        return _json(report)[:-2] + ',\n  "%s": [\n' % key  # _json ends with "\n}"
+    if fmt == "csv":
+        return fields + "\r\n"
+    return _text_report(report) + key + ":\n"
+
+
+# One step of a decompose report in each format, as json.dumps(indent=2)
+# (two levels deep), the CSV writer and `_text_report` write its record, the
+# dict {"op", "case", "shift", "input", "beta", "gamma"}; then what joins two
+# records, and the document's close after the last.  No field needs quoting
+# or escaping in any format: an element's text holds only digits, ">" and
+# spaces, or is "empty", and an op or case name holds only [a-z._].
+_STEP = {
+    "json": (
+        '    {\n      "op": "%s",\n      "case": "%s",\n      "shift": %d,\n'
+        '      "input": "%s",\n      "beta": "%s",\n      "gamma": "%s"\n    }',
+        ",\n",
+        "\n  ]\n}\n",
+    ),
+    "csv": ("%s,%s,%d,%s,%s,%s", "\r\n", "\r\n"),
+    "text": ("  op=%s  case=%s  shift=%d  input=%s  beta=%s  gamma=%s", "\n", "\n"),
+}
+
+
+def _steps(fmt: str, report: dict, steps: list, texts: _Texts) -> str:
+    """The report with, as its last key, "steps": one record per
+    `(op, input, Decomposition)` step, in format `fmt`, each filled once
+    from its template with the elements' texts.  JSON and text write the
+    report itself before the records; CSV writes the records alone."""
+    template, sep, end = _STEP[fmt]
+    records = [
+        template
+        % (op, d.case, d.shift_exponent, texts[a.table], texts[d.beta.table], texts[d.gamma.table])
+        for op, a, d in steps
+    ]
+    head = _records_head(fmt, report, "steps", "op,case,shift,input,beta,gamma")
+    return head + sep.join(records) + end
+
+
+def _emit(args, report: dict, write=None, *items) -> None:
+    """Write the report to stdout or --out, in `args.format`.  A report that
+    ends in a list of records is written by `write`, `_listing` or `_steps`,
+    called with the format, the report and `items`."""
+    if write is not None:
+        text = write(args.format, report, *items)
     elif args.format == "json":
         text = _json(report) + "\n"
     elif args.format == "csv":
         import csv
 
-        rows = records if records is not None else [_flatten(report)]
+        row = _flatten(report)
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=list(row))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: (",".join(map(str, v)) if isinstance(v, list) else v) for k, v in row.items()}
-            )
+        writer.writerow(
+            {k: (",".join(map(str, v)) if isinstance(v, list) else v) for k, v in row.items()}
+        )
         text = buf.getvalue()
     else:
         text = _text_report(report)
@@ -201,12 +246,6 @@ def _text_report(report: dict, indent: str = "") -> str:
         if isinstance(v, dict):
             lines.append("%s%s:" % (indent, k))
             lines.append(_text_report(v, indent + "  ").rstrip("\n"))
-        elif isinstance(v, list) and v and isinstance(v[0], dict):
-            lines.append("%s%s:" % (indent, k))
-            for row in v:
-                lines.append(
-                    indent + "  " + "  ".join("%s=%s" % (k2, v2) for k2, v2 in row.items())
-                )
         else:
             lines.append("%s%s: %s" % (indent, k, v))
     return "\n".join(lines) + "\n"
@@ -227,7 +266,7 @@ def _base_report(command: str, config: dict) -> dict:
 def cmd_enumerate(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
     report = _base_report("enumerate", {"n": ctx.n, "y": list(ctx.points)})
-    _emit(args, report, listing=element_blocks(ctx))
+    _emit(args, report, _listing, element_blocks(ctx))
     return 0
 
 
@@ -276,7 +315,7 @@ def cmd_rank(args) -> int:
     deletions = deletion_test(ctx, list(cert.generating_set))
     report = _base_report("rank", {"n": ctx.n, "y": list(ctx.points)})
     report["claimed_rank"] = cert.claimed_rank
-    report["generators"] = [_fmt_elem(a) for a in cert.generating_set]
+    report["generators"] = [_fmt_elem(a.table) for a in cert.generating_set]
     report["closure_ok"] = len(closed) == cert.order
     report["deletion_test"] = (
         "all-shrink" if all(deletions) else "kept:" + ",".join(
@@ -295,7 +334,7 @@ def cmd_iso(args) -> int:
     report["verdict"] = witness.verdict
     report["reason"] = witness.reason
     if witness.delta is not None:
-        report["delta"] = _fmt_elem(witness.delta)
+        report["delta"] = _fmt_elem(witness.delta.table)
     if args.oracle:
         found = bruteforce_isomorphism(args.n, y, z)
         report["oracle"] = found is not None
@@ -317,30 +356,16 @@ def cmd_decompose(args) -> int:
     factors = top_rank_factorization(ctx, elem, steps)
     # each step's input is an earlier β or γ, and each factor is one, so
     # every element is formatted once per report
-    texts: dict = {}
-
-    def fmt(a: PartialInjection) -> str:
-        text = texts.get(a.table)
-        if text is None:
-            text = texts[a.table] = _fmt_elem(a)
-        return text
-
+    texts = _Texts()
     report = _base_report(
-        "decompose", {"n": ctx.n, "y": list(ctx.points), "element": fmt(elem)}
+        "decompose", {"n": ctx.n, "y": list(ctx.points), "element": texts[elem.table]}
     )
-    report["factors"] = [fmt(f) for f in factors]
-    report["steps"] = [
-        {
-            "op": op,
-            "case": d.case,
-            "shift": d.shift_exponent,
-            "input": fmt(a),
-            "beta": fmt(d.beta),
-            "gamma": fmt(d.gamma),
-        }
-        for op, a, d in steps
-    ]
-    _emit(args, report, report["steps"] or None)
+    report["factors"] = [texts[f.table] for f in factors]
+    if steps:
+        _emit(args, report, _steps, steps, texts)
+    else:  # a top-rank member
+        report["steps"] = []
+        _emit(args, report)
     return 0
 
 

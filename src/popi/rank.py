@@ -394,28 +394,30 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
     `a` is a checked member, and so is every factor a split passes
     `_checked`, so the levels' bodies check no input.
     Each distinct input is split once per call: a repeat reuses its split
-    and still records its step."""
+    and still records its step.  The stack holds each element with its
+    rank: the root's is read once, and each factor's is the one `_checked`
+    has verified."""
     r = ctx.r
     factors = []
     splits: dict = {}
-    stack = [a]
+    stack = [(a, a.rank)]
     while stack:
-        a = stack.pop()
-        m = a.rank
+        a, m = stack.pop()
         if m == r:
             factors.append(a)
             continue
         split = splits.get(a.table)
         if split is None:
+            # with the factors' ranks, as each level passes them to `_checked`
             if m <= r - 2:
-                split = "raise_rank", _low_rank(ctx, a)
+                split = "raise_rank", _low_rank(ctx, a), m + 1, m + 1
             elif is_restricted_corank_one(ctx, a):
-                split = "restricted_split", _restricted_corank_one(ctx, a)
+                split = "restricted_split", _restricted_corank_one(ctx, a), r, r
             else:
-                split = "corank_one_split", _corank_one(ctx, a)
+                split = "corank_one_split", _corank_one(ctx, a), r, r - 1
             splits[a.table] = split
-        op, d = split
+        op, d, beta_rank, gamma_rank = split
         if steps is not None:
             steps.append((op, a, d))
-        stack += d.gamma, d.beta
+        stack += (d.gamma, gamma_rank), (d.beta, beta_rank)
     return factors

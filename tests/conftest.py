@@ -343,11 +343,30 @@ def all_partial_injections(n: int, max_rank: int | None = None):
                     yield P.PartialInjection(n, zip(dom, arranged))
 
 
+def text_report(report: dict, indent: str = "") -> str:
+    """A report as text, the reference for `cli._text_report` and for the
+    records the commands write after it: a dict value is indented under its
+    key, and a list of dicts is one line per dict of "key=value" pairs."""
+    lines = []
+    for k, v in report.items():
+        if isinstance(v, dict):
+            lines.append("%s%s:" % (indent, k))
+            lines.append(text_report(v, indent + "  ").rstrip("\n"))
+        elif isinstance(v, list) and v and isinstance(v[0], dict):
+            lines.append("%s%s:" % (indent, k))
+            for row in v:
+                lines.append(indent + "  " + "  ".join("%s=%s" % kv for kv in row.items()))
+        else:
+            lines.append("%s%s: %s" % (indent, k, v))
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
-def member_of(draw, n: int, pts):
-    """One member of the semigroup on n points with range set `pts`: a
-    domain, an image set of equal size and a rotation of it."""
-    k = draw(st.integers(0, len(pts)))
+def member_of(draw, n: int, pts, max_rank: int | None = None):
+    """One member of the semigroup on n points with range set `pts`, of
+    rank at most `max_rank` (at most |pts|) when given: a domain, an image
+    set of equal size and a rotation of it."""
+    k = draw(st.integers(0, len(pts) if max_rank is None else max_rank))
     dom = sorted(draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)))
     img = sorted(draw(st.lists(st.sampled_from(pts), min_size=k, max_size=k, unique=True)))
     t = draw(st.integers(0, max(k - 1, 0)))

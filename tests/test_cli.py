@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,12 +20,18 @@ from popi.cli import (
     _base_report,
     _json,
     _read_plain,
-    _text_report,
     build_parser,
     main,
 )
 
-from conftest import all_range_sets, proper_range_sets, semigroup, to_json_dict
+from conftest import (
+    all_range_sets,
+    member_of,
+    proper_range_sets,
+    semigroup,
+    text_report,
+    to_json_dict,
+)
 
 
 FULL_30 = ",".join(map(str, range(1, 31)))
@@ -158,7 +165,7 @@ class TestEnumerate:
     def test_text_equals_report_of_records(self, capsys, n, pts):
         code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", _y(pts))
         assert code == 0
-        assert first_difference(out, _text_report(listed_report(n, pts))) is None
+        assert first_difference(out, text_report(listed_report(n, pts))) is None
 
     @pytest.mark.parametrize("n, pts", LISTING_CASES)
     def test_csv_equals_written_records(self, capsys, n, pts):
@@ -411,6 +418,128 @@ class TestDecompose:
             capsys, "decompose", "--n", "3", "--y", "1,2", "--element", elem
         )
         assert code == 2 and out == "" and err.startswith("error: BadParameters")
+
+
+def _elem_text(a) -> str:
+    """An element's text in a report, read off its pairs."""
+    return " ".join("%d>%d" % (x, a(x)) for x in a.domain) or "empty"
+
+
+def stepped_report(ctx, a) -> dict:
+    """The decompose report built as dicts: the head, "factors", and one
+    {"op", "case", "shift", "input", "beta", "gamma"} dict per step."""
+    steps: list = []
+    factors = P.top_rank_factorization(ctx, a, steps)
+    config = {"n": ctx.n, "y": list(ctx.points), "element": _elem_text(a)}
+    report = _base_report("decompose", config)
+    report["factors"] = [_elem_text(f) for f in factors]
+    report["steps"] = [
+        {
+            "op": op,
+            "case": d.case,
+            "shift": d.shift_exponent,
+            "input": _elem_text(x),
+            "beta": _elem_text(d.beta),
+            "gamma": _elem_text(d.gamma),
+        }
+        for op, x, d in steps
+    ]
+    return report
+
+
+@st.composite
+def decompose_inputs(draw):
+    """A chain size n <= 10, a proper range set Y and a member of Y's
+    semigroup, of low rank more often than not: its rank is drawn up to a
+    bound that is drawn first."""
+    n = draw(st.integers(2, 10))
+    pts = tuple(sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True))))
+    a = draw(member_of(n, pts, max_rank=draw(st.integers(0, len(pts)))))
+    return P.RangeContext(n, pts), a
+
+
+# the empty map at (16, {1..15}): 32,767 steps
+EMPTY_16 = (P.RangeContext(16, range(1, 16)), P.empty_map(16))
+
+
+def decompose_stdout(ctx, a, *flags) -> str:
+    """The stdout of `decompose` of `a`, which must exit 0; read without a
+    fixture, which Hypothesis would share between examples."""
+    element = json.dumps(to_json_dict(a))
+    argv = ["decompose", "--n", str(ctx.n), "--y", _y(ctx.points), "--element", element]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + list(flags))
+    assert code == 0
+    return out.getvalue()
+
+
+class TestDecomposeRecords:
+    """The steps are written from one template per format, with no step
+    record built: each format's bytes equal those of the record dicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompose_inputs())
+    @example(EMPTY_16)
+    def test_json_equals_dumped_records(self, ctx_a):
+        out = decompose_stdout(*ctx_a, "--json")
+        assert first_difference(out, json.dumps(stepped_report(*ctx_a), indent=2) + "\n") is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompose_inputs())
+    @example(EMPTY_16)
+    def test_text_equals_report_of_records(self, ctx_a):
+        out = decompose_stdout(*ctx_a)
+        assert first_difference(out, text_report(stepped_report(*ctx_a))) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompose_inputs())
+    @example(EMPTY_16)
+    def test_csv_equals_written_records(self, ctx_a):
+        report = stepped_report(*ctx_a)
+        out = decompose_stdout(*ctx_a, "--csv")
+        rows = report["steps"]
+        if not rows:  # a top-rank member: the report is one row, its lists joined
+            row: dict = {}
+            for k, v in report.items():
+                if isinstance(v, dict):
+                    row.update(("%s.%s" % (k, k2), v2) for k2, v2 in v.items())
+                else:
+                    row[k] = v
+            rows = [
+                {k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in row.items()}
+            ]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        assert first_difference(out, buf.getvalue()) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(decompose_inputs())
+    @example(EMPTY_16)
+    def test_fields_need_no_escaping(self, ctx_a):
+        # what lets the templates write each field as it is, in every format
+        for step in stepped_report(*ctx_a)["steps"]:
+            assert re.fullmatch(r"[a-z._]+", step["op"]) and re.fullmatch(r"[a-z._]+", step["case"])
+            for key in ("input", "beta", "gamma"):
+                assert re.fullmatch(r"empty|[0-9]+>[0-9]+( [0-9]+>[0-9]+)*", step[key])
+
+    @pytest.mark.parametrize("flags", [["--json"], ["--csv"], []])
+    @pytest.mark.parametrize(
+        # one member with steps and one top-rank member, which has none
+        "pairs, has_steps",
+        [([[3, 6]], True), ([[1, 1], [2, 2], [4, 4], [6, 6], [7, 7]], False)],
+    )
+    def test_out_file_same_bytes_as_stdout(self, capsys, tmp_path, flags, pairs, has_steps):
+        target = tmp_path / "report"
+        element = json.dumps({"n": 8, "pairs": pairs})
+        argv = ("decompose", "--n", "8", "--y", "1,2,4,6,7", "--element", element, *flags)
+        _, out, _ = run(capsys, *argv)
+        code, nothing, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and nothing == ""
+        assert target.read_bytes() == out.encode()
+        assert ("raise_rank" in out) is has_steps
 
 
 # sha256 per (format, n, Y) of the concatenated `decompose` stdout of every
