@@ -29,10 +29,6 @@ class NotAMember(PopiError):
     pass
 
 
-class BadRank(PopiError):
-    """Raised by `rank.decompose_low_rank` alone, and kept while it is."""
-
-
 class FullRangeNotSupported(PopiError):
     pass
 

@@ -115,23 +115,11 @@ def _checked(
     return d
 
 
-# Kept for the benchmark alone: `bench/tracer.py` patches it by name, and
-# bench/tests/test_bench.py::test_install_patches_every_importer_and_uninstall_restores
-# requires it.  Once the tracer is retargeted, it goes with `errors.BadRank`.
 def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
-    """Factor an element of rank at most r-2 into two factors of one higher
-    rank (`_low_rank`); NotAMember or BadRank for any other input.  No
-    command calls it: `_factor` calls `_low_rank`."""
-    if not contains(ctx, a):
-        raise errors.NotAMember("%r" % (a,))
-    if a.rank > ctx.r - 2:
-        raise errors.BadRank("rank %d exceeds %d" % (a.rank, ctx.r - 2))
-    return _low_rank(ctx, a)
-
-
-def _low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """Two factors of rank m+1 whose product is `a`, a member of rank m at
-    most r-2; the input is not checked.
+    most r-2.  The input is not checked: `_factor` passes only checked
+    members of that rank.  This is the pipeline's raise-rank split, and
+    `bench/tracer.py` times each one under this name.
 
     beta sends the domain plus its least missing point onto the first m+1
     points of Y, rotated t places.  gamma is beta^-1 * a plus one pair d -> y
@@ -410,7 +398,7 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
         if split is None:
             # with the factors' ranks, as each level passes them to `_checked`
             if m <= r - 2:
-                split = "raise_rank", _low_rank(ctx, a), m + 1, m + 1
+                split = "raise_rank", decompose_low_rank(ctx, a), m + 1, m + 1
             elif is_restricted_corank_one(ctx, a):
                 split = "restricted_split", _restricted_corank_one(ctx, a), r, r
             else:

@@ -79,6 +79,21 @@ class NotRestricted(errors.PopiError):
     """Element is not an order-preserving corank-one map with domain in the range set."""
 
 
+class BadRank(errors.PopiError):
+    """Element's rank is not the one a split level takes."""
+
+
+def low_rank_split(ctx, a):
+    """The split `_factor` makes of a member of rank at most r-2:
+    `rank.decompose_low_rank`, behind the checks that keep it to its
+    inputs: NotAMember, then BadRank."""
+    if not P.contains(ctx, a):
+        raise errors.NotAMember("%r" % (a,))
+    if a.rank > ctx.r - 2:
+        raise BadRank("rank %d exceeds %d" % (a.rank, ctx.r - 2))
+    return rank.decompose_low_rank(ctx, a)
+
+
 def corank_one_split(ctx, a, restricted=False):
     """The split `_factor` makes of a rank-(r-1) member: `rank._corank_one`,
     or `rank._restricted_corank_one` when `restricted`, behind the checks
@@ -94,7 +109,7 @@ def corank_one_split(ctx, a, restricted=False):
             raise NotRestricted("%r" % (a,))
         return rank._restricted_corank_one(ctx, a)
     if a.rank != ctx.r - 1:
-        raise errors.BadRank("expected rank %d, got %d" % (ctx.r - 1, a.rank))
+        raise BadRank("expected rank %d, got %d" % (ctx.r - 1, a.rank))
     return rank._corank_one(ctx, a)
 
 

@@ -1057,6 +1057,7 @@ def test_public_names():
     assert not hasattr(P.PartialInjection, "inverse")
     assert not hasattr(P.PartialInjection, "to_json_dict")
     assert not hasattr(P.errors, "NotRestricted")
-    # bench/tests/test_bench.py::test_install_patches_every_importer_and_uninstall_restores
-    # patches it through bench/tracer.py
+    assert not hasattr(P.errors, "BadRank")
+    # the pipeline's raise-rank split itself, which bench/tracer.py times
+    # by this name
     assert callable(P.rank.decompose_low_rank)

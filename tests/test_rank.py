@@ -23,12 +23,14 @@ from popi.rank import _checked, _gap_point, _missing_index
 from popi.semigroup import element_count
 
 from conftest import (
+    BadRank,
     NotRestricted,
     all_partial_injections,
     all_range_sets,
     chain_rotation,
     corank_one_split,
     inverse,
+    low_rank_split,
     member_of,
     pi,
     proper_range_sets,
@@ -115,7 +117,7 @@ def reference_low_rank(ctx, a):
         raise errors.NotAMember("%r" % (a,))
     m, r, n = a.rank, ctx.r, ctx.n
     if m > r - 2:
-        raise errors.BadRank("rank %d exceeds %d" % (m, r - 2))
+        raise BadRank("rank %d exceeds %d" % (m, r - 2))
     c = next(x for x in range(1, n + 1) if x not in a.domain)
     ext = sorted(a.domain + (c,))
     b_img = ctx.points[: m + 1]
@@ -139,7 +141,7 @@ def reference_corank_one(ctx, a):
         raise errors.NotAMember("%r" % (a,))
     r, n = ctx.r, ctx.n
     if a.rank != r - 1:
-        raise errors.BadRank("expected rank %d, got %d" % (r - 1, a.rank))
+        raise BadRank("expected rank %d, got %d" % (r - 1, a.rank))
     l, a1 = P.shift_decompose(a)
     dom1 = set(a1.domain)
     c = min(set(range(1, n + 1)) - dom1)
@@ -254,13 +256,13 @@ class TestDecomposeLowRank:
 
     def test_rejects_high_rank(self):
         ctx = P.RangeContext(3, (1, 2))
-        with pytest.raises(errors.BadRank):
-            rank.decompose_low_rank(ctx, pi(3, (3, 1)))
+        with pytest.raises(BadRank):
+            low_rank_split(ctx, pi(3, (3, 1)))
 
     def test_rejects_non_member(self):
         ctx = P.RangeContext(4, (1, 2, 3))
         with pytest.raises(errors.NotAMember):
-            rank.decompose_low_rank(ctx, pi(4, (1, 4)))
+            low_rank_split(ctx, pi(4, (1, 4)))
 
     def test_all_low_rank_elements(self):
         for n in range(2, 6):
@@ -320,7 +322,7 @@ class TestDecomposeCorankOne:
 
     def test_bad_rank(self):
         ctx = P.RangeContext(3, (1, 2))
-        with pytest.raises(errors.BadRank):
+        with pytest.raises(BadRank):
             corank_one_split(ctx, P.empty_map(3))
 
     def test_rejects_non_member(self):
@@ -375,7 +377,7 @@ def test_every_level_refuses_non_members(n):
     """Each split level and the pipeline raise NotAMember for every map
     that `contains` rejects, at every proper Y, whatever its rank."""
     calls = (
-        rank.decompose_low_rank,
+        low_rank_split,
         corank_one_split,
         partial(corank_one_split, restricted=True),
         P.top_rank_factorization,
@@ -826,7 +828,7 @@ def test_factor_splits_each_distinct_input_once(monkeypatch, n, pts, steps, dist
     # the levels' bodies each see a distinct input, and `contains` checks
     # the root once and each split's two factors once
     split, checked = [], []
-    for body in ("_low_rank", "_corank_one", "_restricted_corank_one"):
+    for body in ("decompose_low_rank", "_corank_one", "_restricted_corank_one"):
         real = getattr(rank, body)
         monkeypatch.setattr(rank, body, lambda ctx, a, real=real: split.append(a) or real(ctx, a))
     real_contains = rank.contains
@@ -836,6 +838,19 @@ def test_factor_splits_each_distinct_input_once(monkeypatch, n, pts, steps, dist
     assert len(recorded) == steps
     assert len({a for _, a, _ in recorded}) == len(split) == len(set(split)) == distinct
     assert len(checked) == 1 + 2 * distinct
+
+
+def test_traced_name_is_the_split_a_command_runs(monkeypatch, capsys):
+    # bench/tracer.py times the raise-rank splits by patching this name: a
+    # `decompose` command calls it once for each distinct raise_rank input
+    split = []
+    real = rank.decompose_low_rank
+    monkeypatch.setattr(rank, "decompose_low_rank", lambda ctx, a: split.append(a) or real(ctx, a))
+    argv = ["decompose", "--n", "8", "--y", "1,2,4,6,7", "--element", '{"n":8,"pairs":[]}', "--json"]
+    assert main(argv) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    raised = [step["input"] for step in steps if step["op"] == "raise_rank"]
+    assert len(raised) == 15 and len(split) == len(set(raised)) == 9
 
 
 @st.composite
