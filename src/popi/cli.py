@@ -53,7 +53,7 @@ def _parse_points(text: str) -> tuple[int, ...]:
 def _fmt_elem(table: tuple[int, ...]) -> str:
     """An element's defined pairs as "x>y" words, in one pass over its
     table, or "empty"."""
-    return " ".join(["%d>%d" % xy for xy in enumerate(table, 1) if xy[1]]) or "empty"
+    return " ".join([f"{x}>{y}" for x, y in enumerate(table, 1) if y]) or "empty"
 
 
 class _Texts(dict):

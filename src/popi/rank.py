@@ -9,10 +9,12 @@ returning a wrong witness.
 from __future__ import annotations
 
 import math
-from bisect import bisect
+from bisect import bisect, insort
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import combinations, compress
+from functools import reduce
+from itertools import combinations, compress, count, filterfalse, islice
+from operator import gt, mul
 
 from . import errors
 from .semigroup import (
@@ -79,15 +81,15 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
     """Split off a power of the chain rotation leaving an order-preserving part.
 
     Returns the smallest l with a == rotation^l * a1 and a1 order-preserving;
-    a1 keeps the image of a.  A descent after the k-th image, at domain
-    point d_{k+1}, gives l = n + 1 - d_{k+1}; an ascending sequence, l = 0.
-    x a1 = (x - l) a, so a1's table is a's rotated l slots to the right.
-    a1's images are a's rotated, so they ascend only if a's are cyclic:
-    orientation is tested only when they do not, for NotAMember.
+    a1 keeps a's image.  A descent after the k-th image, at domain point
+    d_{k+1}, gives l = n + 1 - d_{k+1}, both found by C-level scans of the
+    table; no descent, l = 0.  x a1 = (x - l) a, so a1's table is a's rotated
+    l slots to the right.  a1's images are a's rotated, so they ascend only
+    if a's are cyclic: orientation is tested only when they do not, for NotAMember.
     """
-    n, seq, table = a.n, a.image_seq, a.table
-    k = next((k for k in range(1, len(seq)) if seq[k - 1] > seq[k]), None)
-    l = 0 if k is None else n + 1 - a.domain[k]
+    n, table, seq = len(a.table), a.table, tuple(filter(None, a.table))
+    k = next(compress(count(1), map(gt, seq, seq[1:])), None)
+    l = 0 if k is None else n + 1 - next(islice(compress(count(1), table), k, None))
     a1 = PartialInjection.from_table(table[n - l :] + table[: n - l])
     if not a1.is_order_preserving():
         if not a.is_orientation_preserving():
@@ -102,11 +104,11 @@ def shift_decompose(a: PartialInjection) -> tuple[int, PartialInjection]:
 def _checked(
     ctx: RangeContext, a: PartialInjection, d: Decomposition, ranks: tuple[int, int]
 ) -> Decomposition:
-    """`d`, once both factors are members of ranks `ranks` whose product is
-    `a`; DecompositionFailed otherwise."""
+    """`d`, once both factors are `contains` members, of ranks `ranks` read as
+    zero counts, whose product is `a`; DecompositionFailed otherwise."""
     beta, gamma = d.beta, d.gamma
     if not (
-        (beta.rank, gamma.rank) == ranks
+        (ctx.n - beta.table.count(0), ctx.n - gamma.table.count(0)) == ranks
         and contains(ctx, beta)
         and contains(ctx, gamma)
         and beta * gamma == a
@@ -125,25 +127,24 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     points of Y, rotated t places.  gamma is beta^-1 * a plus one pair d -> y
     with d outside beta's image, so beta * gamma == a; y is the least free
     point of Y in the circular gap at d's slot, which keeps gamma
-    orientation-preserving.  The first (t, d) with such a y wins.  Both
-    factors are written as slot tables: beta sends ext[i] to the i-th of
-    its images, and beta^-1 * a sends that image to a(ext[i]).
+    orientation-preserving.  The first (t, d) with such a y wins.  ext and
+    the free points are read off a's table, and both factors are written as
+    tables: beta sends ext[i] to its i-th image, and beta^-1 * a that to a(ext[i]).
     """
-    m = a.rank
     n, table = ctx.n, a.table
-    c = table.index(0) + 1
-    ext = sorted(a.domain + (c,))
-    b_img = ctx.points[: m + 1]
-    free = sorted(ctx.point_set - a.image)
-    outside = [d for d in range(1, n + 1) if d not in b_img]
     universe = range(1, n + 1)
+    ext = list(compress(universe, table))
+    m = len(ext)
+    insort(ext, table.index(0) + 1)
+    b_img = ctx.points[: m + 1]
+    free = sorted(ctx.point_set.difference(table))
     for t in range(m + 1):
         beta, gamma0 = [0] * n, [0] * n
         for x, y in zip(ext, b_img[t:] + b_img[:t]):
             beta[x - 1] = y
             gamma0[y - 1] = table[x - 1]
         q, seq = tuple(compress(universe, gamma0)), tuple(filter(None, gamma0))
-        for d in outside:
+        for d in filterfalse(b_img.__contains__, universe):
             y = _gap_point(free, seq, bisect(q, d))
             if y is None:
                 continue
@@ -154,12 +155,13 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
 
 
 def _gap_point(free: list[int], images: tuple[int, ...], j: int) -> int | None:
-    """The least of `free` in the circular gap from images[j-1] up to
-    images[j], or any of them beside fewer than two images."""
+    """By bisection, the least of `free` (sorted, nonempty) in the circular gap
+    from images[j-1] up to images[j], or any of them beside fewer than two images."""
     if len(images) <= 1:
         return free[0]
     lo, hi = images[j - 1], images[j % len(images)]
-    return next((y for y in free if (lo < y < hi if lo < hi else not hi <= y <= lo)), None)
+    i = 0 if lo > hi and free[0] < hi else bisect(free, lo)
+    return free[i] if i < len(free) and (lo > hi or free[i] < hi) else None
 
 
 def _corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
@@ -176,8 +178,8 @@ def _corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     n, r, pts = ctx.n, ctx.r, ctx.points
     l, a1 = shift_decompose(a)
     a1_table = a1.table
-    c = a1_table.index(0) + 1
-    ext = sorted(a1.domain + (c,))
+    ext = list(compress(range(1, n + 1), a1_table))
+    insort(ext, a1_table.index(0) + 1)
     beta, gamma_table = [0] * n, [0] * n
     for x, y in zip(ext, pts):
         beta[x - 1] = y
@@ -216,12 +218,12 @@ def _restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposit
     The first factor is a rotation of the range set; the second is forced
     by the product identity except for one extra pair anchored at an
     insertion point taken, in order of preference, below the range set,
-    above it, or inside its first interior gap.  The chosen case is
-    recorded for coverage accounting.
+    above it, or inside its first interior gap; the case is recorded for
+    coverage accounting.  The missing points and gamma are read off a's table.
     """
-    n, r, pts = ctx.n, ctx.r, ctx.points
-    i = _missing_index(ctx, a.domain)
-    j = _missing_index(ctx, a.image_seq)
+    n, r, pts, table = ctx.n, ctx.r, ctx.points, a.table
+    i = _missing_index(ctx, compress(range(1, n + 1), table))
+    j = _missing_index(ctx, table)
     ge = i >= j
     order = "ge" if ge else "lt"
     if pts[0] > 1 or pts[-1] < n:
@@ -237,12 +239,11 @@ def _restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposit
             width = "wide" if k >= j else ("mid" if k >= j + 1 - i else "narrow")
         case = "gap.%s.%s" % (order, width)
     beta = range_rotation_power(ctx, (k + ge - j) % r)
-    beta_table = beta.table
-    table = [0] * n
-    for x, y in zip(a.domain, a.image_seq):
-        table[beta_table[x - 1] - 1] = y
-    table[p - 1] = pts[j - 1]
-    gamma = PartialInjection.from_table(table)
+    beta_table, gamma_table = beta.table, [0] * n
+    for x, y in zip(compress(range(1, n + 1), table), filter(None, table)):
+        gamma_table[beta_table[x - 1] - 1] = y
+    gamma_table[p - 1] = pts[j - 1]
+    gamma = PartialInjection.from_table(gamma_table)
     return _checked(ctx, a, Decomposition(beta, gamma, case=case), (r, r))
 
 
@@ -368,10 +369,8 @@ def top_rank_factorization(
             % (a.rank, ctx.r, splits, ctx.n, MAX_ELEMENTS)
         )
     factors = _factor(ctx, a, steps)
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod * f
-    if prod != a or any(f.rank != ctx.r for f in factors):
+    zeros = ctx.n - ctx.r
+    if reduce(mul, factors) != a or any(f.table.count(0) != zeros for f in factors):
         raise errors.DecompositionFailed("pipeline product check failed for %r" % (a,))
     return factors
 

@@ -211,15 +211,15 @@ def cardinality_formula(n: int, r: int) -> int:
 
 def contains(ctx: RangeContext, a: PartialInjection) -> bool:
     """Membership test: injective and orientation-preserving, with image
-    inside the range set.  Injectivity, an image of as many points as the
-    image sequence, is tested because `from_table` trusts its table."""
+    inside the range set.  Injectivity is tested because `from_table` trusts
+    its table: one `filter` of the table gives the image sequence, whose
+    points in Y are as many as its entries iff both hold."""
     if len(a.table) != ctx.n:
         raise errors.MismatchedChainSize(
             "element lives on a chain of size %d, context has %d" % (a.n, ctx.n)
         )
-    seq = a.image_seq
-    image = frozenset(seq)
-    return len(image) == len(seq) and image <= ctx.point_set and is_cyclic(seq)
+    seq = tuple(filter(None, a.table))
+    return len(ctx.point_set.intersection(seq)) == len(seq) and is_cyclic(seq)
 
 
 def _rotations(points: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -620,6 +620,18 @@ class TestChecked:
         with pytest.raises(errors.DecompositionFailed):
             _checked(self.ctx, pi(3, (1, 1)), d, (1, 1))
 
+    def test_rejects_factor_that_repeats_an_image(self):
+        # gamma's table has one zero, so its zero count gives rank 2, and
+        # 1 -> 1 -> 1 multiplies out right; but gamma sends 1 and 2 to 1
+        a, beta = pi(3, (1, 1)), pi(3, (1, 1))
+        gamma = P.PartialInjection.from_table((1, 1, 0))
+        assert beta * gamma == a and 3 - gamma.table.count(0) == 2
+        assert not P.contains(self.ctx, gamma)
+        injective = P.Decomposition(beta, pi(3, (1, 1), (2, 2)))
+        assert _checked(self.ctx, a, injective, (1, 2)) is injective
+        with pytest.raises(errors.DecompositionFailed):
+            _checked(self.ctx, a, P.Decomposition(beta, gamma), (1, 2))
+
     def test_rejects_wrong_product(self):
         a = pi(3, (3, 1))
         d = corank_one_split(self.ctx, a)
@@ -854,15 +866,21 @@ def test_traced_name_is_the_split_a_command_runs(monkeypatch, capsys):
 
 
 @st.composite
-def members(draw):
-    """A chain size n <= 9, a proper range set Y and one member a."""
-    n = draw(st.integers(2, 9))
-    pts = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
+def members(draw, long_chains=False):
+    """A chain size n <= 9, a proper range set Y and one member a.  With
+    `long_chains`, also a chain of 256 to 1,000 points, past the `bytes`
+    kernel's 255, with |Y| <= 6: the pipeline splits on tuple tables alone."""
+    if long_chains and draw(st.booleans()):
+        n, most = draw(st.integers(256, 1000)), 6
+    else:
+        n = draw(st.integers(2, 9))
+        most = n - 1
+    pts = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=most, unique=True)))
     return P.RangeContext(n, pts), draw(member_of(n, pts))
 
 
 @settings(max_examples=200, deadline=None)
-@given(members())
+@given(members(long_chains=True))
 def test_every_step_splits_a_member_into_members(ctx_a):
     # checked from outside the pipeline, which checks each element once:
     # every step's input and factors are members of the ranks its op makes
