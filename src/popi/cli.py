@@ -220,7 +220,7 @@ def _emit(args, report: dict, write=None, *items) -> None:
         text = buf.getvalue()
     else:
         text = _text_report(report)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:

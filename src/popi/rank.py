@@ -1,9 +1,9 @@
 """Generating sets, rank certificates, and the step-down factorizations.
 
-Every factorization routine returns a `Decomposition` that has passed
-one check: both factors are members of the expected ranks and their product
-is the input.  A failed check raises `DecompositionFailed` rather than
-returning a wrong witness.
+The pipeline passes every split it makes through one check: both factors
+are members of the ranks the split's level makes and their product is the
+input.  A failed check raises `DecompositionFailed` rather than returning a
+wrong witness.
 """
 
 from __future__ import annotations
@@ -117,19 +117,29 @@ def _checked(
     return d
 
 
+def _onto(n: int, table, ext, targets) -> tuple[list[int], list[int]]:
+    """The slot tables of beta, which sends ext[i] to targets[i], and of
+    beta^-1 * a, which sends targets[i] to a(ext[i]), for a's table `table`."""
+    beta, gamma = [0] * n, [0] * n
+    for x, y in zip(ext, targets):
+        beta[x - 1] = y
+        gamma[y - 1] = table[x - 1]
+    return beta, gamma
+
+
 def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """Two factors of rank m+1 whose product is `a`, a member of rank m at
-    most r-2.  The input is not checked: `_factor` passes only checked
-    members of that rank.  This is the pipeline's raise-rank split, and
-    `bench/tracer.py` times each one under this name.
+    most r-2.  Neither the input nor the split is checked: `_factor` passes
+    only checked members of that rank and checks the split.  This is the
+    pipeline's raise-rank split, and `bench/tracer.py` times each one under
+    this name, the construction alone.
 
     beta sends the domain plus its least missing point onto the first m+1
     points of Y, rotated t places.  gamma is beta^-1 * a plus one pair d -> y
     with d outside beta's image, so beta * gamma == a; y is the least free
     point of Y in the circular gap at d's slot, which keeps gamma
     orientation-preserving.  The first (t, d) with such a y wins.  ext and
-    the free points are read off a's table, and both factors are written as
-    tables: beta sends ext[i] to its i-th image, and beta^-1 * a that to a(ext[i]).
+    the free points are read off a's table, and both factors are `_onto`'s.
     """
     n, table = ctx.n, a.table
     universe = range(1, n + 1)
@@ -139,18 +149,14 @@ def decompose_low_rank(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     b_img = ctx.points[: m + 1]
     free = sorted(ctx.point_set.difference(table))
     for t in range(m + 1):
-        beta, gamma0 = [0] * n, [0] * n
-        for x, y in zip(ext, b_img[t:] + b_img[:t]):
-            beta[x - 1] = y
-            gamma0[y - 1] = table[x - 1]
+        beta, gamma0 = _onto(n, table, ext, b_img[t:] + b_img[:t])
         q, seq = tuple(compress(universe, gamma0)), tuple(filter(None, gamma0))
         for d in filterfalse(b_img.__contains__, universe):
             y = _gap_point(free, seq, bisect(q, d))
             if y is None:
                 continue
             gamma0[d - 1] = y
-            factors = PartialInjection.from_table(beta), PartialInjection.from_table(gamma0)
-            return _checked(ctx, a, Decomposition(*factors, case="low"), (m + 1, m + 1))
+            return Decomposition(*map(PartialInjection.from_table, (beta, gamma0)), case="low")
     raise errors.DecompositionFailed("no one-higher-rank factorization for %r" % (a,))
 
 
@@ -166,30 +172,25 @@ def _gap_point(free: list[int], images: tuple[int, ...], j: int) -> int | None:
 
 def _corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """(top-rank) * (restricted corank-one) factors of `a`, a member of
-    rank r-1; the input is not checked.
+    rank r-1; neither the input nor the split is checked.
 
     The first factor is a rotation shift composed with the order
     isomorphism beta from the extended domain onto the range set; the
-    second is order-preserving with domain inside the range set.  Each is
-    written as a slot table: gamma = beta^-1 * a1 sends the i-th point of Y
-    to a1(ext[i]), and x (rotation^l * beta) = (x + l) beta, so the first
+    second, `_onto`'s beta^-1 * a1, is order-preserving with domain inside
+    the range set.  x (rotation^l * beta) = (x + l) beta, so the first
     factor's table is beta's rotated l slots to the left.
     """
-    n, r, pts = ctx.n, ctx.r, ctx.points
+    n = ctx.n
     l, a1 = shift_decompose(a)
     a1_table = a1.table
     ext = list(compress(range(1, n + 1), a1_table))
     insort(ext, a1_table.index(0) + 1)
-    beta, gamma_table = [0] * n, [0] * n
-    for x, y in zip(ext, pts):
-        beta[x - 1] = y
-        gamma_table[y - 1] = a1_table[x - 1]
+    beta, gamma_table = _onto(n, a1_table, ext, ctx.points)
     gamma = PartialInjection.from_table(gamma_table)
     if not is_restricted_corank_one(ctx, gamma):
         raise errors.DecompositionFailed("corank-one factor %r is not restricted" % (gamma,))
     shifted = PartialInjection.from_table(beta[l:] + beta[:l])
-    d = Decomposition(shifted, gamma, shift_exponent=l, case="corank_one")
-    return _checked(ctx, a, d, (r, r - 1))
+    return Decomposition(shifted, gamma, shift_exponent=l, case="corank_one")
 
 
 def is_restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> bool:
@@ -213,13 +214,13 @@ def _missing_index(ctx: RangeContext, points: Iterable[int]) -> int:
 
 def _restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """Two top-rank factors of `a`, a member that `is_restricted_corank_one`
-    accepts, on a proper range set; the input is not checked.
+    accepts, on a proper range set; neither the input nor the split is checked.
 
-    The first factor is a rotation of the range set; the second is forced
-    by the product identity except for one extra pair anchored at an
+    The first factor, beta, is a rotation of the range set; the second is
+    `_onto`'s beta^-1 * a plus one extra pair anchored at an
     insertion point taken, in order of preference, below the range set,
     above it, or inside its first interior gap; the case is recorded for
-    coverage accounting.  The missing points and gamma are read off a's table.
+    coverage accounting.  The missing points are read off a's table.
     """
     n, r, pts, table = ctx.n, ctx.r, ctx.points, a.table
     i = _missing_index(ctx, compress(range(1, n + 1), table))
@@ -238,13 +239,10 @@ def _restricted_corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposit
         else:
             width = "wide" if k >= j else ("mid" if k >= j + 1 - i else "narrow")
         case = "gap.%s.%s" % (order, width)
-    beta = range_rotation_power(ctx, (k + ge - j) % r)
-    beta_table, gamma_table = beta.table, [0] * n
-    for x, y in zip(compress(range(1, n + 1), table), filter(None, table)):
-        gamma_table[beta_table[x - 1] - 1] = y
-    gamma_table[p - 1] = pts[j - 1]
-    gamma = PartialInjection.from_table(gamma_table)
-    return _checked(ctx, a, Decomposition(beta, gamma, case=case), (r, r))
+    s = (k + ge - j) % r
+    beta, gamma = _onto(n, table, pts, pts[s:] + pts[:s])
+    gamma[p - 1] = pts[j - 1]
+    return Decomposition(*map(PartialInjection.from_table, (beta, gamma)), case=case)
 
 
 # -- top-layer structure ----------------------------------------------------
@@ -378,12 +376,14 @@ def top_rank_factorization(
 def _factor(ctx, a, steps) -> list[PartialInjection]:
     """The top-rank factors of `a` in order, each β's split before its γ's.
 
-    `a` is a checked member, and so is every factor a split passes
-    `_checked`, so the levels' bodies check no input.
-    Each distinct input is split once per call: a repeat reuses its split
-    and still records its step.  The stack holds each element with its
+    `a` is a checked member.  Each distinct input is split once per call,
+    by the level its rank picks, and that split passes `_checked` here, with
+    the factor ranks its level makes: so every factor is a checked member,
+    and no level's body checks its input or its split.  A repeat reuses its
+    split and still records its step.  The stack holds each element with its
     rank: the root's is read once, and each factor's is the one `_checked`
-    has verified."""
+    has verified.  Each body is read from the module's globals when it is
+    called, so a patch on `rank.decompose_low_rank` sees every raise-rank split."""
     r = ctx.r
     factors = []
     splits: dict = {}
@@ -395,15 +395,14 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
             continue
         split = splits.get(a.table)
         if split is None:
-            # with the factors' ranks, as each level passes them to `_checked`
             if m <= r - 2:
-                split = "raise_rank", decompose_low_rank(ctx, a), m + 1, m + 1
+                op, body, ranks = "raise_rank", decompose_low_rank, (m + 1, m + 1)
             elif is_restricted_corank_one(ctx, a):
-                split = "restricted_split", _restricted_corank_one(ctx, a), r, r
+                op, body, ranks = "restricted_split", _restricted_corank_one, (r, r)
             else:
-                split = "corank_one_split", _corank_one(ctx, a), r, r - 1
-            splits[a.table] = split
-        op, d, beta_rank, gamma_rank = split
+                op, body, ranks = "corank_one_split", _corank_one, (r, r - 1)
+            split = splits[a.table] = op, _checked(ctx, a, body(ctx, a), ranks), ranks
+        op, d, (beta_rank, gamma_rank) = split
         if steps is not None:
             steps.append((op, a, d))
         stack += (d.gamma, gamma_rank), (d.beta, beta_rank)

@@ -86,31 +86,35 @@ class BadRank(errors.PopiError):
 def low_rank_split(ctx, a):
     """The split `_factor` makes of a member of rank at most r-2:
     `rank.decompose_low_rank`, behind the checks that keep it to its
-    inputs: NotAMember, then BadRank."""
+    inputs, NotAMember, then BadRank, and passed through `rank._checked`
+    with that level's factor ranks, as `_factor` passes it."""
     if not P.contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
-    if a.rank > ctx.r - 2:
-        raise BadRank("rank %d exceeds %d" % (a.rank, ctx.r - 2))
-    return rank.decompose_low_rank(ctx, a)
+    m = a.rank
+    if m > ctx.r - 2:
+        raise BadRank("rank %d exceeds %d" % (m, ctx.r - 2))
+    return rank._checked(ctx, a, rank.decompose_low_rank(ctx, a), (m + 1, m + 1))
 
 
 def corank_one_split(ctx, a, restricted=False):
     """The split `_factor` makes of a rank-(r-1) member: `rank._corank_one`,
     or `rank._restricted_corank_one` when `restricted`, behind the checks
-    that keep those bodies to their inputs.  Restricted: FullRangeNotSupported
-    on the full range set, then NotAMember, then NotRestricted.  Otherwise:
-    NotAMember, then BadRank."""
+    that keep those bodies to their inputs, and passed through
+    `rank._checked` with that level's factor ranks, as `_factor` passes it.
+    Restricted: FullRangeNotSupported on the full range set, then
+    NotAMember, then NotRestricted.  Otherwise: NotAMember, then BadRank."""
     if restricted and ctx.is_full:
         raise errors.FullRangeNotSupported("full-range sets admit no insertion point")
     if not P.contains(ctx, a):
         raise errors.NotAMember("%r" % (a,))
+    r = ctx.r
     if restricted:
         if not P.is_restricted_corank_one(ctx, a):
             raise NotRestricted("%r" % (a,))
-        return rank._restricted_corank_one(ctx, a)
-    if a.rank != ctx.r - 1:
-        raise BadRank("expected rank %d, got %d" % (ctx.r - 1, a.rank))
-    return rank._corank_one(ctx, a)
+        return rank._checked(ctx, a, rank._restricted_corank_one(ctx, a), (r, r))
+    if a.rank != r - 1:
+        raise BadRank("expected rank %d, got %d" % (r - 1, a.rank))
+    return rank._checked(ctx, a, rank._corank_one(ctx, a), (r, r - 1))
 
 
 def reflection(n):

@@ -735,6 +735,16 @@ class TestErrors:
         assert classes[0] == "PopiError"  # the base class, caught and never raised
         assert [c for c in classes[1:] if "raise errors.%s(" % c not in source] == []
 
+    @pytest.mark.parametrize("out", [("--out", ""), ("--out=",)])
+    def test_empty_out_path_is_refused(self, capsys, out):
+        # the plain reader takes "--out ''" and argparse "--out=": either way
+        # the path cannot be opened, so the report is not printed instead
+        argv = ["rank", "--n", "3", "--y", "1,2", *out]
+        assert (_read_plain(argv) is None) == (len(out) == 1)
+        code, printed, err = run(capsys, *argv)
+        assert code == 2 and printed == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: FileNotFoundError")
+
     def test_bad_points(self, capsys):
         code, out, err = run(capsys, "enumerate", "--n", "3", "--y", "1,x")
         assert code == 2 and "BadParameters" in err

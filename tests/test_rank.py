@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import tracemalloc
 from bisect import bisect
 from functools import partial
@@ -813,7 +814,7 @@ def reference_factor(ctx, a, steps):
     if a.rank == r:
         return [a]
     if a.rank <= r - 2:
-        op, d = "raise_rank", rank.decompose_low_rank(ctx, a)
+        op, d = "raise_rank", low_rank_split(ctx, a)
     elif P.is_restricted_corank_one(ctx, a):
         op, d = "restricted_split", corank_one_split(ctx, a, restricted=True)
     else:
@@ -850,6 +851,29 @@ def test_factor_splits_each_distinct_input_once(monkeypatch, n, pts, steps, dist
     assert len(recorded) == steps
     assert len({a for _, a, _ in recorded}) == len(split) == len(set(split)) == distinct
     assert len(checked) == 1 + 2 * distinct
+
+
+@pytest.mark.parametrize(
+    "body, n, pts, pairs",
+    [
+        ("decompose_low_rank", 4, (1, 2, 3), [(3, 1)]),
+        ("_corank_one", 3, (1, 2), [(3, 1)]),
+        ("_restricted_corank_one", 3, (1, 2), [(2, 1)]),
+    ],
+)
+def test_wrong_split_is_refused_at_its_level(monkeypatch, body, n, pts, pairs):
+    # a level's split of `a` with β and γ swapped fails the check `_factor`
+    # passes it through, under that level's case, before the pipeline's product check
+    ctx, a = P.RangeContext(n, pts), P.PartialInjection(n, pairs)
+    real = getattr(rank, body)
+    d = real(ctx, a)
+    assert d.beta * d.gamma == a != d.gamma * d.beta
+    monkeypatch.setattr(
+        rank, body, lambda ctx, x: (s := real(ctx, x))._replace(beta=s.gamma, gamma=s.beta)
+    )
+    message = "^%s$" % re.escape("%s factorization failed for %r" % (d.case, a))
+    with pytest.raises(errors.DecompositionFailed, match=message):
+        P.top_rank_factorization(ctx, a)
 
 
 def test_traced_name_is_the_split_a_command_runs(monkeypatch, capsys):
@@ -945,7 +969,7 @@ def members_of_rank(draw, level):
 
 
 LEVELS = {
-    "low": (rank.decompose_low_rank, reference_low_rank),
+    "low": (low_rank_split, reference_low_rank),
     "corank_one": (corank_one_split, reference_corank_one),
     "restricted": (partial(corank_one_split, restricted=True), reference_restricted_corank_one),
 }
