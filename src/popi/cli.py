@@ -9,7 +9,6 @@ large to build (a chain of more than MAX_ELEMENTS points included) or an
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from itertools import chain, combinations, repeat, takewhile
@@ -92,11 +91,12 @@ def _int_list(seq: tuple[int, ...]) -> str:
     return "[\n        " + ",\n        ".join(map(str, seq)) + "\n      ]" if seq else "[]"
 
 
-def _csv_list(seq: tuple[int, ...]) -> str:
-    """A list of ints as the CSV writer writes it: joined by commas, and
-    quoted when that gives a comma."""
-    text = ",".join(map(str, seq))
-    return '"%s"' % text if len(seq) > 1 else text
+def _csv(value) -> str:
+    """One CSV field as csv.writer writes a report's: a list or tuple joined
+    by commas, and quoted when its text holds a comma.  No report field
+    holds a quote or a line end, which would need more."""
+    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+    return '"%s"' % text if "," in text else text
 
 
 def _text_list(seq: tuple[int, ...]) -> str:
@@ -105,22 +105,20 @@ def _text_list(seq: tuple[int, ...]) -> str:
 
 
 # One element of a listing in each format, as json.dumps(indent=2) (two
-# levels deep), the CSV writer and `_text_report` write its record, the dict
+# levels deep), `_csv` and `_text_report` write its record, the dict
 # {"index", "rank", "domain", "image"}, split around its index: the head
 # before the index, the middle after it (a template for the domain's rank
-# and list), and the close after the image list, separator included; then
-# the document's close, which replaces the last record's close; then the
-# writer of the int lists.
+# and list), and the close after the image list, the format's separator
+# included; then the writer of the int lists.
 _LISTING = {
     "json": (
         '    {\n      "index": ',
         ',\n      "rank": %d,\n      "domain": %s,\n      "image": ',
         "\n    },\n",
-        "\n    }\n  ]\n}\n",
         _int_list,
     ),
-    "csv": ("", ",%d,%s,", "\r\n", "\r\n", _csv_list),
-    "text": ("  index=", "  rank=%d  domain=%s  image=", "\n", "\n", _text_list),
+    "csv": ("", ",%d,%s,", "\r\n", _csv),
+    "text": ("  index=", "  rank=%d  domain=%s  image=", "\n", _text_list),
 }
 
 
@@ -130,10 +128,9 @@ def _listing(fmt: str, report: dict, blocks) -> str:
     building or formatting a record.  A block's image sequences each get
     one tail, their list and the record's close; a domain gets one middle,
     its rank and list; and each element is four pieces, the shared head,
-    its index, its domain's middle and its sequence's tail, joined once
-    over the whole document.  JSON and text write the report itself around
-    the records; CSV writes the records alone."""
-    head, middle, close, end, int_list = _LISTING[fmt]
+    its index, its domain's middle and its sequence's tail, which `_records`
+    joins once over the whole document."""
+    head, middle, close, int_list = _LISTING[fmt]
     parts: list[str] = []
     count = 0
     for seqs, domains in blocks:
@@ -148,78 +145,71 @@ def _listing(fmt: str, report: dict, blocks) -> str:
             )
             count += m
     report["count"] = count
-    # the document's head and close ride on the first and last pieces, so
-    # the document is copied once, by the join
-    parts[0] = _records_head(fmt, report, "elements", "index,rank,domain,image") + head
-    parts[-1] = parts[-1][: -len(close)] + end
-    return "".join(parts)
-
-
-def _records_head(fmt: str, report: dict, key: str, fields: str) -> str:
-    """What comes before the first record of the report's last key `key`:
-    the report and the list's opening in JSON and text, the header `fields`
-    in CSV, which writes the records alone."""
-    if fmt == "json":
-        return _json(report)[:-2] + ',\n  "%s": [\n' % key  # _json ends with "\n}"
-    if fmt == "csv":
-        return fields + "\r\n"
-    return _text_report(report) + key + ":\n"
+    return _records(fmt, report, "elements", "index,rank,domain,image", parts)
 
 
 # One step of a decompose report in each format, as json.dumps(indent=2)
-# (two levels deep), the CSV writer and `_text_report` write its record, the
-# dict {"op", "case", "shift", "input", "beta", "gamma"}; then what joins two
-# records, and the document's close after the last.  No field needs quoting
-# or escaping in any format: an element's text holds only digits, ">" and
-# spaces, or is "empty", and an op or case name holds only [a-z._].
+# (two levels deep), `_csv` and `_text_report` write its record, the dict
+# {"op", "case", "shift", "input", "beta", "gamma"}, the format's separator
+# included.  No field needs quoting or escaping in any format: an element's
+# text holds only digits, ">" and spaces, or is "empty", and an op or case
+# name holds only [a-z._].
 _STEP = {
-    "json": (
-        '    {\n      "op": "%s",\n      "case": "%s",\n      "shift": %d,\n'
-        '      "input": "%s",\n      "beta": "%s",\n      "gamma": "%s"\n    }',
-        ",\n",
-        "\n  ]\n}\n",
-    ),
-    "csv": ("%s,%s,%d,%s,%s,%s", "\r\n", "\r\n"),
-    "text": ("  op=%s  case=%s  shift=%d  input=%s  beta=%s  gamma=%s", "\n", "\n"),
+    "json": '    {\n      "op": "%s",\n      "case": "%s",\n      "shift": %d,\n'
+    '      "input": "%s",\n      "beta": "%s",\n      "gamma": "%s"\n    },\n',
+    "csv": "%s,%s,%d,%s,%s,%s\r\n",
+    "text": "  op=%s  case=%s  shift=%d  input=%s  beta=%s  gamma=%s\n",
 }
 
 
 def _steps(fmt: str, report: dict, steps: list, texts: _Texts) -> str:
     """The report with, as its last key, "steps": one record per
     `(op, input, Decomposition)` step, in format `fmt`, each filled once
-    from its template with the elements' texts.  JSON and text write the
-    report itself before the records; CSV writes the records alone."""
-    template, sep, end = _STEP[fmt]
+    from its template with the elements' texts and finished by `_records`."""
+    template = _STEP[fmt]
     records = [
         template
         % (op, d.case, d.shift_exponent, texts[a.table], texts[d.beta.table], texts[d.gamma.table])
         for op, a, d in steps
     ]
-    head = _records_head(fmt, report, "steps", "op,case,shift,input,beta,gamma")
-    return head + sep.join(records) + end
+    return _records(fmt, report, "steps", "op,case,shift,input,beta,gamma", records)
 
 
-def _emit(args, report: dict, write=None, *items) -> None:
-    """Write the report to stdout or --out, in `args.format`.  A report that
-    ends in a list of records is written by `write`, `_listing` or `_steps`,
-    called with the format, the report and `items`."""
-    if write is not None:
-        text = write(args.format, report, *items)
-    elif args.format == "json":
-        text = _json(report) + "\n"
-    elif args.format == "csv":
-        import csv
-
-        row = _flatten(report)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(
-            {k: (",".join(map(str, v)) if isinstance(v, list) else v) for k, v in row.items()}
-        )
-        text = buf.getvalue()
+def _records(fmt: str, report: dict, key: str, fields: str, pieces: list[str]) -> str:
+    """The report with, as its last key `key`, the records written in
+    `pieces`, each record's last piece ending in the format's separator.
+    The report goes on the first piece in JSON and text, the header `fields`
+    in CSV, which writes the records alone; the document's close replaces
+    the last separator (in CSV and text it is that separator); and one join
+    copies the document.  With no records the report is one row, its `key`
+    an empty list."""
+    if not pieces:
+        report[key] = []
+        return _report(fmt, report)
+    if fmt == "json":
+        head = _json(report)[:-2] + ',\n  "%s": [\n' % key  # _json ends with "\n}"
+        pieces[-1] = pieces[-1][:-2] + "\n  ]\n}\n"  # for the last ",\n"
+    elif fmt == "csv":
+        head = fields + "\r\n"
     else:
-        text = _text_report(report)
+        head = _text_report(report) + key + ":\n"
+    pieces[0] = head + pieces[0]
+    return "".join(pieces)
+
+
+def _report(fmt: str, report: dict) -> str:
+    """A report with no records, in format `fmt`: its JSON, its CSV header
+    and one row, or its text."""
+    if fmt == "json":
+        return _json(report) + "\n"
+    if fmt == "csv":
+        row = _flatten(report)
+        return ",".join(map(_csv, row)) + "\r\n" + ",".join(map(_csv, row.values())) + "\r\n"
+    return _text_report(report)
+
+
+def _emit(args, text: str) -> None:
+    """Write a report's text to stdout or to --out."""
     if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -229,7 +219,7 @@ def _emit(args, report: dict, write=None, *items) -> None:
 
 def _flatten(report: dict) -> dict:
     """One CSV row: nested dicts become dotted keys, lists of scalars stay
-    (the writer joins them with commas), lists of lists or dicts are dropped."""
+    (`_csv` joins them with commas), lists of lists or dicts are dropped."""
     flat = {}
     for k, v in report.items():
         if isinstance(v, dict):
@@ -266,7 +256,7 @@ def _base_report(command: str, config: dict) -> dict:
 def cmd_enumerate(args) -> int:
     ctx = RangeContext(args.n, _parse_points(args.y))
     report = _base_report("enumerate", {"n": ctx.n, "y": list(ctx.points)})
-    _emit(args, report, _listing, element_blocks(ctx))
+    _emit(args, _listing(args.format, report, element_blocks(ctx)))
     return 0
 
 
@@ -288,7 +278,7 @@ def cmd_card(args) -> int:
     report.update(
         {"formula": formula, "enumerated": enumerated, "match": formula == enumerated}
     )
-    _emit(args, report)
+    _emit(args, _report(args.format, report))
     return 0
 
 
@@ -304,7 +294,7 @@ def cmd_green(args) -> int:
     report["class_sizes"] = [len(c) for c in classes[args.rel]]
     if args.check:
         report["oracle_agrees"] = classes == green_oracle(enumerate_semigroup(ctx), args.rel)
-    _emit(args, report)
+    _emit(args, _report(args.format, report))
     return 0
 
 
@@ -322,7 +312,7 @@ def cmd_rank(args) -> int:
             str(i) for i, d in enumerate(deletions) if not d
         )
     )
-    _emit(args, report)
+    _emit(args, _report(args.format, report))
     return 0
 
 
@@ -341,7 +331,7 @@ def cmd_iso(args) -> int:
         report["agree"] = (found is not None) == witness.verdict
         if found is not None:
             report["element_map"] = [[i, j] for i, j in sorted(found.items())]
-    _emit(args, report)
+    _emit(args, _report(args.format, report))
     return 0
 
 
@@ -361,11 +351,7 @@ def cmd_decompose(args) -> int:
         "decompose", {"n": ctx.n, "y": list(ctx.points), "element": texts[elem.table]}
     )
     report["factors"] = [texts[f.table] for f in factors]
-    if steps:
-        _emit(args, report, _steps, steps, texts)
-    else:  # a top-rank member
-        report["steps"] = []
-        _emit(args, report)
+    _emit(args, _steps(args.format, report, steps, texts))
     return 0
 
 
@@ -396,7 +382,7 @@ def cmd_selftest(args) -> int:
     report = _base_report("selftest", {"max_n": args.max_n})
     report["failures"] = failures
     report["ok"] = not failures
-    _emit(args, report)
+    _emit(args, _report(args.format, report))
     return 0 if not failures else 1
 
 

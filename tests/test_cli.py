@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ import popi as P
 from popi.cli import (
     COMMANDS,
     _base_report,
+    _csv,
     _json,
     _read_plain,
     build_parser,
@@ -629,6 +631,68 @@ def test_enumerate_listings_match_golden_digests():
     assert [k for k in digests if digests[k] != golden[k]] == []
 
 
+# sha256 per (format, group, n) of every report's exit code and stdout, in
+# argv order, captured while one-row --csv reports were still written by
+# csv.DictWriter: at every Y with n <= 4, `card` by --y and by --r, `rank`,
+# `green` for each letter with and without --check, and `iso` for every pair
+# of equal size with and without --oracle; and `selftest --max-n 1..3`, and
+# at --max-n 2 with the cardinality side or the Green side patched to fail.
+GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "golden", "reports.json")
+SELFTEST_FAULTS = {
+    "card": ("cardinality_formula", lambda n, r: -1),
+    "green": ("green_characterized", lambda ctx, relations: dict.fromkeys(relations, ())),
+}
+
+
+def report_groups():
+    """(group, n, fault, argvs) for each group of one-row reports."""
+    for n in range(1, 5):
+        ys = [_y(pts) for pts in all_range_sets(n)]
+        head = ["--n", str(n)]
+        yield "card-y", n, None, [["card", *head, "--y", y] for y in ys]
+        yield "card-r", n, None, [["card", *head, "--r", str(r)] for r in range(1, n + 1)]
+        yield "rank", n, None, [["rank", *head, "--y", y] for y in ys]
+        for flag in ([], ["--check"]):
+            argvs = [["green", *head, "--y", y, "--rel", rel, *flag] for y in ys for rel in "LRHD"]
+            yield "green" + "".join(flag), n, None, argvs
+        pairs = [(y, z) for y in ys for z in ys if y.count(",") == z.count(",")]
+        for flag in ([], ["--oracle"]):
+            argvs = [["iso", *head, "--y", y, "--z", z, *flag] for y, z in pairs]
+            yield "iso" + "".join(flag), n, None, argvs
+    for max_n in (1, 2, 3):
+        yield "selftest", max_n, None, [["selftest", "--max-n", str(max_n)]]
+    for name, fault in SELFTEST_FAULTS.items():
+        yield "selftest-" + name, 2, fault, [["selftest", "--max-n", "2"]]
+
+
+def report_digests() -> dict:
+    import popi.cli
+
+    digests = {}
+    for name, flags in ENUMERATE_FORMATS:
+        for group, n, fault, argvs in report_groups():
+            h = hashlib.sha256()
+            with pytest.MonkeyPatch.context() as mp:
+                if fault is not None:
+                    mp.setattr(popi.cli, *fault)
+                for argv in argvs:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main(argv + flags)
+                    h.update(b"%d\n" % code + out.getvalue().encode())
+            digests["%s %s %d" % (name, group, n)] = h.hexdigest()
+    return digests
+
+
+def test_one_row_reports_match_golden_digests():
+    with open(GOLDEN_REPORTS) as fh:
+        golden = json.load(fh)
+    digests = report_digests()
+    assert len(golden) == 3 * (7 * 4 + 3 + 2)
+    assert sorted(digests) == sorted(golden)
+    assert [k for k in digests if digests[k] != golden[k]] == []
+
+
 class TestSelftest:
     def test_small_sweep_passes(self, capsys):
         code, doc = run_json(capsys, "selftest", "--max-n", "3")
@@ -716,6 +780,35 @@ class TestJsonWriter:
     def test_other_values_refused(self, value):
         with pytest.raises(TypeError):
             _json(value)
+
+
+# Report-shaped CSV fields: ints, negative ones and bools included, texts
+# over the characters a report holds, and lists and tuples of those, empty
+# ones included.
+CSV_SCALARS = (
+    st.integers(-(10**6), 10**6)
+    | st.booleans()
+    | st.text(st.sampled_from(string.digits + string.ascii_letters + " ,.:>={}_-"), max_size=8)
+)
+CSV_FIELDS = (
+    CSV_SCALARS
+    | st.lists(CSV_SCALARS, max_size=4)
+    | st.lists(CSV_SCALARS, max_size=4).map(tuple)
+)
+
+
+class TestCsvField:
+    @given(st.lists(CSV_FIELDS, min_size=2, max_size=6))
+    @example([[], ()])
+    @example(["a,b", [1, 2], (3,), ",", True, -7])
+    def test_row_equals_csv_writer(self, row):
+        # every report row has at least two fields: csv.writer quotes an
+        # empty field when it is a row's only one
+        buf = io.StringIO()
+        csv.writer(buf).writerow(
+            [",".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in row]
+        )
+        assert ",".join(map(_csv, row)) + "\r\n" == buf.getvalue()
 
 
 class TestErrors:
@@ -1021,15 +1114,16 @@ class TestStartUp:
         code = "import popi.cli; print(sorted(sys.modules.keys() & set(%r)))" % (self.UNUSED,)
         assert self.child(code).stdout == b"[]\n"
 
-    def test_csv_loaded_by_csv_output_alone(self, capsys):
+    def test_csv_loaded_by_no_output(self, capsys):
+        # --csv output too writes its fields itself, without the csv module
         argv = ["card", "--n", "3", "--y", "1,2"]
         code = (
             "from popi.cli import main; main(%r); sys.stdout.flush(); "
             "sys.stderr.write(repr('csv' in sys.modules))"
         )
-        for fmt, loaded in (("--json", b"False"), ("--csv", b"True")):
+        for fmt in ("--json", "--csv"):
             done = self.child(code % (argv + [fmt],))
-            assert done.stderr == loaded
+            assert done.stderr == b"False"
             assert done.stdout == run(capsys, *argv, fmt)[1].encode()
 
     def test_plain_command_loads_no_argparse(self, capsys):
