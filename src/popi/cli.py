@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Every command prints a deterministic report; `--json` emits a versioned
+Every command builds a deterministic report; `--json` emits a versioned
 machine-readable document, `--csv` a flat projection of the same records.
+Each handler returns its report's text and exit code and does no I/O;
+`main` alone writes the text, to stdout or to `--out`.
 Exit codes: 0 success, 1 selftest mismatch, 2 invalid arguments, input too
-large to build (a chain of more than MAX_ELEMENTS points included) or an
-`--out` path that cannot be written.
+large to build (a chain of more than MAX_ELEMENTS points included), or an
+`--out` path or stdout that cannot be written.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import sys
 from itertools import chain, combinations, repeat, takewhile
@@ -208,15 +211,6 @@ def _report(fmt: str, report: dict) -> str:
     return _text_report(report)
 
 
-def _emit(args, text: str) -> None:
-    """Write a report's text to stdout or to --out."""
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _flatten(report: dict) -> dict:
     """One CSV row: nested dicts become dotted keys, lists of scalars stay
     (`_csv` joins them with commas), lists of lists or dicts are dropped."""
@@ -253,14 +247,13 @@ def _base_report(command: str, config: dict) -> dict:
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[str, int]:
     ctx = RangeContext(args.n, _parse_points(args.y))
     report = _base_report("enumerate", {"n": ctx.n, "y": list(ctx.points)})
-    _emit(args, _listing(args.format, report, element_blocks(ctx)))
-    return 0
+    return _listing(args.format, report, element_blocks(ctx)), 0
 
 
-def cmd_card(args) -> int:
+def cmd_card(args) -> tuple[str, int]:
     if args.y is not None and args.r is not None:
         raise errors.BadParameters("card takes --y or --r, not both")
     if args.y is not None:
@@ -278,11 +271,10 @@ def cmd_card(args) -> int:
     report.update(
         {"formula": formula, "enumerated": enumerated, "match": formula == enumerated}
     )
-    _emit(args, _report(args.format, report))
-    return 0
+    return _report(args.format, report), 0
 
 
-def cmd_green(args) -> int:
+def cmd_green(args) -> tuple[str, int]:
     ctx = RangeContext(args.n, _parse_points(args.y))
     if args.check:
         check_table_size(ctx.n, ctx.r)  # before anything is counted or built
@@ -294,11 +286,10 @@ def cmd_green(args) -> int:
     report["class_sizes"] = [len(c) for c in classes[args.rel]]
     if args.check:
         report["oracle_agrees"] = classes == green_oracle(enumerate_semigroup(ctx), args.rel)
-    _emit(args, _report(args.format, report))
-    return 0
+    return _report(args.format, report), 0
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> tuple[str, int]:
     ctx = RangeContext(args.n, _parse_points(args.y))
     cert = semigroup_rank(ctx)
     closed = closure(ctx, list(cert.generating_set))
@@ -312,11 +303,10 @@ def cmd_rank(args) -> int:
             str(i) for i, d in enumerate(deletions) if not d
         )
     )
-    _emit(args, _report(args.format, report))
-    return 0
+    return _report(args.format, report), 0
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> tuple[str, int]:
     y = _parse_points(args.y)
     z = _parse_points(args.z)
     witness = decide_isomorphic(args.n, y, z)
@@ -331,11 +321,10 @@ def cmd_iso(args) -> int:
         report["agree"] = (found is not None) == witness.verdict
         if found is not None:
             report["element_map"] = [[i, j] for i, j in sorted(found.items())]
-    _emit(args, _report(args.format, report))
-    return 0
+    return _report(args.format, report), 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[str, int]:
     ctx = RangeContext(args.n, _parse_points(args.y))
     try:
         data = json.loads(args.element)
@@ -351,11 +340,10 @@ def cmd_decompose(args) -> int:
         "decompose", {"n": ctx.n, "y": list(ctx.points), "element": texts[elem.table]}
     )
     report["factors"] = [texts[f.table] for f in factors]
-    _emit(args, _steps(args.format, report, steps, texts))
-    return 0
+    return _steps(args.format, report, steps, texts), 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[str, int]:
     if args.max_n < 1:
         raise errors.BadParameters("--max-n must be at least 1, got %d" % args.max_n)
     check_table_size(args.max_n, args.max_n)  # the full range's table is the largest
@@ -382,8 +370,7 @@ def cmd_selftest(args) -> int:
     report = _base_report("selftest", {"max_n": args.max_n})
     report["failures"] = failures
     report["ok"] = not failures
-    _emit(args, _report(args.format, report))
-    return 0 if not failures else 1
+    return _report(args.format, report), 0 if not failures else 1
 
 
 # -- entry point ------------------------------------------------------------
@@ -401,7 +388,8 @@ _FORMAT = (
 )
 _CHAIN = (_N, ("--y", "y", str, None, None, True, None, "comma-separated points"), *_FORMAT)
 
-# name -> (help, handler, option rows)
+# name -> (help, handler, option rows); a handler takes the parsed args and
+# returns its report's text and exit code, and `main` writes the text
 COMMANDS = {
     "enumerate": ("list every element", cmd_enumerate, _CHAIN),
     "card": ("formula vs enumerated count", cmd_card, (
@@ -502,7 +490,15 @@ def main(argv=None) -> int:
     # a parser, if one is built, is freed before the command runs
     args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command][1](args)
+        text, code = COMMANDS[args.command][1](args)
+        if args.out is None:
+            if sys.stdout is None:  # fd 1 was closed when the process started
+                raise OSError(errno.EBADF, "stdout is closed")
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        return code
     except (errors.PopiError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 2

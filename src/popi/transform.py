@@ -10,10 +10,8 @@ tuple table of a `PartialInjection`, and `compose` multiplies two of them.
 and `enumerate_semigroup`, which multiply with `bytes.translate`
 (`semigroup._right_factor`) and share the restriction classes of
 `semigroup._restrictions`: x(ab) = (xa)b reads b only on im(a), so they form
-one product per class of right factors that agree there.  `mult_table` forms
-one row per domain and gathers, not forms, every other row of that domain:
-a = b·σ for the first row's b, so a·h = b·(σ·h).  Elements are built from
-`bytes` tables only where one is read.
+one product per class of right factors that agree there.  Elements are built
+from `bytes` tables only where one is read.
 """
 
 from __future__ import annotations

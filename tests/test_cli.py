@@ -1097,6 +1097,144 @@ class TestParser:
             assert vars(plain) == vars(full)
 
 
+# one argv of each one-row report, with the fault TestSelftest patches in, if
+# any, and the exit code it must give
+ONE_ROW_ARGVS = {
+    "card-y": (["card", "--n", "4", "--y", "1,3"], None, 0),
+    "card-r": (["card", "--n", "4", "--r", "2"], None, 0),
+    "green": (["green", "--n", "4", "--y", "1,3", "--rel", "D"], None, 0),
+    "green-check": (["green", "--n", "4", "--y", "1,3", "--rel", "D", "--check"], None, 0),
+    "rank": (["rank", "--n", "5", "--y", "2,4,5"], None, 0),
+    "iso-oracle": (["iso", "--n", "5", "--y", "1,2,3", "--z", "1,2,4", "--oracle"], None, 0),
+    "selftest": (["selftest", "--max-n", "3"], None, 0),
+    "selftest-failing": (["selftest", "--max-n", "2"], SELFTEST_FAULTS["card"], 1),
+}
+
+
+def drawn_values(command: str, out_dir) -> dict:
+    """A strategy per option dest for argvs of `command`: valid values on
+    chains of at most 5 points, bad, duplicated and out-of-range points,
+    values past a bound that is refused before anything is built, malformed
+    `--element` JSON and `--out` paths under `out_dir`."""
+    points = st.one_of(
+        st.sets(st.integers(1, 5), min_size=1, max_size=4).map(sorted).map(_y),
+        st.lists(st.integers(-1, 8), max_size=6).map(_y),
+        st.sampled_from(["x", "1,x", "1.5", "", "2,2", "1000001"]),
+    )
+    pairs = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).map(list), max_size=3)
+    elements = st.one_of(
+        st.builds(lambda n, p: json.dumps({"n": n, "pairs": p}), st.integers(0, 6), pairs),
+        st.sampled_from([
+            "{", "[]", "null", '"x"', "1e999", '{"n":3}', '{"n":3,"pairs":[[1]]}',
+            '{"n":3,"pairs":[["a",1]]}', '{"n":3,"pairs":{"1":2}}', '{"n":NaN,"pairs":[]}',
+            "[" * 100000,
+        ]),
+    )
+    # a search refuses 256 points before it builds anything; green and iso
+    # search only with --check or --oracle
+    searches = ["256"] if command == "rank" else []
+    return {
+        "n": st.sampled_from(["3", "4", "5"])
+        | st.sampled_from(["1", "2", "0", "-1", "x", "1000001", *searches]),
+        "y": points,
+        "z": points,
+        "r": st.sampled_from(["1", "3", "5", "0", "-2", "x", "1000001"]),
+        "rel": st.sampled_from(["L", "R", "H", "D", "Q", "LR"]),
+        "element": elements,
+        "max_n": st.sampled_from(["1", "2", "3", "0", "-1", "x", "7", "256"]),
+        "out": st.sampled_from(
+            [str(out_dir / "report"), str(out_dir / "missing" / "report"), str(out_dir), ""]
+        ),
+    }
+
+
+class TestMain:
+    """`main` is the one write site: a handler returns its report's text
+    and exit code, and `main` writes the text to stdout or to `--out`."""
+
+    @pytest.mark.parametrize("flags", [["--json"], ["--csv"], []])
+    @pytest.mark.parametrize("case", sorted(ONE_ROW_ARGVS))
+    def test_out_file_same_bytes_as_stdout(self, capsys, tmp_path, monkeypatch, case, flags):
+        import popi.cli
+
+        argv, fault, want = ONE_ROW_ARGVS[case]
+        if fault is not None:
+            monkeypatch.setattr(popi.cli, *fault)
+        target = tmp_path / "report"
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == want and out != "" and err == ""
+        code, nothing, err = run(capsys, *argv, *flags, "--out", str(target))
+        assert code == want and nothing == "" and err == ""
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=COMMAND_NAMES)
+    def test_handlers_do_no_io(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # where each --out names a file
+        argv = argv + ["--out", "report"]
+        result = COMMANDS[argv[0]][1](_read_plain(argv))
+        assert capsys.readouterr() == ("", "") and os.listdir(tmp_path) == []
+        assert type(result) is tuple and len(result) == 2
+        text, code = result
+        assert type(text) is str and type(code) is int
+        # the text and code that main writes and returns
+        assert main(argv) == code and (tmp_path / "report").read_bytes() == text.encode()
+
+    def test_closed_stdout_exits_two(self):
+        # a process started with fd 1 closed has no sys.stdout at all
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "popi.cli", "rank", "--n", "3", "--y", "1,2"],
+            stderr=subprocess.PIPE, text=True, env=env, preexec_fn=lambda: os.close(1),
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: OSError: [Errno 9] stdout is closed\n"
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("out")
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_exits_zero_one_or_two(self, data, out_dir):
+        # the exit-code contract: main returns 0, 1 or 2 or exits 0 or 2 on
+        # any argv, and no other exception escapes
+        command = data.draw(st.sampled_from(COMMAND_NAMES + ("bogus",)))
+        rows = COMMANDS.get(command, COMMANDS["iso"])[2]
+        values = drawn_values(command, out_dir)
+        # each required option and some others, each name in full or
+        # abbreviated, and an option's value after it or in one "=" token
+        argv = [command]
+        for name, dest, type_, _, _, required, _, _ in data.draw(st.permutations(rows)):
+            if not (required or data.draw(st.booleans())):
+                continue
+            form = data.draw(st.sampled_from(["full"] * 4 + ["short", "equals"]))
+            if form == "short":
+                name = name[: data.draw(st.integers(3, len(name)))]
+            if type_ is None:
+                argv.append(name)
+            elif form == "equals":
+                argv.append(name + "=" + data.draw(values[dest]))
+            else:
+                argv.extend([name, data.draw(values[dest])])
+        # then maybe a token dropped, and a few tokens of any kind anywhere,
+        # each place counted from the end
+        if data.draw(st.sampled_from([False] * 4 + [True])):
+            del argv[~data.draw(st.integers(0, len(argv) - 1))]
+        names = sorted({row[0] for options in COMMANDS.values() for row in options[2]})
+        strays = st.sampled_from(
+            names + ["--", "-h", "--help", "--version", "--json=1", "extra", command]
+        )
+        for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            argv.insert(len(argv) - data.draw(st.integers(0, len(argv))), data.draw(strays))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 2), argv
+                return
+        assert code in (0, 1, 2), argv
+
+
 class TestStartUp:
     """What a `popi` process imports: a clean interpreter (`-S`, so that no
     `.pth` file preloads anything) with the package's directory on its path."""
