@@ -376,47 +376,50 @@ def cmd_selftest(args) -> tuple[str, int]:
 # -- entry point ------------------------------------------------------------
 
 
-# One row per option, in usage order: (name, dest, type, const, default,
-# required, choices, help).  A flag takes no value: its type is None and it
-# sets its dest to const.  The two format flags share one dest, so they
-# share its default too.
-_N = ("--n", "n", int, None, None, True, None, None)
-_FORMAT = (
-    ("--json", "format", None, "json", "text", False, None, None),
-    ("--csv", "format", None, "csv", "text", False, None, None),
-    ("--out", "out", str, None, None, False, None, None),
-)
-_CHAIN = (_N, ("--y", "y", str, None, None, True, None, "comma-separated points"), *_FORMAT)
+# Each command's options: a dict from option name to the keyword arguments
+# of argparse's `add_argument`, in usage order.  A flag takes no value: its
+# action is "store_const" and it sets its dest to const.  The two format
+# flags share one dest, so they share its default too.
+_N = {"--n": {"dest": "n", "type": int, "required": True}}
+_FORMAT = {
+    "--json": {"dest": "format", "action": "store_const", "const": "json", "default": "text"},
+    "--csv": {"dest": "format", "action": "store_const", "const": "csv", "default": "text"},
+    "--out": {"dest": "out", "type": str},
+}
+_CHAIN = {
+    **_N, "--y": {"dest": "y", "type": str, "required": True, "help": "comma-separated points"},
+    **_FORMAT,
+}
 
-# name -> (help, handler, option rows); a handler takes the parsed args and
+# name -> (help, handler, options); a handler takes the parsed args and
 # returns its report's text and exit code, and `main` writes the text
 COMMANDS = {
     "enumerate": ("list every element", cmd_enumerate, _CHAIN),
-    "card": ("formula vs enumerated count", cmd_card, (
-        _N,
-        *_FORMAT,
-        ("--y", "y", str, None, None, False, None, None),
-        ("--r", "r", int, None, None, False, None, None),
-    )),
-    "green": ("Green's relation classes", cmd_green, (
-        *_CHAIN,
-        ("--rel", "rel", str, None, None, True, ("L", "R", "H", "D"), None),
-        ("--check", "check", None, True, False, False, None, "compare against the oracle"),
-    )),
+    "card": ("formula vs enumerated count", cmd_card, {
+        **_N, **_FORMAT, "--y": {"dest": "y", "type": str}, "--r": {"dest": "r", "type": int},
+    }),
+    "green": ("Green's relation classes", cmd_green, {
+        **_CHAIN,
+        "--rel": {"dest": "rel", "type": str, "required": True, "choices": ("L", "R", "H", "D")},
+        "--check": {"dest": "check", "action": "store_const", "const": True, "default": False,
+                    "help": "compare against the oracle"},
+    }),
     "rank": ("rank certificate", cmd_rank, _CHAIN),
-    "iso": ("isomorphism decision", cmd_iso, (
-        *_CHAIN,
-        ("--z", "z", str, None, None, True, None, None),
-        ("--oracle", "oracle", None, True, False, False, None, "also run the brute-force search"),
-    )),
-    "decompose": ("factor an element into top-rank products", cmd_decompose, (
-        *_CHAIN,
-        ("--element", "element", str, None, None, True, None, 'e.g. {"n":3,"pairs":[[3,1]]}'),
-    )),
-    "selftest": ("oracle-vs-characterization sweep", cmd_selftest, (
-        ("--max-n", "max_n", int, None, 4, False, None, None),
-        *_FORMAT,
-    )),
+    "iso": ("isomorphism decision", cmd_iso, {
+        **_CHAIN,
+        "--z": {"dest": "z", "type": str, "required": True},
+        "--oracle": {"dest": "oracle", "action": "store_const", "const": True, "default": False,
+                     "help": "also run the brute-force search"},
+    }),
+    "decompose": ("factor an element into top-rank products", cmd_decompose, {
+        **_CHAIN,
+        "--element": {"dest": "element", "type": str, "required": True,
+                      "help": 'e.g. {"n":3,"pairs":[[3,1]]}'},
+    }),
+    "selftest": ("oracle-vs-characterization sweep", cmd_selftest, {
+        "--max-n": {"dest": "max_n", "type": int, "default": 4},
+        **_FORMAT,
+    }),
 }
 
 
@@ -433,49 +436,41 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _, options) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name, dest, type_, const, default, required, choices, help_ in options:
-            kind = (
-                {"action": "store_const", "const": const}
-                if type_ is None
-                else {"type": type_, "choices": choices}
-            )
-            p.add_argument(
-                name, dest=dest, default=default, required=required, help=help_, **kind
-            )
+        for name, kwargs in options.items():
+            p.add_argument(name, **kwargs)
     return parser
 
 
 def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     """What the full parser gives for a plain argv, read from the command's
-    option rows without building a parser; None for any other argv.  A
-    plain argv is a command's name, then exact option names of that
-    command, each option that takes a value followed by one that does not
-    start with "-", every value valid and every required option given."""
+    options without building a parser; None for any other argv.  A plain
+    argv is a command's name, then exact option names of that command, each
+    option that takes a value followed by one that does not start with "-",
+    every value valid and every required option given (a required option
+    has no default, so its dest holds None until it is given)."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    rows = {row[0]: row for row in COMMANDS[argv[0]][2]}
-    values = {row[1]: row[4] for row in rows.values()}
-    missing = {name for name, row in rows.items() if row[5]}
+    options = COMMANDS[argv[0]][2]
+    values = {kwargs["dest"]: kwargs.get("default") for kwargs in options.values()}
     tokens = iter(argv[1:])
     for name in tokens:
-        if name not in rows:
+        kwargs = options.get(name)
+        if kwargs is None:
             return None
-        _, dest, type_, const, _, _, choices, _ = rows[name]
-        missing.discard(name)
-        if type_ is None:
-            values[dest] = const
+        if "action" in kwargs:
+            values[kwargs["dest"]] = kwargs["const"]
             continue
         text = next(tokens, "-")  # a missing value is not plain either
         if text.startswith("-"):
             return None
         try:
-            value = type_(text)
+            value = kwargs["type"](text)
         except ValueError:
             return None
-        if choices is not None and value not in choices:
+        if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        values[dest] = value
-    if missing:
+        values[kwargs["dest"]] = value
+    if any(values[kwargs["dest"]] is None for kwargs in options.values() if kwargs.get("required")):
         return None
     return SimpleNamespace(command=argv[0], **values)
 

@@ -172,7 +172,7 @@ def _gap_point(free: list[int], images: tuple[int, ...], j: int) -> int | None:
 
 def _corank_one(ctx: RangeContext, a: PartialInjection) -> Decomposition:
     """(top-rank) * (restricted corank-one) factors of `a`, a member of
-    rank r-1; neither the input nor the split is checked.
+    rank r-1; of its split it checks the shift and gamma's restriction (`_factor`).
 
     The first factor is a rotation shift composed with the order
     isomorphism beta from the extended domain onto the range set; the
@@ -378,12 +378,16 @@ def _factor(ctx, a, steps) -> list[PartialInjection]:
 
     `a` is a checked member.  Each distinct input is split once per call,
     by the level its rank picks, and that split passes `_checked` here, with
-    the factor ranks its level makes: so every factor is a checked member,
-    and no level's body checks its input or its split.  A repeat reuses its
-    split and still records its step.  The stack holds each element with its
-    rank: the root's is read once, and each factor's is the one `_checked`
-    has verified.  Each body is read from the module's globals when it is
-    called, so a patch on `rank.decompose_low_rank` sees every raise-rank split."""
+    the factor ranks its level makes: so every factor is a checked member.
+    No body checks its input; `_corank_one` alone checks part of its split:
+    it calls the checked `shift_decompose`, and raises DecompositionFailed
+    for a γ that is not restricted corank-one, which would be corank-split
+    again here and, if its split repeated, push the same pair forever.  A
+    repeat reuses its split and still records its step.  The stack holds
+    each element with its rank: the root's is read once, and each factor's
+    is the one `_checked` has verified.  Each body is read from the module's
+    globals when it is called, so a patch on `rank.decompose_low_rank` sees
+    every raise-rank split."""
     r = ctx.r
     factors = []
     splits: dict = {}

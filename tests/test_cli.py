@@ -991,6 +991,26 @@ class TestParser:
     def test_table_names_every_command(self):
         assert tuple(COMMANDS) == COMMAND_NAMES
 
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_options_use_the_keys_the_plain_reader_reads(self, command):
+        # build_parser passes each option's kwargs to argparse as they are,
+        # and _read_plain reads these keys alone, as argparse does: a flag
+        # stores its const, any other option's value goes through its type,
+        # and a required option's dest holds None until it is given
+        keys = {"dest", "type", "action", "const", "default", "required", "choices", "help"}
+        defaults: dict = {}
+        for name, kwargs in COMMANDS[command][2].items():
+            assert kwargs.keys() <= keys, name
+            if "action" in kwargs:
+                assert kwargs["action"] == "store_const", name
+                assert "const" in kwargs and "type" not in kwargs, name
+            else:
+                assert "type" in kwargs, name
+            default = kwargs.get("default")
+            assert defaults.setdefault(kwargs["dest"], default) == default, name
+            if kwargs.get("required"):
+                assert default is None, name
+
     def test_leading_double_dash_refused_alike_on_every_release(self, capsys):
         # argparse 3.13.13 would read it as the end of options and run rank
         with pytest.raises(SystemExit) as exc:
@@ -1050,7 +1070,7 @@ class TestParser:
         # a plain reader may decline any argv, but what it reads is what
         # argparse parses, and it declines every argv argparse exits on
         command = data.draw(st.sampled_from(COMMAND_NAMES))
-        options = {row[0]: row for row in COMMANDS[command][2]}
+        options = COMMANDS[command][2]
         names = sorted(options)
         values = st.one_of(
             st.integers(-20, 20).map(str),
@@ -1067,10 +1087,10 @@ class TestParser:
         )
 
         def valid(name):
-            _, _, type_, _, _, _, choices, _ = options[name]
-            if choices is not None:
-                return st.sampled_from(choices)
-            return st.integers(1, 4).map(str) if type_ is int else st.just("1,2")
+            kwargs = options[name]
+            if "choices" in kwargs:
+                return st.sampled_from(kwargs["choices"])
+            return st.integers(1, 4).map(str) if kwargs["type"] is int else st.just("1,2")
 
         # most options in turn, each mostly with a valid value if it takes
         # one, so that many argvs are plain; then a few tokens of any kind
@@ -1080,7 +1100,7 @@ class TestParser:
             kind = data.draw(st.sampled_from(["absent", "bare", "any", "valid", "valid", "valid"]))
             if kind != "absent":
                 argv.append(name)
-            if kind in ("any", "valid") and options[name][2] is not None:
+            if kind in ("any", "valid") and "type" in options[name]:
                 argv.append(data.draw(values if kind == "any" else valid(name)))
         for _ in range(data.draw(st.integers(0, 3))):
             argv.insert(data.draw(st.integers(1, len(argv))), data.draw(tokens))
@@ -1199,28 +1219,28 @@ class TestMain:
         # the exit-code contract: main returns 0, 1 or 2 or exits 0 or 2 on
         # any argv, and no other exception escapes
         command = data.draw(st.sampled_from(COMMAND_NAMES + ("bogus",)))
-        rows = COMMANDS.get(command, COMMANDS["iso"])[2]
+        options = COMMANDS.get(command, COMMANDS["iso"])[2]
         values = drawn_values(command, out_dir)
         # each required option and some others, each name in full or
         # abbreviated, and an option's value after it or in one "=" token
         argv = [command]
-        for name, dest, type_, _, _, required, _, _ in data.draw(st.permutations(rows)):
-            if not (required or data.draw(st.booleans())):
+        for name, kwargs in data.draw(st.permutations(list(options.items()))):
+            if not (kwargs.get("required") or data.draw(st.booleans())):
                 continue
             form = data.draw(st.sampled_from(["full"] * 4 + ["short", "equals"]))
             if form == "short":
                 name = name[: data.draw(st.integers(3, len(name)))]
-            if type_ is None:
+            if "type" not in kwargs:
                 argv.append(name)
             elif form == "equals":
-                argv.append(name + "=" + data.draw(values[dest]))
+                argv.append(name + "=" + data.draw(values[kwargs["dest"]]))
             else:
-                argv.extend([name, data.draw(values[dest])])
+                argv.extend([name, data.draw(values[kwargs["dest"]])])
         # then maybe a token dropped, and a few tokens of any kind anywhere,
         # each place counted from the end
         if data.draw(st.sampled_from([False] * 4 + [True])):
             del argv[~data.draw(st.integers(0, len(argv) - 1))]
-        names = sorted({row[0] for options in COMMANDS.values() for row in options[2]})
+        names = sorted({name for entry in COMMANDS.values() for name in entry[2]})
         strays = st.sampled_from(
             names + ["--", "-h", "--help", "--version", "--json=1", "extra", command]
         )

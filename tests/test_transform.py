@@ -362,3 +362,14 @@ def test_an_element_is_its_table(n_tables):
         assert longer.n == n + 1 and longer != a and longer not in S
         with pytest.raises(errors.MismatchedChainSize):
             a * longer
+
+
+def test_an_element_never_equals_a_non_element():
+    # __eq__ defers to the other operand, and a tuple or None never equals
+    # an element, so an element is no dict key for its own table even
+    # though both hash alike
+    a = pi(3, (1, 2))
+    assert (a == a.table) is False
+    assert (a != None) is True  # noqa: E711
+    assert hash(a) == hash(a.table)
+    assert {a: 1}.get(a.table) is None
