@@ -14,7 +14,7 @@ from __future__ import annotations
 import errno
 import json
 import sys
-from itertools import chain, combinations, repeat, takewhile
+from itertools import combinations, takewhile
 from json.encoder import encode_basestring_ascii as _quote
 from operator import eq
 from types import SimpleNamespace
@@ -112,7 +112,8 @@ def _text_list(seq: tuple[int, ...]) -> str:
 # {"index", "rank", "domain", "image"}, split around its index: the head
 # before the index, the middle after it (a template for the domain's rank
 # and list), and the close after the image list, the format's separator
-# included; then the writer of the int lists.
+# included; then the writer of the int lists.  In a listing the head rides
+# on the close before it, so an element is three pieces.
 _LISTING = {
     "json": (
         '    {\n      "index": ',
@@ -128,25 +129,32 @@ _LISTING = {
 def _listing(fmt: str, report: dict, blocks) -> str:
     """The report with "count" and, as its last key, "elements": one record
     per element of the listing's blocks, in format `fmt`, written without
-    building or formatting a record.  A block's image sequences each get
-    one tail, their list and the record's close; a domain gets one middle,
-    its rank and list; and each element is four pieces, the shared head,
-    its index, its domain's middle and its sequence's tail, which `_records`
-    joins once over the whole document."""
+    building or formatting a record.  Each element is three pieces: its
+    index, its domain's middle (its rank and list) and its image sequence's
+    tail (its list, the record's close and the next record's head).  A rank
+    block of m sequences and k domains makes m tails and k middles and
+    fills one list of 3·m·k slots by strided slice assignment, domain d
+    with sequence s at slots 3·(d·m + s) to 3·(d·m + s) + 2; `_records`
+    joins the pieces once over the whole document.  The first piece gets
+    the head and the last tail drops it.  The blocks hold at least one
+    element, the empty map."""
     head, middle, close, int_list = _LISTING[fmt]
     parts: list[str] = []
     count = 0
     for seqs, domains in blocks:
-        tails = [int_list(seq) + close for seq in seqs]
-        m = len(tails)
-        for domain in domains:
-            mid = middle % (len(domain), int_list(domain))
-            parts.extend(
-                chain.from_iterable(
-                    zip(repeat(head, m), map(str, range(count, count + m)), repeat(mid, m), tails)
-                )
-            )
-            count += m
+        tails = [int_list(seq) + close + head for seq in seqs]
+        mids = [middle % (len(domain), int_list(domain)) for domain in domains]
+        m, k = len(tails), len(mids)
+        block = [""] * (3 * m * k)
+        # format(i) is str(i); before 3.13 calling the str type costs more
+        block[0::3] = map(format, range(count, count + m * k))
+        for s in range(m):  # block[1::3]: each middle m times
+            block[3 * s + 1 :: 3 * m] = mids
+        block[2::3] = tails * k
+        parts += block
+        count += m * k
+    parts[0] = head + parts[0]
+    parts[-1] = parts[-1][: len(parts[-1]) - len(head)]
     report["count"] = count
     return _records(fmt, report, "elements", "index,rank,domain,image", parts)
 

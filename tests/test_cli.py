@@ -104,6 +104,19 @@ def listed_report(n: int, pts: tuple[int, ...]) -> dict:
     return report
 
 
+def written_csv(report: dict) -> str:
+    """The enumerate report's records as csv.DictWriter writes them, each
+    list joined by commas."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["index", "rank", "domain", "image"])
+    writer.writeheader()
+    for record in report["elements"]:
+        writer.writerow(
+            {k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in record.items()}
+        )
+    return buf.getvalue()
+
+
 def first_difference(got: str, want: str):
     """None when equal; else the first differing line's number and both
     versions of it, which pytest prints at once where a diff of two whole
@@ -171,16 +184,28 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n, pts", LISTING_CASES)
     def test_csv_equals_written_records(self, capsys, n, pts):
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["index", "rank", "domain", "image"])
-        writer.writeheader()
-        for record in listed_report(n, pts)["elements"]:
-            writer.writerow(
-                {k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in record.items()}
-            )
         code, out, _ = run(capsys, "enumerate", "--n", str(n), "--y", _y(pts), "--csv")
         assert code == 0
-        assert first_difference(out, buf.getvalue()) is None
+        assert first_difference(out, written_csv(listed_report(n, pts))) is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(7, 9), data=st.data())
+    def test_every_format_equals_its_reference(self, n, data):
+        # past the goldens: rank blocks of up to 30 sequences, indices past
+        # 1,000, and the last record, whose tail drops the next head
+        pts = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=5))))
+        report = listed_report(n, pts)
+        references = {
+            ("--json",): json.dumps(report, indent=2) + "\n",
+            ("--csv",): written_csv(report),
+            (): text_report(report),
+        }
+        for flags, want in references.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["enumerate", "--n", str(n), "--y", _y(pts), *flags])
+            assert code == 0
+            assert first_difference(out.getvalue(), want) is None, flags
 
     def test_too_large_refused_before_building(self, capsys):
         tracemalloc.start()
